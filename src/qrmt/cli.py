@@ -40,6 +40,9 @@ from .svg import Series, render_svg
 
 __all__ = ["main", "RunManifest"]
 
+_THREADS_HELP = ("accepted for compatibility and ignored: sampling runs on one thread, "
+                "and outputs never depended on the thread count")
+
 
 # ---------------------------------------------------------------------------
 # manifest and file plumbing
@@ -179,18 +182,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, cnt)
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("QRMT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"QRMT_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _ensure_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
@@ -203,8 +194,7 @@ def cmd_sample(args) -> int:
     params = _build_params(args)
     _ensure_dir(args.out)
     manifest = RunManifest("sample", params, args.seed, args.count)
-    threads = _resolve_threads(args)
-    samples = sample_batch(params, args.count, master_seed=args.seed, threads=threads)
+    samples = sample_batch(params, args.count, master_seed=args.seed)
     batch = sp.spectra_from_samples(samples)
     spath = os.path.join(args.out, "spectra.csv")
     meta = _meta_lines(params, master_seed=args.seed, count=args.count)
@@ -213,7 +203,8 @@ def cmd_sample(args) -> int:
     if args.raw:
         mpath = os.path.join(args.out, "matrices.csv")
         header = [f"h{i + 1}{j + 1}" for i in range(params.n) for j in range(params.n)]
-        _write_csv(mpath, meta, header, (s.h.ravel() for s in samples))
+        rows = (row for h in samples.chunks() for row in h.reshape(len(h), -1))
+        _write_csv(mpath, meta, header, rows)
         manifest.add_output(mpath)
     mpath = manifest.write(args.out)
     print(f"wrote {spath} ({args.count} x {params.n}) and {mpath}")
@@ -392,9 +383,7 @@ def _reproduce_fig1(args) -> int:
                              label=f"lambda={lam:g}", color=None))
 
         # Monte Carlo overlay, binomial band check on the central 80% of mass
-        batch = sp.spectra_from_samples(
-            sample_batch(params, samples, master_seed=seed + i, threads=_resolve_threads(args))
-        )
+        batch = sp.spectra_from_samples(sample_batch(params, samples, master_seed=seed + i))
         x80 = _mass_quantile(params, 0.10)
         bad, checked, worst = _overlay_violations(params, batch, x80)
         hist = sp.empirical_density(batch, np.linspace(-lim, lim, 49))
@@ -496,9 +485,7 @@ def _reproduce_fig2(args) -> int:
 
     # simulation overlay: empirical gap fractions with the analytic s pairing
     thetas = np.concatenate([[0.0], np.geomspace(0.004, 0.30, 39)])
-    batch = sp.spectra_from_samples(
-        sample_batch(params, samples, master_seed=seed, threads=_resolve_threads(args))
-    )
+    batch = sp.spectra_from_samples(sample_batch(params, samples, master_seed=seed))
     gap = sp.empirical_gap(batch, thetas)
     spath = os.path.join(out, "fig2_sim.csv")
     _write_csv(
@@ -801,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     ps.add_argument("--out", default=".", help="output directory")
     ps.add_argument("--raw", action="store_true", help="also write the raw matrices")
-    ps.add_argument("--threads", type=int, default=None, help="worker threads (default: cores)")
+    ps.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     ps.set_defaults(func=cmd_sample)
 
     for name, fn, extra in (
@@ -829,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=7)
     pr.add_argument("--samples", type=int, default=None,
                     help="override the Monte Carlo sample count (smoke runs)")
-    pr.add_argument("--threads", type=int, default=None)
+    pr.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     pr.set_defaults(func=cmd_reproduce)
 
     pv = sub.add_parser("verify", help="run verification suites (TAP output)")

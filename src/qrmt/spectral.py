@@ -13,7 +13,7 @@ import numpy as np
 
 from .analytic import mean_count
 from .params import EnsembleParams, ParameterError, Regime
-from .sampler import MatrixSample
+from .sampler import SampleBatch
 
 __all__ = [
     "SpectrumBatch",
@@ -106,6 +106,14 @@ class TailIndexEstimate:
     k: int  # top order statistics used
 
 
+def _require_symmetric(h: np.ndarray) -> None:
+    """Raise unless every matrix of the stack h (..., n, n) is symmetric to 1e-10 of its largest entry."""
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    asym = np.abs(h - np.swapaxes(h, -1, -2)).max(axis=(-2, -1))
+    if np.any(asym > 1e-10 * scale):
+        raise ParameterError("matrix is not symmetric")
+
+
 def eigenvalues(h: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
@@ -116,17 +124,52 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ParameterError(f"need a square matrix, got shape {h.shape}")
-    if not np.allclose(h, h.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(h).max()))):
-        raise ParameterError("matrix is not symmetric")
+    if not np.all(np.isfinite(h)):
+        raise ParameterError("matrix has non-finite entries")
+    _require_symmetric(h)
     return np.linalg.eigvalsh(h)
 
 
-def spectra_from_samples(samples: list[MatrixSample]) -> SpectrumBatch:
-    """Diagonalize a batch of draws into a SpectrumBatch."""
+def _dense_blocks(samples, n: int):
+    if isinstance(samples, SampleBatch):
+        yield from samples.chunks()
+        return
+    step = SampleBatch.chunk_rows(n)
+    for lo in range(0, len(samples), step):
+        hs = [np.asarray(s.h, dtype=float) for s in samples[lo : lo + step]]
+        if any(h.shape != (n, n) for h in hs):
+            raise ParameterError(f"every matrix of the batch must be {n} x {n}")
+        yield np.stack(hs)
+
+
+def spectra_from_samples(samples) -> SpectrumBatch:
+    """Diagonalize a batch of draws into a SpectrumBatch.
+
+    `samples` is a SampleBatch or a list of MatrixSample.  Dense matrices
+    are formed in chunks; each chunk gets the checks of `eigenvalues` (finite
+    entries, then symmetry at the same tolerance) and one batched LAPACK
+    call.  Draws with non-finite entries (the mixing variable overflows at
+    tiny lambda) raise one ParameterError that counts them.
+    """
     if not samples:
         raise ParameterError("empty sample list")
-    spectra = np.vstack([eigenvalues(s.h) for s in samples])
-    return SpectrumBatch(spectra=spectra, params=samples[0].params, count=len(samples))
+    params = samples.params if isinstance(samples, SampleBatch) else samples[0].params
+    n = params.n
+    spectra = np.empty((len(samples), n))
+    nonfinite = 0
+    lo = 0
+    for h in _dense_blocks(samples, n):
+        nonfinite += int(np.count_nonzero(~np.isfinite(h).all(axis=(1, 2))))
+        if not nonfinite:
+            _require_symmetric(h)
+            spectra[lo : lo + len(h)] = np.linalg.eigvalsh(h)
+        lo += len(h)
+    if nonfinite:
+        raise ParameterError(
+            f"{nonfinite} of {len(samples)} draws have non-finite entries; "
+            "lambda or alpha is too small for float64"
+        )
+    return SpectrumBatch(spectra=spectra, params=params, count=len(samples))
 
 
 def empirical_density(batch: SpectrumBatch, bins) -> Histogram:

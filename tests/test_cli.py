@@ -286,6 +286,63 @@ def test_verify_manifest_missing_file(tmp_path, capsys):
     assert code == 4
 
 
+# sha256 of the files `qrmt sample --raw --threads 1` writes, frozen from
+# the per-draw sampler this batch sampler replaced: (argv, spectra.csv,
+# matrices.csv).  The determinism contract keeps them fixed; they also pin
+# the eigensolver build, so a different LAPACK may need them re-derived.
+GOLDEN_SAMPLE = {
+    "heavy_n2": (["--n", "2", "--lambda", "1.0", "--count", "400", "--seed", "5"],
+                 "d798392a8eddd94ba162f64de0f25ed1914236edf952f75a1fbec25123902001",
+                 "71de52658b6302f82e39ec23a46fd6e7dcac7b93a9b4a93f86f9e366d24fe14b"),
+    "heavy_n10": (["--n", "10", "--lambda", "1.5", "--count", "200", "--seed", "6"],
+                  "64818a97c556b4b73c4bb46effb52f4c4a7c7c840e345a6b7aeea741b0573193",
+                  "1cb70798fdd162c458162d9d42c6f68cb4e9946e379fecef4e6e7847cb0832b2"),
+    "gauss_n40": (["--n", "40", "--q", "1.0", "--count", "30", "--seed", "7"],
+                  "905c72a495a7c4bf790484a16cc6dc0d500f0cebcb91dbab1e68d69f9349a84d",
+                  "078c9656e0f28651ac8d5f7733e8e2f0cd840b7675df5e219d095826d0dd333d"),
+    "q05_n4": (["--n", "4", "--q", "0.5", "--count", "300", "--seed", "8"],
+               "6bf946c8e26407cf55b3e7c714b3046153e050828aba6a58aa7a2343d5c0706c",
+               "4c8ed3d42a74244426138fc92e8643b9274aa3b9d92d50c36c05b4f2d38813d2"),
+    "bounded_n3": (["--n", "3", "--q=-inf", "--count", "300", "--seed", "9"],
+                   "c92f755c3831ca4b3eaa9d13f6f288bcf55094ea66a07238a110d5ecef859007",
+                   "21210e9708666735cea65065dafad64b30f0ff139f00a60d9eea8734644dfc92"),
+    "bounded_n1": (["--n", "1", "--q=-inf", "--count", "300", "--seed", "10"],
+                   "fdca060530aa6d9e6a0c8950a73489478476635225376aeaf83e60e7a497fa3b",
+                   "cde6d985b643ac5c9262e17c104675d9a34dcdfa0fc3018ef4a0626f50067d1b"),
+    "heavy_n1": (["--n", "1", "--lambda", "0.5", "--count", "300", "--seed", "11"],
+                 "ffdf206c69ba8fb33e8768e86f6d8e80b6d6d64fcb2c7b8c5b8ca669be4343c6",
+                 "e9659aba727fce045b7c84406cf44d2b057beda39f910411e2805171ba3e1381"),
+}
+# sha256 of fig2_sim.csv from `qrmt reproduce fig2 --samples 2000`
+GOLDEN_FIG2_SIM = "d5581a8c617f2d2aeaee5cfc8b2f10e19a432d890736fa6be206c51d60378ab6"
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SAMPLE))
+def test_sample_outputs_match_golden_hashes(case, tmp_path, capsys):
+    argv, spectra_sha, matrices_sha = GOLDEN_SAMPLE[case]
+    out = str(tmp_path / case)
+    code, _, _ = run(["sample", *argv, "--raw", "--threads", "1", "--out", out], capsys)
+    assert code == 0
+    assert _digest(os.path.join(out, "spectra.csv")) == spectra_sha
+    assert _digest(os.path.join(out, "matrices.csv")) == matrices_sha
+
+
+def test_reproduce_fig2_sim_matches_golden_hash(tmp_path, capsys):
+    out = str(tmp_path / "fig2")
+    run(["reproduce", "fig2", "--samples", "2000", "--out", out], capsys)
+    assert _digest(os.path.join(out, "fig2_sim.csv")) == GOLDEN_FIG2_SIM
+
+
+def test_exit_2_on_nonfinite_draws_at_tiny_lambda(tmp_path, capsys):
+    # at lambda = 0.001, 72 of these 3000 draws overflow to inf
+    code, _, err = run(
+        ["sample", "--n", "10", "--lambda", "0.001", "--alpha", "1", "--count", "3000",
+         "--out", str(tmp_path)], capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: 72 of 3000 draws have non-finite entries")
+
+
 # ---------------------------------------------------------------- reproduce
 
 def test_reproduce_fig2_small_sample_reports_failure(tmp_path, capsys):

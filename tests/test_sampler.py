@@ -16,6 +16,7 @@ from qrmt.params import EnsembleParams, ParameterError, Regime, RegimeError
 from qrmt.sampler import (
     MatrixSample,
     RngStream,
+    SampleBatch,
     sample_batch,
     sample_beta,
     sample_bounded_trace,
@@ -251,7 +252,66 @@ def test_batch_count_validation():
     params = EnsembleParams.gaussian(2, alpha=1.0)
     with pytest.raises(ParameterError):
         sample_batch(params, -1, master_seed=0)
-    assert sample_batch(params, 0, master_seed=0) == []
+    empty = sample_batch(params, 0, master_seed=0)
+    assert len(empty) == 0 and list(empty) == []
+
+
+_REGIMES = [
+    EnsembleParams.gaussian(4, alpha=1.5),
+    EnsembleParams.from_lambda(3, 0.7, alpha=1.0),
+    EnsembleParams.from_lambda(10, 0.001, alpha=1.0),  # inf entries at this lambda
+    EnsembleParams.from_q(4, 0.5, alpha=1.0),
+    EnsembleParams.from_q(3, -math.inf, alpha=0.5),
+    EnsembleParams.from_q(1, 0.0, alpha=1.0),
+]
+
+
+@pytest.mark.parametrize("params", _REGIMES, ids=lambda p: f"{p.regime.value}-n{p.n}-lam{p.lam:g}")
+def test_batch_rows_equal_single_draws(params):
+    # batch and single draws share one code path: row i is the draw on stream (seed, i)
+    count = 300 if params.lam == 0.001 else 40
+    batch = sample_batch(params, count, master_seed=17)
+    dense = batch.h
+    assert dense.shape == (count, params.n, params.n)
+    for i in range(count):
+        one = sample_ensemble(params, RngStream(17, i), i)
+        assert one.h.tobytes() == dense[i].tobytes()
+        assert one.xi == batch[i].xi
+    if params.lam == 0.001:
+        assert not np.all(np.isfinite(dense))  # the overflow pattern is covered too
+
+
+def test_sample_batch_sequence_behaviour():
+    params = EnsembleParams.from_lambda(3, 1.5, alpha=1.0)
+    batch = sample_batch(params, 9, master_seed=23)
+    assert isinstance(batch, SampleBatch) and len(batch) == 9
+    assert batch.packed.shape == (9, params.f)
+    last = batch[-1]
+    assert isinstance(last, MatrixSample)
+    assert last.sample_index == 8 and last.seed_path == (23, 8)
+    assert last.h.tobytes() == batch.h[8].tobytes()
+    assert last.xi == float(batch.xi[8]) and last.xi > 0
+    part = batch[2:7:2]
+    assert [s.sample_index for s in part] == [2, 4, 6]
+    assert all(s.h.tobytes() == batch.h[s.sample_index].tobytes() for s in part)
+    items = list(batch)
+    assert [s.sample_index for s in items] == list(range(9))
+    assert [s.seed_path for s in items] == [(23, i) for i in range(9)]
+    assert np.stack([s.h for s in items]).tobytes() == batch.h.tobytes()
+    with pytest.raises(IndexError):
+        batch[9]
+    with pytest.raises(IndexError):
+        batch[-10]
+    assert sample_batch(EnsembleParams.from_q(3, 0.0, alpha=1.0), 2, master_seed=1).xi is None
+
+
+def test_sample_batch_chunks_cover_the_batch():
+    params = EnsembleParams.gaussian(40, alpha=1.0)
+    batch = sample_batch(params, 45, master_seed=4)
+    blocks = list(batch.chunks())
+    rows = SampleBatch.chunk_rows(40)
+    assert rows == 20 and [len(b) for b in blocks] == [20, 20, 5]
+    assert np.concatenate(blocks).tobytes() == batch.h.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,7 @@ from oracles import sturm_eigenvalues
 
 import qrmt.analytic as an
 from qrmt.params import EnsembleParams, ParameterError
-from qrmt.sampler import RngStream, sample_batch, sample_goe
+from qrmt.sampler import MatrixSample, RngStream, sample_batch, sample_goe
 from qrmt.spectral import (
     GapEstimate,
     Histogram,
@@ -99,6 +99,42 @@ def test_spectra_from_samples_round_trip():
     assert np.allclose(b.spectra[3], eigenvalues(samples[3].h), atol=0)
     with pytest.raises(ParameterError):
         spectra_from_samples([])
+
+
+def test_spectra_from_samples_batched_equals_per_matrix():
+    # one batched eigensolve per chunk gives the per-matrix spectra bit for
+    # bit, for a SampleBatch (several chunks at n=40) and a plain list alike
+    for p, count in ((EnsembleParams.gaussian(40, alpha=1.0), 45),
+                     (EnsembleParams.from_q(3, 0.5, alpha=1.0), 30)):
+        samples = sample_batch(p, count, master_seed=8)
+        per_matrix = np.stack([eigenvalues(s.h) for s in samples])
+        assert spectra_from_samples(samples).spectra.tobytes() == per_matrix.tobytes()
+        assert spectra_from_samples(list(samples)).spectra.tobytes() == per_matrix.tobytes()
+
+
+def test_spectra_from_samples_checks_symmetry_and_shape():
+    p = EnsembleParams.gaussian(2, alpha=1.0)
+    good = list(sample_batch(p, 3, master_seed=2))
+    skew = MatrixSample(h=np.array([[0.0, 1.0], [0.0, 0.0]]), params=p, xi=None,
+                        sample_index=3, seed_path=None)
+    with pytest.raises(ParameterError, match="not symmetric"):
+        spectra_from_samples(good + [skew])
+    wide = MatrixSample(h=np.zeros((3, 3)), params=p, xi=None, sample_index=3, seed_path=None)
+    with pytest.raises(ParameterError):
+        spectra_from_samples(good[:1] + [wide])
+
+
+def test_spectra_from_samples_counts_nonfinite_draws():
+    # at lambda = 0.001 the Gamma mixing variable underflows far enough that
+    # some draws overflow to inf; that is a typed error naming their count
+    p = EnsembleParams.from_lambda(10, 0.001, alpha=1.0)
+    samples = sample_batch(p, 3000, master_seed=0)
+    bad = int(np.count_nonzero(~np.isfinite(samples.packed).all(axis=1)))
+    assert bad == 72  # measured at this seed
+    with pytest.raises(ParameterError, match=f"^{bad} of 3000 draws have non-finite entries"):
+        spectra_from_samples(samples)
+    with pytest.raises(ParameterError, match="non-finite"):
+        eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 # --------------------------------------------------------------- histograms
