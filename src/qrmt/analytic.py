@@ -481,6 +481,8 @@ def gap_probability_bulk(s, lam: float = 1.0):
 
 def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     """Parametric (s, E) gap curve over a theta grid."""
+    if params.regime is not Regime.LEVY_BRANCH:
+        raise RegimeError("gap curve needs the heavy-tailed branch")
     thetas = np.asarray(theta_grid, dtype=float)
     if np.any(thetas < 0) or np.any(np.diff(thetas) <= 0):
         raise ParameterError("theta grid must be nonnegative and strictly increasing")
@@ -504,9 +506,11 @@ def density_curve(params: EnsembleParams, e_grid) -> AnalyticCurve:
     vals = np.asarray(level_density(grid, params), dtype=float)
     worst = 0.0
     if params.regime is Regime.LEVY_BRANCH:
-        for e in grid[:: max(1, len(grid) // 8)]:
+        step = max(1, len(grid) // 8)
+        # level_density is even in E, bit for bit, so vals holds the |E| values too
+        for e, v in zip(grid[::step], vals[::step]):
             q = level_density_mixture(float(e), params)
-            worst = max(worst, abs(q.value - _level_density_scalar(float(abs(e)), params)))
+            worst = max(worst, abs(q.value - float(v)))
     return AnalyticCurve(abscissae=grid, values=vals, kind="level_density", params=params, quadrature_error=worst)
 
 
@@ -555,6 +559,20 @@ def _goe_joint_norm(n: int) -> float:
     return 1.0 / _mehta_integral(n)
 
 
+@lru_cache(maxsize=128)
+def _joint_log_const(params: EnsembleParams) -> float:
+    """log of the joint density's constant factor; a function of params alone."""
+    n, f, a = params.n, params.f, params.alpha
+    log_goe = math.log(_goe_joint_norm(n))
+    if params.regime is Regime.GAUSSIAN:
+        return log_goe + 0.5 * f * math.log(2.0 * a)
+    lam = params.lam
+    if params.regime is Regime.LEVY_BRANCH:
+        return 0.5 * f * math.log(2.0 * a / lam) + ln_gamma(lam + f / 2.0) - ln_gamma(lam) + log_goe
+    al = -lam
+    return 0.5 * f * math.log(2.0 * a / al) + ln_gamma(1.0 + al) - ln_gamma(1.0 + al - f / 2.0) + log_goe
+
+
 def joint_eigen_density(evals, params: EnsembleParams) -> float:
     """Joint density of the n eigenvalues (n <= 4), symmetric in its arguments.
 
@@ -573,15 +591,10 @@ def joint_eigen_density(evals, params: EnsembleParams) -> float:
         for j in range(i + 1, n):
             vander *= abs(e[j] - e[i])
     ssq = float(np.sum(e * e))
-    log_goe = math.log(_goe_joint_norm(n))
+    log_k = _joint_log_const(params)
     if params.regime is Regime.GAUSSIAN:
-        return math.exp(log_goe + 0.5 * f * math.log(2.0 * a) - a * ssq) * vander
+        return math.exp(log_k - a * ssq) * vander
     lam = params.lam
-    if params.regime is Regime.LEVY_BRANCH:
-        log_k = 0.5 * f * math.log(2.0 * a / lam) + ln_gamma(lam + f / 2.0) - ln_gamma(lam) + log_goe
-    else:
-        al = -lam
-        log_k = 0.5 * f * math.log(2.0 * a / al) + ln_gamma(1.0 + al) - ln_gamma(1.0 + al - f / 2.0) + log_goe
     u = (a / lam) * ssq
     if 1.0 + u <= 0.0:
         return 0.0

@@ -78,9 +78,7 @@ class RunManifest:
             "outputs": self.outputs,
         }
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, doc)
         return path
 
 
@@ -110,6 +108,12 @@ def _meta_lines(params: EnsembleParams | None, **extra) -> list[str]:
     return lines
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_csv(path: str, meta: list[str], header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in meta:
@@ -122,16 +126,13 @@ def _write_csv(path: str, meta: list[str], header: list[str], rows) -> None:
 def _write_curve(path: str, curve: an.AnalyticCurve, fmt: str, meta_extra: dict) -> None:
     meta = _meta_lines(curve.params, kind=curve.kind, **meta_extra)
     if fmt == "json":
-        doc = {
+        _write_json(path, {
             "kind": curve.kind,
             "params": curve.params.as_dict() if curve.params is not None else None,
             "x": [float(v) for v in curve.abscissae],
             "value": [float(v) for v in curve.values],
             "quadrature_error": float(curve.quadrature_error),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        })
         return
     err = float(curve.quadrature_error)  # worst-case estimate, same for every row
     rows = [(x, v, err) for x, v in zip(curve.abscissae, curve.values)]
@@ -211,7 +212,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _default_grid(params: EnsembleParams, what: str) -> np.ndarray:
+def _grid(params: EnsembleParams, args, what: str) -> np.ndarray:
+    """The --grid value, or a default E (or x) grid that spans the curve's mass."""
+    if args.grid:
+        return _parse_grid(args.grid)
     if what == "element":
         scale = 1.0 / math.sqrt(2.0 * params.alpha)
         return np.linspace(-10.0 * scale, 10.0 * scale, 201)
@@ -222,80 +226,59 @@ def _default_grid(params: EnsembleParams, what: str) -> np.ndarray:
     return np.linspace(-lim, lim, 201)
 
 
-def cmd_density(args) -> int:
-    params = _build_params(args)
-    grid = _parse_grid(args.grid) if args.grid else _default_grid(params, "density")
-    curve = an.density_curve(params, grid)
-    _ensure_dir(args.out)
-    manifest = RunManifest("density", params, None, None)
-    ext = "json" if args.format == "json" else "csv"
-    cpath = os.path.join(args.out, f"curve.{ext}")
-    _write_curve(cpath, curve, args.format, {})
-    manifest.add_output(cpath)
-    if args.svg:
-        ppath = os.path.join(args.out, "plot.svg")
-        render_svg(
-            ppath,
-            [Series(curve.abscissae, curve.values, label=f"lambda={params.lam:g}")],
-            title="mean level density", xlabel="E", ylabel="rho(E)",
-        )
-        manifest.add_output(ppath)
-    manifest.write(args.out)
-    print(f"wrote {cpath}")
-    return 0
-
-
-def cmd_element(args) -> int:
-    params = _build_params(args)
-    grid = _parse_grid(args.grid) if args.grid else _default_grid(params, "element")
-    curve = an.element_curve(params, grid, entry=args.entry)
-    _ensure_dir(args.out)
-    manifest = RunManifest("element", params, None, None)
-    ext = "json" if args.format == "json" else "csv"
-    cpath = os.path.join(args.out, f"curve.{ext}")
-    _write_curve(cpath, curve, args.format, {"entry": args.entry})
-    manifest.add_output(cpath)
-    if args.svg:
-        ppath = os.path.join(args.out, "plot.svg")
-        render_svg(
-            ppath,
-            [Series(curve.abscissae, curve.values, label=f"{args.entry} element")],
-            title="element density", xlabel="x", ylabel="p(x)",
-        )
-        manifest.add_output(ppath)
-    manifest.write(args.out)
-    print(f"wrote {cpath}")
-    return 0
-
-
-def _gap_theta_grid(params: EnsembleParams, theta_max: float, points: int) -> np.ndarray:
+def _gap_theta_grid(theta_max: float, points: int) -> np.ndarray:
     if not theta_max > 0 or points < 2:
         raise ParameterError("need theta-max > 0 and points >= 2")
     body = np.geomspace(theta_max / 300.0, theta_max, points - 1)
     return np.concatenate([[0.0], body])
 
 
-def cmd_gap(args) -> int:
+def _gap_series(curve: an.AnalyticCurve, args) -> list:
+    s = curve.abscissae
+    return [
+        Series(s, curve.values, label="E(s)"),
+        Series(s[s > 0], 1.0 / (2.0 * s[s > 0] ** 2), label="1/(2s^2)", style="dotted"),
+    ]
+
+
+# curve commands: name -> (help, (params, args) -> (curve, extra metadata),
+# (curve, args) -> SVG series, render_svg labels)
+_CURVES = {
+    "density": (
+        "mean level density curve",
+        lambda p, args: (an.density_curve(p, _grid(p, args, "density")), {}),
+        lambda c, args: [Series(c.abscissae, c.values, label=f"lambda={c.params.lam:g}")],
+        {"title": "mean level density", "xlabel": "E", "ylabel": "rho(E)"},
+    ),
+    "element": (
+        "matrix-element density curve",
+        lambda p, args: (an.element_curve(p, _grid(p, args, "element"), entry=args.entry),
+                         {"entry": args.entry}),
+        lambda c, args: [Series(c.abscissae, c.values, label=f"{args.entry} element")],
+        {"title": "element density", "xlabel": "x", "ylabel": "p(x)"},
+    ),
+    "gap": (
+        "gap probability curve E(s)",
+        lambda p, args: (an.gap_curve(p, _gap_theta_grid(args.theta_max, args.points)),
+                         {"theta_max": args.theta_max}),
+        _gap_series,
+        {"title": "gap probability", "xlabel": "s", "ylabel": "E", "ylog": True},
+    ),
+}
+
+
+def cmd_curve(args) -> int:
     params = _build_params(args)
-    thetas = _gap_theta_grid(params, args.theta_max, args.points)
-    curve = an.gap_curve(params, thetas)
+    _, build, series, labels = _CURVES[args.cmd]
+    curve, meta_extra = build(params, args)
     _ensure_dir(args.out)
-    manifest = RunManifest("gap", params, None, None)
-    ext = "json" if args.format == "json" else "csv"
-    cpath = os.path.join(args.out, f"curve.{ext}")
-    _write_curve(cpath, curve, args.format, {"theta_max": args.theta_max})
+    manifest = RunManifest(args.cmd, params, None, None)
+    cpath = os.path.join(args.out, f"curve.{args.format}")
+    _write_curve(cpath, curve, args.format, meta_extra)
     manifest.add_output(cpath)
     if args.svg:
         ppath = os.path.join(args.out, "plot.svg")
-        s = curve.abscissae
-        render_svg(
-            ppath,
-            [
-                Series(s, curve.values, label="E(s)"),
-                Series(s[s > 0], 1.0 / (2.0 * s[s > 0] ** 2), label="1/(2s^2)", style="dotted"),
-            ],
-            title="gap probability", xlabel="s", ylabel="E", ylog=True,
-        )
+        render_svg(ppath, series(curve, args), **labels)
         manifest.add_output(ppath)
     manifest.write(args.out)
     print(f"wrote {cpath}")
@@ -331,43 +314,40 @@ def _overlay_violations(params, batch, x_ok: float) -> tuple[int, int, float]:
     sampling error.  Returns (violations, bins checked, worst z)."""
     edges = np.linspace(-x_ok, x_ok, 37)
     h = sp.empirical_density(batch, edges)
-    m = batch.count
     n = params.n
-    worst = 0.0
-    bad = 0
-    for lo, hi, w, height in zip(edges[:-1], edges[1:], h.widths, h.heights):
-        rho = (
-            float(an.level_density(float(lo), params))
-            + 4.0 * float(an.level_density(float(0.5 * (lo + hi)), params))
-            + float(an.level_density(float(hi), params))
-        ) / 6.0
-        p = min(max(rho * w / n, 0.0), 1.0)  # per-eigenvalue bin probability
-        se = math.sqrt(max(n * p * (1.0 - p) / m, 1e-300)) / w
-        z = abs(height - rho) / se
-        worst = max(worst, z)
-        if z > 4.0:
-            bad += 1
-    return bad, len(h.widths), worst
+    ends = np.asarray(an.level_density(edges, params), dtype=float)
+    mids = np.asarray(an.level_density(0.5 * (edges[:-1] + edges[1:]), params), dtype=float)
+    rho = (ends[:-1] + 4.0 * mids + ends[1:]) / 6.0
+    p = np.clip(rho * h.widths / n, 0.0, 1.0)  # per-eigenvalue bin probability
+    se = np.sqrt(np.maximum(n * p * (1.0 - p) / batch.count, 1e-300)) / h.widths
+    z = np.abs(h.heights - rho) / se
+    return int(np.count_nonzero(z > 4.0)), len(h.widths), float(max(z.max(), 0.0))
 
 
 def cmd_reproduce(args) -> int:
-    if args.figure == "fig1":
-        return _reproduce_fig1(args)
-    return _reproduce_fig2(args)
+    """Run one figure, then write its report.json; exit 4 when any check fails."""
+    _ensure_dir(args.out)
+    run, default_samples = _FIGURES[args.figure]
+    samples = args.samples if args.samples is not None else default_samples
+    report, manifest = run(args.out, args.seed, samples)
+    ok = all(chk["pass"] for chk in report["checks"].values())
+    report["pass"] = ok
+    repath = os.path.join(args.out, "report.json")
+    _write_json(repath, report)
+    manifest.add_output(repath)
+    manifest.write(args.out)
+    for name, chk in report["checks"].items():
+        print(f"{'ok' if chk['pass'] else 'FAIL'} {name}")
+    print(f"{args.figure} {'pass' if ok else 'FAIL'}; outputs in {args.out}")
+    return 0 if ok else 4
 
 
-def _reproduce_fig1(args) -> int:
-    out = args.out
-    _ensure_dir(out)
-    seed = args.seed
-    samples = args.samples if args.samples is not None else 1000
+def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifest]:
     lams = (10.0, 1.0, 0.75, 0.5)
     n = 50
     manifest = RunManifest("reproduce fig1", None, seed, samples)
     report: dict = {"figure": "fig1", "n": n, "samples": samples, "curves": [], "checks": {}}
     series = []
-    ok_all = True
-
     curves = {}
     for i, lam in enumerate(lams):
         params = EnsembleParams.from_lambda(n, lam, alpha="auto")
@@ -398,7 +378,6 @@ def _reproduce_fig1(args) -> int:
         report["checks"][f"mc_overlay_lam{lam:g}"] = {
             "bins_checked": checked, "violations": bad, "worst_z": worst, "pass": bad == 0,
         }
-        ok_all &= bad == 0
 
     # reference: semicircle at the lambda -> inf effective confinement of lam=10
     p10, c10 = curves[10.0]
@@ -425,7 +404,6 @@ def _reproduce_fig1(args) -> int:
     report["checks"]["lam10_semicircle"] = {
         "sup_distance": sup, "peak": peak, "ratio": sup / peak, "pass": sup < 0.05 * peak,
     }
-    ok_all &= sup < 0.05 * peak
 
     # check 2: lam=0.5 log-log tail slope on [3, 30] characteristic energies
     p05, _ = curves[0.5]
@@ -436,7 +414,6 @@ def _reproduce_fig1(args) -> int:
     report["checks"]["lam05_tail_slope"] = {
         "slope": slope, "target": -2.0, "pass": abs(slope + 2.0) < 0.1,
     }
-    ok_all &= abs(slope + 2.0) < 0.1
 
     ppath = os.path.join(out, "fig1.svg")
     render_svg(
@@ -444,25 +421,10 @@ def _reproduce_fig1(args) -> int:
         xlabel="E / sqrt(n/alpha)", ylabel="rho * sqrt(n/alpha) / n",
     )
     manifest.add_output(ppath)
-
-    report["pass"] = ok_all
-    repath = os.path.join(out, "report.json")
-    with open(repath, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    manifest.add_output(repath)
-    manifest.write(out)
-    for name, chk in report["checks"].items():
-        print(f"{'ok' if chk['pass'] else 'FAIL'} {name}")
-    print(f"fig1 {'pass' if ok_all else 'FAIL'}; outputs in {out}")
-    return 0 if ok_all else 4
+    return report, manifest
 
 
-def _reproduce_fig2(args) -> int:
-    out = args.out
-    _ensure_dir(out)
-    seed = args.seed
-    samples = args.samples if args.samples is not None else 10000
+def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifest]:
     n, lam = 20, 1.0
     params = EnsembleParams.from_lambda(n, lam, alpha="auto")
     manifest = RunManifest("reproduce fig2", params, seed, samples)
@@ -503,18 +465,16 @@ def _reproduce_fig2(args) -> int:
     # acceptance: s^2 E within [0.45, 0.55] on s in [5, 10]
     band_mask = (s_grid >= 5.0) & (s_grid <= 10.0)
     band = s_grid[band_mask] ** 2 * e_bulk[band_mask]
-    band_ok = bool(np.all((band >= 0.45) & (band <= 0.55)))
     report = {
         "figure": "fig2", "n": n, "lambda": lam, "alpha": params.alpha, "samples": samples,
         "checks": {
             "sim_vs_curve": {"max_abs_delta": max_delta, "s_range": [0.0, 4.0],
                              "tolerance": 0.03, "pass": max_delta <= 0.03},
             "asymptote_band": {"min": float(band.min()), "max": float(band.max()),
-                               "window": [0.45, 0.55], "pass": band_ok},
+                               "window": [0.45, 0.55],
+                               "pass": bool(np.all((band >= 0.45) & (band <= 0.55)))},
         },
     }
-    ok_all = report["checks"]["sim_vs_curve"]["pass"] and band_ok
-    report["pass"] = ok_all
 
     ppath = os.path.join(out, "fig2.svg")
     pos = s_grid > 0.2
@@ -530,17 +490,11 @@ def _reproduce_fig2(args) -> int:
         title="gap probability vs mean count", xlabel="s", ylabel="E(s)", ylog=True,
     )
     manifest.add_output(ppath)
+    return report, manifest
 
-    repath = os.path.join(out, "report.json")
-    with open(repath, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    manifest.add_output(repath)
-    manifest.write(out)
-    for name, chk in report["checks"].items():
-        print(f"{'ok' if chk['pass'] else 'FAIL'} {name}")
-    print(f"fig2 {'pass' if ok_all else 'FAIL'}; outputs in {out}")
-    return 0 if ok_all else 4
+
+# figure -> (runner returning its report and manifest, default sample count)
+_FIGURES = {"fig1": (_reproduce_fig1, 1000), "fig2": (_reproduce_fig2, 10000)}
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +704,17 @@ def cmd_verify(args) -> int:
 
 def _verify_manifest(path: str) -> int:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8 text
+            raise ParameterError(f"{path} is not a JSON manifest: {exc}") from None
+    outputs = doc.get("outputs", []) if isinstance(doc, dict) else None
+    if not isinstance(outputs, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("sha256"), str)
+        for e in outputs
+    ):
+        raise ParameterError(f"{path}: 'outputs' must be a list of {{path, sha256}} entries")
     base = os.path.dirname(os.path.abspath(path))
-    outputs = doc.get("outputs", [])
     print(f"1..{len(outputs)}")
     failures = 0
     for i, entry in enumerate(outputs, start=1):
@@ -791,12 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     ps.set_defaults(func=cmd_sample)
 
-    for name, fn, extra in (
-        ("density", cmd_density, "mean level density curve"),
-        ("element", cmd_element, "matrix-element density curve"),
-        ("gap", cmd_gap, "gap probability curve E(s)"),
-    ):
-        pc = sub.add_parser(name, help=extra)
+    for name, (help_text, *_) in _CURVES.items():
+        pc = sub.add_parser(name, help=help_text)
         _add_param_args(pc)
         if name in ("density", "element"):
             pc.add_argument("--grid", default=None, help="grid as min:max:count")
@@ -808,10 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
         pc.add_argument("--out", default=".", help="output directory")
         pc.add_argument("--format", choices=("csv", "json"), default="csv")
         pc.add_argument("--svg", action="store_true", help="also write plot.svg")
-        pc.set_defaults(func=fn)
+        pc.set_defaults(func=cmd_curve)
 
     pr = sub.add_parser("reproduce", help="regenerate a reference figure with checks")
-    pr.add_argument("figure", choices=("fig1", "fig2"))
+    pr.add_argument("figure", choices=tuple(_FIGURES))
     pr.add_argument("--out", default=".", help="output directory")
     pr.add_argument("--seed", type=int, default=7)
     pr.add_argument("--samples", type=int, default=None,

@@ -38,9 +38,6 @@ __all__ = [
     "RngStream",
     "MatrixSample",
     "SampleBatch",
-    "sample_gaussian",
-    "sample_gamma",
-    "sample_beta",
     "sample_goe",
     "sample_q_gt1",
     "sample_q_lt1",
@@ -93,37 +90,14 @@ def _resolve_rng(rng) -> tuple[Generator, tuple[int, int] | None]:
     raise TypeError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def sample_gaussian(mean: float, variance: float, rng) -> float:
-    """One normal variate (numpy ziggurat under the hood)."""
-    if not variance > 0:
-        raise ParameterError(f"variance must be positive, got {variance}")
-    g, _ = _resolve_rng(rng)
-    return float(g.normal(mean, math.sqrt(variance)))
-
-
-def sample_gamma(shape: float, rng) -> float:
-    """One Gamma(shape, 1) variate (Marsaglia-Tsang, shape < 1 boosted)."""
-    if not shape > 0:
-        raise ParameterError(f"shape must be positive, got {shape}")
-    g, _ = _resolve_rng(rng)
-    return float(g.gamma(shape))
-
-
 def _beta(a: float, b: float, g: Generator) -> float:
+    """One Beta(a, b) variate built as the Gamma ratio g1 / (g1 + g2)."""
     while True:
         g1 = g.gamma(a)
         g2 = g.gamma(b)
         s = g1 + g2
         if s > 0.0:  # guard against simultaneous underflow at tiny shapes
             return float(g1 / s)
-
-
-def sample_beta(a: float, b: float, rng) -> float:
-    """One Beta(a, b) variate built as the Gamma ratio g1 / (g1 + g2)."""
-    if not (a > 0 and b > 0):
-        raise ParameterError(f"Beta parameters must be positive, got ({a}, {b})")
-    g, _ = _resolve_rng(rng)
-    return _beta(a, b, g)
 
 
 # ---------------------------------------------------------------------------

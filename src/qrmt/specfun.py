@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy import special as _sp
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "kummer_m",
     "kummer_m_transformed",
     "levy_density",
-    "quad_adaptive",
 ]
 
 
@@ -41,35 +39,6 @@ class QuadratureResult:
     def __post_init__(self) -> None:
         if self.abs_error_estimate < 0:
             raise ValueError("error estimate must be nonnegative")
-
-
-def quad_adaptive(
-    func: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    epsabs: float = 1e-12,
-    epsrel: float = 1e-10,
-    points=None,
-    weight=None,
-    wvar=None,
-) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of func over [a, b].
-
-    Thin wrapper over scipy.integrate.quad that surfaces the evaluation count
-    and error estimate; `weight`/`wvar` expose the algebraic-endpoint (QAWS)
-    and Fourier (QAWF) variants where the integrand has a known structure.
-    """
-    kwargs: dict = {"epsabs": epsabs, "epsrel": epsrel, "full_output": True}
-    if weight is not None:
-        kwargs["weight"] = weight
-        kwargs["wvar"] = wvar
-        kwargs["limit"] = 200
-    elif points is not None:
-        kwargs["points"] = points
-    out = integrate.quad(func, a, b, **kwargs)
-    value, abserr, info = out[0], out[1], out[2]
-    return QuadratureResult(value=value, abs_error_estimate=abserr, evaluations=int(info["neval"]))
 
 
 def ln_gamma(x):

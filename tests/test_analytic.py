@@ -398,6 +398,13 @@ def test_gap_curve_validates_grid():
     assert c.values[0] == 1.0
 
 
+@pytest.mark.parametrize("q", [1.0, 0.5])
+def test_gap_curve_needs_heavy_branch(q):
+    p = EnsembleParams.gaussian(5, 1.0) if q == 1.0 else EnsembleParams.from_q(5, q, alpha=1.0)
+    with pytest.raises(RegimeError):
+        gap_curve(p, np.array([0.0, 0.2, 0.5]))
+
+
 def test_density_curve_reports_quadrature_error():
     p = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
     c = density_curve(p, np.linspace(-3, 3, 25))

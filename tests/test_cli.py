@@ -205,6 +205,13 @@ def test_exit_2_on_bad_grid(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("q", ["1.0", "0.5"])
+def test_exit_2_on_gap_outside_heavy_branch(q, tmp_path, capsys):
+    code, _, err = run(["gap", "--n", "5", "--q", q, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_exit_3_on_unwritable_output(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -278,6 +285,15 @@ def test_verify_manifest_mode(tmp_path, capsys):
     assert "not ok" in tap
 
 
+@pytest.mark.parametrize("body", ["not json {", '{"outputs": [{"sha256": "00"}]}'])
+def test_verify_manifest_malformed_exits_2(body, tmp_path, capsys):
+    man = tmp_path / "manifest.json"
+    man.write_text(body)
+    code, _, err = run(["verify", "--manifest", str(man)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_manifest_missing_file(tmp_path, capsys):
     out = str(tmp_path / "vm")
     run(["sample", "--n", "2", "--q", "1.0", "--count", "1", "--out", out], capsys)
@@ -331,6 +347,95 @@ def test_reproduce_fig2_sim_matches_golden_hash(tmp_path, capsys):
     out = str(tmp_path / "fig2")
     run(["reproduce", "fig2", "--samples", "2000", "--out", out], capsys)
     assert _digest(os.path.join(out, "fig2_sim.csv")) == GOLDEN_FIG2_SIM
+
+
+# sha256 of what each curve command writes, frozen from the separate
+# density/element/gap handlers that one table-driven command replaced:
+# argv and {file: sha256}.  Each case runs as csv and as json, with --svg.
+GOLDEN_CURVE = {
+    "density_heavy": (["density", "--n", "6", "--lambda", "1.5", "--alpha", "0.9", "--grid=-3:3:21"],
+        {"curve.csv": "2d032bad4bcd23e7f77cd2dcc72ba72e487efac1632e1694af89db863ec1a0cb",
+         "plot.svg": "b7a310d5442cf0637a2ab9a533a73a1ba1e3acbf497e3f782bcd19a6821c9bfd",
+         "curve.json": "bb8e126ad4b1f93005ae7f82cc3eb80f91704c32365bd6381a28f658a41aad78"}),
+    "density_default_grid": (["density", "--n", "10", "--lambda", "0.75"],
+        {"curve.csv": "1d0ce6a33fa459534da3fed9a33684d2fd3e4f6d0c900466a24daa63a45c30b8",
+         "plot.svg": "621fcd8905036169e11b3b3b8c49091be7cd13e2d9facf9d543b8e0f0f9a3917",
+         "curve.json": "05b97b4ffbffbef376c753b4a079eb9a2ff1ed01d33a6d4d38a66269fc322c6f"}),
+    "density_gaussian": (["density", "--n", "10", "--q", "1.0", "--alpha", "0.5", "--grid=-4:4:9"],
+        {"curve.csv": "0b6c90827c511e241c9d18e8295f75df9874ea08b6bbd9cc0a9036e046926ac5",
+         "plot.svg": "751a554052a18f384ab337f91e72ea2c1907e132946c83cac9c4a5901750cb65",
+         "curve.json": "87206cc9f72d9d83a2a1b6997d23d74bfadcd93e754c2214e5ef5fe9078905ba"}),
+    "element_diag": (["element", "--n", "2", "--lambda", "0.5", "--alpha", "0.5", "--grid=-4:4:17"],
+        {"curve.csv": "4ca20a23ffa60db75c9bdf5226d4954781f2817008a77adc835651cff1c0b18c",
+         "plot.svg": "f2a3b518c6a196585fc4ee7ef0e5a4c4700961188c4743dc87e705b0213606f4",
+         "curve.json": "7c60011730277a8f4f920e7758f9e70635372896f06d26b4b7f3ad9333c70927"}),
+    "element_offdiag": (["element", "--n", "3", "--q", "0.5", "--entry", "offdiag"],
+        {"curve.csv": "8208ecea0cae697b0d7ad8704867f1c65ee767c1f60847d898175d823baea4a8",
+         "plot.svg": "27d96d9cd859d8ee49d6e5a2d1e8f7399b07ac8da9914b07129c41ad8ab78c06",
+         "curve.json": "24ae9e017cae7f4088d759ae6085ae35c41c2dad2617265d36949f2e4b813832"}),
+    "gap": (["gap", "--n", "5", "--lambda", "1.0", "--theta-max", "1.5", "--points", "12"],
+        {"curve.csv": "457744c6f70f1d1a0b2fa01aa0cc9314fd19f31494bab84f7a606ab732b989c0",
+         "plot.svg": "e5baef7929365c907312c48711bbdc16d42b24fd20d7c92412352e985685ca9b",
+         "curve.json": "ac8a19543cd3cc2fc7dea73ca07047591f8ba6b446052698b5037dd51c85abc8"}),
+}
+# `qrmt reproduce <fig> --samples k`, frozen the same way: (k, exit code,
+# stdout with the output directory as {out}, manifest outputs in order)
+GOLDEN_REPRODUCE = {
+    "fig1": ("200", 0,
+             "ok mc_overlay_lam10\nok mc_overlay_lam1\nok mc_overlay_lam0.75\nok mc_overlay_lam0.5\n"
+             "ok lam10_semicircle\nok lam05_tail_slope\nfig1 pass; outputs in {out}\n",
+        [("fig1_density_lam10.csv", "c7c86eade769099e7a18fb633e57fe8d242f85e16465f8fe02ce121ca1a629e4"),
+         ("fig1_hist_lam10.csv", "46fdf3396dfa22b840fdf32143b6ae70d7d32415ef148f72c227e7363b346760"),
+         ("fig1_density_lam1.csv", "d4201f1984b42c48ff15f4816860d05726819b2330ce36866e36a0fb0454bdeb"),
+         ("fig1_hist_lam1.csv", "ff7124927d19e1c50bf183c85c4c0094ef58fddb1487975fc02aa323cf278e39"),
+         ("fig1_density_lam0.75.csv", "8c2d5911e4de0c0660f1ee7334663cee8901a5cb8ddeac3aa6ea319bfba1f66a"),
+         ("fig1_hist_lam0.75.csv", "5963527a9d85c034988cf88127b44ca93b59ffbc165844b3148270291c158c2d"),
+         ("fig1_density_lam0.5.csv", "c865a47518470b9c55d9b7a81502fa55a4b0d9ee5240bfac136d5930fd98fe00"),
+         ("fig1_hist_lam0.5.csv", "248e1bf601ed607efa1d1c1d10c998814c18aa5694b43e4fb5a0c617d4440104"),
+         ("fig1_density_goe_ref.csv", "1c35ccdad6ab46ac1b8834e7bf3a0ae0bd11315d987851b6bc9594720a991953"),
+         ("fig1.svg", "07b2c5672e249bbc6e1ded094cc68b4eb0b313a3e45d7cbdf16553b8b80f55a3"),
+         ("report.json", "40047b25f2de0470424e18270a7d73687e0b896a10120e1f1b92c904d8bb420a")]),
+    "fig2": ("500", 4, "FAIL sim_vs_curve\nok asymptote_band\nfig2 FAIL; outputs in {out}\n",
+        [("fig2_analytic.csv", "3a17b074c06820b239156423ad3a37bca3740c6608f1c6e911f821a2eb8a2f8a"),
+         ("fig2_sim.csv", "b9206b3efa5d94f7124f2f76e3192decea4439506534022ae14396d67d0a9a13"),
+         ("fig2.svg", "b545c07c434d433c05889b3893cf213d43f34f8b19774ca4a807822716ca1d28"),
+         ("report.json", "15362d5a0425db8dc651d3e8b29f99b89ce3138e3f06111f764cb9e6979d14ee")]),
+}
+
+
+def _manifest(out):
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("case", sorted(GOLDEN_CURVE))
+def test_curve_outputs_match_golden_hashes(case, fmt, tmp_path, capsys):
+    argv, golden = GOLDEN_CURVE[case]
+    out = str(tmp_path / case)
+    code, stdout, _ = run([*argv, "--format", fmt, "--svg", "--out", out], capsys)
+    assert code == 0
+    assert stdout == f"wrote {os.path.join(out, 'curve.' + fmt)}\n"
+    man = _manifest(out)
+    assert man["command"] == argv[0]
+    names = (f"curve.{fmt}", "plot.svg")
+    assert man["outputs"] == [{"path": name, "sha256": golden[name]} for name in names]
+    for name in names:
+        assert _digest(os.path.join(out, name)) == golden[name]
+
+
+@pytest.mark.parametrize("figure", sorted(GOLDEN_REPRODUCE))
+def test_reproduce_outputs_match_golden_hashes(figure, tmp_path, capsys):
+    samples, exit_code, stdout, outputs = GOLDEN_REPRODUCE[figure]
+    out = str(tmp_path / figure)
+    code, got, _ = run(["reproduce", figure, "--samples", samples, "--out", out], capsys)
+    assert code == exit_code
+    assert got == stdout.format(out=out)
+    man = _manifest(out)
+    assert man["command"] == f"reproduce {figure}"
+    assert man["outputs"] == [{"path": name, "sha256": sha} for name, sha in outputs]
+    for name, sha in outputs:
+        assert _digest(os.path.join(out, name)) == sha
 
 
 def test_exit_2_on_nonfinite_draws_at_tiny_lambda(tmp_path, capsys):

@@ -17,12 +17,10 @@ from qrmt.sampler import (
     MatrixSample,
     RngStream,
     SampleBatch,
+    _beta,
     sample_batch,
-    sample_beta,
     sample_bounded_trace,
     sample_ensemble,
-    sample_gamma,
-    sample_gaussian,
     sample_goe,
     sample_levy_stable,
     sample_q_gt1,
@@ -55,19 +53,9 @@ def test_resolve_rng_rejects_garbage():
         sample_goe(2, 1.0, "not an rng")
 
 
-def test_scalar_helpers_validate():
-    g = RngStream(1, 0)
-    with pytest.raises(ParameterError):
-        sample_gaussian(0.0, 0.0, g)
-    with pytest.raises(ParameterError):
-        sample_gamma(-1.0, g)
-    with pytest.raises(ParameterError):
-        sample_beta(0.0, 1.0, g)
-
-
 def test_beta_sampler_law():
     g = RngStream(21, 0).generator()
-    draws = np.array([sample_beta(3.0, 2.0, g) for _ in range(4000)])
+    draws = np.array([_beta(3.0, 2.0, g) for _ in range(4000)])
     assert _ks(draws, lambda x: stats.beta.cdf(x, 3.0, 2.0)) < 0.03
 
 
