@@ -15,6 +15,7 @@ where the semicircle has radius sqrt(2 N).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as _sp
 
-from .params import EnsembleParams, ParameterError, Regime, RegimeError
+from .params import EnsembleParams, NumericalError, ParameterError, Regime, RegimeError
 from .specfun import QuadratureResult, bessel_k, kummer_m, ln_gamma
 
 __all__ = [
@@ -63,17 +64,18 @@ class AnalyticCurve:
     def __post_init__(self) -> None:
         if len(self.abscissae) != len(self.values):
             raise ValueError("abscissae and values must have equal length")
+        where = "" if self.params is None else f" at n={self.params.n}, lambda={self.params.lam:g}"
         if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"non-finite values in {self.kind} curve")
+            raise NumericalError(f"non-finite values in {self.kind} curve{where}")
         if self.kind in ("element_pdf", "level_density", "semicircle"):
             if np.any(np.asarray(self.values) < -1e-12):
-                raise ValueError("densities must be nonnegative")
+                raise NumericalError(f"densities must be nonnegative{where}")
         if self.kind == "gap_probability":
             v = np.asarray(self.values)
             if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
-                raise ValueError("gap probabilities must lie in [0, 1]")
+                raise NumericalError(f"gap probabilities must lie in [0, 1]{where}")
             if np.any(np.diff(v) > 1e-9):
-                raise ValueError("gap probabilities must be nonincreasing")
+                raise NumericalError(f"gap probabilities must be nonincreasing{where}")
 
 
 def _xi_max(lam: float) -> float:
@@ -242,31 +244,31 @@ def semicircle_density(e, n: int, alpha: float):
     return float(out) if np.isscalar(e) or ea.ndim == 0 else out
 
 
-def _rho0(params: EnsembleParams) -> float:
-    # E = 0 value of the level density: the Gamma mixture of semicircle peaks
-    # integrates in closed form to (2/pi) sqrt(n alpha/lambda) G(lam+1/2)/G(lam)
+@lru_cache(maxsize=128)
+def _level_density_consts(params: EnsembleParams) -> tuple:
+    """(rho(0), log-amplitude prefix, lnG(lam+1/2), lnG(lam), lnG(lam+2)) of level_density."""
     n, lam, a = params.n, params.lam, params.alpha
-    return (2.0 / math.pi) * math.sqrt(n * a / lam) * math.exp(ln_gamma(lam + 0.5) - ln_gamma(lam))
+    g_half, g_lam, g_two = ln_gamma(lam + 0.5), ln_gamma(lam), ln_gamma(lam + 2.0)
+    # E = 0 value: the Gamma mixture of semicircle peaks integrates in closed
+    # form to (2/pi) sqrt(n alpha/lambda) G(lam+1/2)/G(lam)
+    rho0 = (2.0 / math.pi) * math.sqrt(n * a / lam) * math.exp(g_half - g_lam)
+    prefix = math.log(n) - 0.5 * math.log(math.pi) + lam * math.log(n * lam / a)
+    return rho0, prefix, g_half, g_lam, g_two
 
 
-def _level_density_scalar(e: float, params: EnsembleParams) -> float:
-    n, lam, a = params.n, params.lam, params.alpha
-    if e == 0.0:
-        return _rho0(params)
-    t = n * lam / (a * e * e)
-    if t > 1e12:
-        # relative error of the plateau value is (lambda + 1/2)/(2 t) < 3e-11 here
-        return _rho0(params)
-    log_amp = (
-        math.log(n)
-        - 0.5 * math.log(math.pi)
-        + lam * math.log(n * lam / a)
-        - (2.0 * lam + 1.0) * math.log(abs(e))
-        + ln_gamma(lam + 0.5)
-        - ln_gamma(lam)
-        - ln_gamma(lam + 2.0)
-    )
-    return math.exp(log_amp) * kummer_m(lam + 0.5, lam + 2.0, -t)
+def _level_density_amplitudes(e_abs, params: EnsembleParams) -> list:
+    """exp(log amplitude) of the Kummer form at each |E| > 0, terms added in one fixed order."""
+    _, prefix, g_half, g_lam, g_two = _level_density_consts(params)
+    lam = params.lam
+    logs = [prefix - (2.0 * lam + 1.0) * math.log(v) + g_half - g_lam - g_two for v in e_abs]
+    try:
+        return [math.exp(x) for x in logs]
+    except OverflowError:
+        e = e_abs[logs.index(max(logs))]
+        raise NumericalError(
+            f"level density amplitude overflows float64 at |E| = {e:g}, n = {params.n}, "
+            f"lambda = {lam:g}"
+        ) from None
 
 
 def level_density(e, params: EnsembleParams):
@@ -280,10 +282,29 @@ def level_density(e, params: EnsembleParams):
         return semicircle_density(e, params.n, params.alpha)
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("level density in closed form needs the heavy-tailed branch")
-    ea = np.asarray(e, dtype=float)
-    if ea.ndim == 0:
-        return _level_density_scalar(float(ea), params)
-    return np.array([_level_density_scalar(float(v), params) for v in ea])
+    n, lam, a = params.n, params.lam, params.alpha
+    rho0 = _level_density_consts(params)[0]
+    # past t = 1e12 the relative error of the plateau value is
+    # (lambda + 1/2)/(2 t) < 3e-11; E = 0 (and E^2 underflowing to 0) is the plateau
+    if not isinstance(e, float):
+        ea = np.asarray(e, dtype=float)
+        if ea.ndim:
+            with np.errstate(divide="ignore"):
+                t = n * lam / (a * ea * ea)
+            out = np.full(ea.shape, rho0)
+            idx = np.flatnonzero(~(t > 1e12))
+            if idx.size:
+                amp = _level_density_amplitudes(np.abs(ea.ravel()[idx]).tolist(), params)
+                out.flat[idx] = np.array(amp) * kummer_m(lam + 0.5, lam + 2.0, -t.ravel()[idx])
+            return out
+        e = float(ea)
+    d = a * e * e
+    if d == 0.0:
+        return rho0
+    t = n * lam / d
+    if t > 1e12:
+        return rho0
+    return _level_density_amplitudes((abs(e),), params)[0] * kummer_m(lam + 0.5, lam + 2.0, -t)
 
 
 def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
@@ -343,19 +364,30 @@ def goe_counting(x, n: int):
     """
     if n < 1:
         raise ParameterError(f"matrix dimension must be >= 1, got {n}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise ParameterError("goe_counting is defined for x >= 0")
     edge = math.sqrt(2.0 * n)
-    xc = np.minimum(xa, edge)
-    out = (xc * np.sqrt(np.maximum(2.0 * n - xc * xc, 0.0)) + 2.0 * n * np.arcsin(xc / edge)) / math.pi
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+    # a float takes the math-module route (same operations, same bits) that
+    # spares numpy's per-call overhead inside quadrature integrands
+    if isinstance(x, float):
+        if x < 0.0:
+            raise ParameterError("goe_counting is defined for x >= 0")
+        xc, sqrt, maximum = min(x, edge), math.sqrt, max
+    else:
+        xa = np.asarray(x, dtype=float)
+        if np.any(xa < 0.0):
+            raise ParameterError("goe_counting is defined for x >= 0")
+        xc, sqrt, maximum = np.minimum(xa, edge), np.sqrt, np.maximum
+    out = (xc * sqrt(maximum(2.0 * n - xc * xc, 0.0)) + 2.0 * n * np.arcsin(xc / edge)) / math.pi
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+_HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
 
 def goe_gap(y):
     """Surmise-level GOE gap probability E_GOE(y) = erfc(y sqrt(pi)/2)."""
-    out = _sp.erfc(np.asarray(y, dtype=float) * (math.sqrt(math.pi) / 2.0))
-    return float(out) if np.isscalar(y) or out.ndim == 0 else out
+    ya = y if isinstance(y, float) else np.asarray(y, dtype=float)
+    out = _sp.erfc(ya * _HALF_SQRT_PI)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def wigner_surmise(s):
@@ -372,25 +404,27 @@ def wigner_surmise_cdf(s):
     return float(out) if np.isscalar(s) or sa.ndim == 0 else out
 
 
-def _gamma_weighted_goe(theta: float, params: EnsembleParams, kernel, saturated: float):
-    """(value, err, neval) of (1/Gamma(lam)) Int e^-xi xi^(lam-1) kernel(y(...)) dxi.
+# scipy's quad hands back QUADPACK's message in place of ier when a call
+# fails; the message's opening words identify ier
+_QUADPACK_IER = (
+    ("maximum number of subdivisions", 1),
+    ("roundoff error is detected, which", 2),
+    ("Extremely bad integrand behavior", 3),
+    ("does not converge", 4),
+    ("probably divergent", 5),
+    ("Abnormal termination", 7),
+)
 
-    `kernel` maps the counting value y to the integrand factor; `saturated` is
-    kernel(n), the exact constant once xi passes n lam/(alpha theta^2) and the
-    counting function has absorbed all n levels; that tail is added in closed
-    form through the regularized upper incomplete gamma.
+
+def _gamma_average(integrand, lam: float, hi: float, site: str, point: str):
+    """(value, err, neval) of Int_0^hi xi^(lam-1) integrand(xi) dxi by QAWS.
+
+    The one QUADPACK call behind every Gamma average of a GOE law.  A call
+    that does not converge keeps its value and emits one IntegrationWarning
+    naming `site`, `point` and QUADPACK's ier.
     """
-    n, lam, a = params.n, params.lam, params.alpha
-    xi_sat = n * lam / (a * theta * theta)
-    hi = min(xi_sat, _xi_max(lam))
-    scale = math.exp(-ln_gamma(lam))
-
-    def f(xi: float) -> float:
-        y = goe_counting(math.sqrt(2.0 * a * xi / lam) * theta, n)
-        return scale * math.exp(-xi) * kernel(y)
-
-    val, err, info = integrate.quad(
-        f,
+    res = integrate.quad(
+        integrand,
         0.0,
         hi,
         weight="alg",
@@ -399,12 +433,43 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, kernel, saturated:
         epsrel=1e-9,
         full_output=True,
         limit=200,
-    )[:3]
+    )
+    if len(res) > 3:
+        msg = str(res[3])
+        ier = next((code for words, code in _QUADPACK_IER if words in msg), "?")
+        warnings.warn(
+            f"{site}: QUADPACK ier={ier} at {point}, lambda={lam!r}: {msg.splitlines()[0].strip()}",
+            integrate.IntegrationWarning,
+            stacklevel=3,
+        )
+    return res[0], res[1], int(res[2]["neval"])
+
+
+def _gamma_weighted_goe(theta: float, params: EnsembleParams, kernel, saturated: float, site: str):
+    """(value, err, neval) of (1/Gamma(lam)) Int e^-xi xi^(lam-1) kernel(y(...)) dxi.
+
+    `kernel` maps the counting value y to the integrand factor; `saturated` is
+    kernel(n), the exact constant once xi passes n lam/(alpha theta^2) and the
+    counting function has absorbed all n levels; that tail is added in closed
+    form through the regularized upper incomplete gamma.
+    """
+    n, lam, a = params.n, params.lam, params.alpha
+    theta = float(theta)
+    xi_sat = n * lam / (a * theta * theta)
+    hi = min(xi_sat, _xi_max(lam))
+    scale = math.exp(-ln_gamma(lam))
+    two_a = 2.0 * a
+
+    def f(xi: float) -> float:
+        y = goe_counting(math.sqrt(two_a * xi / lam) * theta, n)
+        return scale * math.exp(-xi) * kernel(y)
+
+    val, err, neval = _gamma_average(f, lam, hi, site, f"theta={theta!r}, n={n}")
     tail = saturated * float(_sp.gammaincc(lam, xi_sat))
     # the strip [xi_max, xi_sat) is dropped when xi_sat exceeds the truncation;
     # its mass is below kernel_max * Q(lam, xi_max) ~ 1e-20
     dropped = abs(saturated) * float(_sp.gammaincc(lam, hi)) if xi_sat > hi else 0.0
-    return val + tail, err + dropped, int(info["neval"])
+    return val + tail, err + dropped, neval
 
 
 def gap_probability(theta: float, params: EnsembleParams) -> float:
@@ -420,10 +485,12 @@ def gap_probability(theta: float, params: EnsembleParams) -> float:
         raise ParameterError(f"theta must be nonnegative, got {theta}")
     if theta == 0.0:
         return 1.0
-    val, _, _ = _gamma_weighted_goe(
-        theta, params, lambda y: goe_gap(y), goe_gap(float(params.n))
-    )
+    val, _, _ = _gamma_weighted_goe(theta, params, goe_gap, goe_gap(float(params.n)), "gap_probability")
     return min(val, 1.0)
+
+
+def _identity(y: float) -> float:
+    return y
 
 
 def mean_count(theta: float, params: EnsembleParams) -> float:
@@ -439,7 +506,7 @@ def mean_count(theta: float, params: EnsembleParams) -> float:
         raise ParameterError(f"theta must be nonnegative, got {theta}")
     if theta == 0.0:
         return 0.0
-    val, _, _ = _gamma_weighted_goe(theta, params, lambda y: y, float(params.n))
+    val, _, _ = _gamma_weighted_goe(theta, params, _identity, float(params.n), "mean_count")
     return val
 
 
@@ -463,16 +530,13 @@ def gap_probability_bulk(s, lam: float = 1.0):
     # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
     slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
     scale = math.exp(-ln_gamma(lam))
+    hi = _xi_max(lam)
 
     def one(sv: float) -> float:
         if sv == 0.0:
             return 1.0
         f = lambda xi: scale * math.exp(-xi) * goe_gap(sv * math.sqrt(xi) * slope)
-        val = integrate.quad(
-            f, 0.0, _xi_max(lam), weight="alg", wvar=(lam - 1.0, 0.0),
-            epsabs=1e-11, epsrel=1e-9, limit=200,
-        )[0]
-        return min(val, 1.0)
+        return min(_gamma_average(f, lam, hi, "gap_probability_bulk", f"s={sv!r}")[0], 1.0)
 
     if sa.ndim == 0:
         return one(float(sa))
@@ -489,12 +553,13 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     s = np.empty_like(thetas)
     e = np.empty_like(thetas)
     worst = 0.0
+    e_sat = goe_gap(float(params.n))
     for i, th in enumerate(thetas):
         if th == 0.0:
             s[i], e[i] = 0.0, 1.0
             continue
-        ev, eerr, _ = _gamma_weighted_goe(th, params, lambda y: goe_gap(y), goe_gap(float(params.n)))
-        sv, serr, _ = _gamma_weighted_goe(th, params, lambda y: y, float(params.n))
+        ev, eerr, _ = _gamma_weighted_goe(th, params, goe_gap, e_sat, "gap_curve")
+        sv, serr, _ = _gamma_weighted_goe(th, params, _identity, float(params.n), "gap_curve")
         s[i], e[i] = sv, min(ev, 1.0)
         worst = max(worst, eerr, serr)
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)
@@ -525,31 +590,16 @@ def element_curve(params: EnsembleParams, x_grid, entry: str = "diag") -> Analyt
 # joint eigenvalue density (small N)
 
 
-@lru_cache(maxsize=None)
 def _mehta_integral(n: int) -> float:
-    """Int over R^n of exp(-|x|^2/2) prod_{i<j} |x_i - x_j| dx by direct quadrature.
+    """Int over R^n of exp(-|x|^2/2) prod_{i<j} |x_i - x_j| dx, in closed form.
 
-    Ordered region times n!, so the integrand is smooth (no absolute-value
-    kinks); limits truncated at |x| = 9.5 where the Gaussian mass is ~1e-20.
+    Mehta's integral (a limit of Selberg's): (2 pi)^(n/2) prod_{j=1..n}
+    Gamma(1 + j/2) / Gamma(3/2).
     """
-    lim = 9.5
-    tols = {1: 1e-12, 2: 1e-11, 3: 1e-9, 4: 1e-8}
-    tol = tols[n]
-
-    def inner(level: int, lower: float, xs: tuple) -> float:
-        def f(x: float) -> float:
-            here = xs + (x,)
-            if level == n - 1:
-                val = math.exp(-sum(t * t for t in here) / 2.0)
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        val *= here[j] - here[i]
-                return val
-            return inner(level + 1, x, here)
-
-        return integrate.quad(f, lower, lim, epsabs=tol, epsrel=tol, limit=60)[0]
-
-    return math.factorial(n) * inner(0, -lim, ())
+    out = (2.0 * math.pi) ** (n / 2.0)
+    for j in range(1, n + 1):
+        out *= math.gamma(1.0 + j / 2.0) / math.gamma(1.5)
+    return out
 
 
 def _goe_joint_norm(n: int) -> float:
@@ -577,20 +627,22 @@ def joint_eigen_density(evals, params: EnsembleParams) -> float:
     """Joint density of the n eigenvalues (n <= 4), symmetric in its arguments.
 
     The normalization ties the branch constant to the Gaussian one, which is
-    obtained by direct quadrature; the n = 2 two-dimensional integral of this
-    density is one of the acceptance checks.
+    Mehta's integral in closed form; the n = 2 two-dimensional integral of
+    this density is one of the acceptance checks.
     """
-    e = np.sort(np.asarray(evals, dtype=float))
+    e = sorted(map(float, evals))
     n, f, a = params.n, params.f, params.alpha
     if len(e) != n:
         raise ParameterError(f"expected {n} eigenvalues, got {len(e)}")
     if n > 4:
         raise ParameterError("joint eigenvalue density is implemented for n <= 4")
     vander = 1.0
+    ssq = 0.0
     for i in range(n):
+        # left to right from 0.0: the order in which np.sum adds n <= 4 terms
+        ssq += e[i] * e[i]
         for j in range(i + 1, n):
             vander *= abs(e[j] - e[i])
-    ssq = float(np.sum(e * e))
     log_k = _joint_log_const(params)
     if params.regime is Regime.GAUSSIAN:
         return math.exp(log_k - a * ssq) * vander

@@ -2,7 +2,8 @@
 verification suites, and reproducible flat-file outputs.
 
 Exit codes are a stable contract: 0 success, 2 parameter error, 3 I/O error,
-4 acceptance/verification failure.
+4 acceptance/verification failure, 5 numerical failure (valid parameters at
+which a closed-form law has no finite, checked value).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from . import spectral as sp
 from .params import (
     EnsembleParams,
     MarginalTailError,
+    NumericalError,
     ParameterError,
     Regime,
     RegimeError,
@@ -802,6 +804,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

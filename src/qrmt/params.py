@@ -22,6 +22,7 @@ __all__ = [
     "ParameterError",
     "RegimeError",
     "MarginalTailError",
+    "NumericalError",
     "Regime",
     "EnsembleParams",
     "dof",
@@ -44,6 +45,10 @@ class RegimeError(ParameterError):
 
 class MarginalTailError(ParameterError):
     """lambda = 1: sigma = 2 holds as a scaling convention only, no tail coefficient."""
+
+
+class NumericalError(ValueError):
+    """Valid parameters at which a closed-form law has no finite, checked value."""
 
 
 class Regime(Enum):

@@ -8,11 +8,14 @@ Oracles used here:
     integrating in the GOE argument rather than the mixture weight;
   * scipy ordered-region quadrature for the joint eigenvalue masses.
 """
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.integrate import IntegrationWarning
 from scipy.special import erfc, gammaln, stdtr
 
 from oracles import MEHTA_INTEGRALS, fourier_char_fn
@@ -20,6 +23,8 @@ from oracles import MEHTA_INTEGRALS, fourier_char_fn
 from qrmt.analytic import (
     AnalyticCurve,
     _goe_joint_norm,
+    _joint_log_const,
+    _level_density_consts,
     _mehta_integral,
     density_curve,
     element_char_fn,
@@ -42,7 +47,8 @@ from qrmt.analytic import (
     wigner_surmise,
     wigner_surmise_cdf,
 )
-from qrmt.params import EnsembleParams, ParameterError, RegimeError
+from qrmt.cli import _gap_theta_grid
+from qrmt.params import EnsembleParams, NumericalError, ParameterError, Regime, RegimeError
 from qrmt.sampler import RngStream
 
 
@@ -436,6 +442,62 @@ def test_analytic_curve_invariants_enforced():
         AnalyticCurve(x, np.array([1.0, 0.5, 0.2]), "gap_probability", None, 0.0)
 
 
+def test_analytic_curve_value_checks_raise_numerical_error():
+    x = np.array([0.0, 1.0])
+    for vals, kind in (([1.0, np.inf], "level_density"), ([-0.5, 1.0], "element_pdf"),
+                       ([0.4, 0.6], "gap_probability"), ([1.5, 0.2], "gap_probability")):
+        with pytest.raises(NumericalError):
+            AnalyticCurve(x, np.array(vals), kind, None, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_gap_curve_at_large_lambda_raises_numerical_error():
+    p = EnsembleParams.from_lambda(20, 20.0, alpha="auto")
+    with pytest.raises(NumericalError, match="nonincreasing at n=20, lambda=20"):
+        gap_curve(p, _gap_theta_grid(3.0, 40))
+
+
+def test_level_density_overflow_raises_numerical_error():
+    # exp(log amplitude) overflows while the Kummer factor is tiny; scalar
+    # and array routes fail the same typed way
+    p = EnsembleParams.from_lambda(10, 300.0, alpha=1.0)
+    for e in (1.0, np.array([3.0, 1.0])):
+        with pytest.raises(NumericalError, match=r"\|E\| = 1, n = 10, lambda = 300"):
+            level_density(e, p)
+    assert level_density(3.0, p) > 0.0  # the amplitude still fits here
+
+
+def test_level_density_underflowing_energy_is_the_plateau():
+    # E^2 underflows to 0 below ~1e-162: the E = 0 value, not a division by zero
+    p = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
+    rho0 = level_density(0.0, p)
+    assert level_density(1e-300, p) == rho0 == level_density(-5e-324, p)
+    assert np.all(level_density(np.array([1e-300, -1e-200, 0.0]), p) == rho0)
+
+
+def test_level_density_constants_are_cached_per_params():
+    p = EnsembleParams.from_lambda(7, 2.5, alpha=0.3)
+    _level_density_consts.cache_clear()
+    level_density(0.7, p)
+    level_density(np.linspace(-3.0, 3.0, 7), p)
+    info = _level_density_consts.cache_info()
+    assert info.misses == 1 and info.hits >= 2
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: gap_probability_bulk(3.7, 10.0), r"gap_probability_bulk: QUADPACK ier=2 at s=3\.7, lambda=10\.0"),
+    (lambda: gap_probability(0.2717207669088468, EnsembleParams.from_lambda(20, 10.0, alpha="auto")),
+     r"gap_probability: QUADPACK ier=2 at theta=0\.2717207669088468, n=20, lambda=10\.0"),
+])
+def test_quadpack_failure_warns_with_site_point_and_ier(call, match):
+    # these calls end with QUADPACK's roundoff flag; the value is kept and
+    # one warning names where it happened
+    with pytest.warns(IntegrationWarning, match=match) as record:
+        val = call()
+    assert len(record) == 1
+    assert 0.0 <= val <= 1.0
+
+
 # -------------------------------------------------------------------- joint
 
 def test_mehta_frozen_constants_match_closed_form():
@@ -452,6 +514,45 @@ def test_mehta_integral_quadrature_route():
     # half a minute of nested quadrature); n <= 3 re-runs here
     for n in (1, 2, 3):
         assert _mehta_integral(n) == pytest.approx(MEHTA_INTEGRALS[n], rel=1e-8)
+
+
+def test_joint_density_n4_norm_is_fast_and_exact():
+    # Mehta's closed form: the first n = 4 call costs no nested quadrature
+    p = EnsembleParams.from_lambda(4, 1.5, alpha=1.0)
+    _joint_log_const.cache_clear()
+    t0 = time.process_time()
+    val = joint_eigen_density([-1.0, 0.2, 0.5, 1.7], p)
+    assert time.process_time() - t0 < 0.1
+    assert isinstance(val, float) and val > 0.0
+    assert _goe_joint_norm(4) * MEHTA_INTEGRALS[4] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_joint_density_matches_numpy_reference_bit_for_bit():
+    # the numpy formulation it replaced: np.sort, then np.sum of the squares
+    def reference(evals, p):
+        e = np.sort(np.asarray(evals, dtype=float))
+        vander = 1.0
+        for i in range(p.n):
+            for j in range(i + 1, p.n):
+                vander *= abs(e[j] - e[i])
+        ssq = float(np.sum(e * e))
+        log_k = _joint_log_const(p)
+        if p.regime is Regime.GAUSSIAN:
+            return math.exp(log_k - p.alpha * ssq) * vander
+        u = (p.alpha / p.lam) * ssq
+        if 1.0 + u <= 0.0:
+            return 0.0
+        return math.exp(log_k - (p.lam + p.f / 2.0) * math.log1p(u)) * vander
+
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 4):
+        f = n * (n + 1) // 2
+        for p in (EnsembleParams.gaussian(n, alpha=0.7), EnsembleParams.from_lambda(n, 0.3, alpha=1.3),
+                  EnsembleParams.from_lambda(n, 40.0, alpha=0.5), rt_params(n, f / 2.0 + 0.5, 1.0)):
+            for scale in (0.1, 1.0, 30.0):
+                for _ in range(100):
+                    evals = rng.standard_normal(n) * scale
+                    assert joint_eigen_density(evals, p) == reference(evals, p)
 
 
 def test_goe_joint_norm_n2_closed_form():
@@ -558,3 +659,105 @@ def test_tail_exponents_agree_between_element_and_level_laws():
     s_lv = np.polyfit(np.log(x), lv, 1)[0]
     assert s_el == pytest.approx(s_lv, abs=0.02)
     assert s_el == pytest.approx(-(2 * 0.75 + 1), abs=0.02)
+
+
+# ------------------------------------------------------------- frozen bits
+# sha256 of the little-endian float64 bytes of each output, frozen from the
+# per-point QUADPACK code before the Gamma-average routes were rewritten for
+# call overhead; any change to a single output bit fails here.
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+GAP_CURVE_CASES = [(n, lam) for n in (5, 20, 50) for lam in (0.5, 1.0, 1.5, 3.0, 10.0)]
+GOLDEN_GAP_CURVE = {
+    (5, 0.5): "41f2d26dfe3db53e943062084fc4580bfdbc93b5059c9607097b4b644def2985",
+    (5, 1.0): "f05b1cc92f0f4b1b6de55c061bfed1e86ce5474fe8316fef45efbec95b9d8611",
+    (5, 1.5): "850a54df573d7b560c1daf942d1605906cc56210e2e4b4b1dfe9688bd5ba48cb",
+    (5, 3.0): "ace42240854f65af5e4fda0dcdb687e67bc09408256829c2b5709d0560b540a6",
+    (5, 10.0): "452535c73207cb86843612b1b8c985bec47eaf6f46ef78a7b4f7900b8d9deb24",
+    (20, 0.5): "d74c2d6d5869eed5e7bde8e0d395e37bf698ec13bab5fa26a0337630958a40ce",
+    (20, 1.0): "296d33f2cbf7d58dc1ec69565c288293f1f4aa5ad7a39d9f2efd0fbd08fad442",
+    (20, 1.5): "812947f2ab27d2cbed250cd1a0ca3014fd24ff7a1c22adcc79e5670ec499065e",
+    (20, 3.0): "eefb9f3c17eae694a50cbb1956784365c4a00bea77e1bbb63d20f07e763ee79d",
+    (20, 10.0): "f4c31d09855d35fb8fa7ce58071a6fdff37d24365b6bd4a7dc2869dacfec4acc",
+    (50, 0.5): "6f8699acf2ca0d0af0cb8bddbdd0b5311e2d8767a023aeca3c1b54cbe8c6ba48",
+    (50, 1.0): "8754a0652dd25d1ea72be03cbc95bec650e4a2d1330233c24b6b6e26a4623ff8",
+    (50, 1.5): "58f5961e01371227faeab311621e40ff86a2ea7289bffdb856e802be27075bdf",
+    (50, 3.0): "82a8c3340aa3b22a19cd30c15e0d48da6014141f490a37d3bfbf1c0ee71bb4fe",
+    (50, 10.0): "cfa6467b7532bc760c0cb14bac99d875c550f49de6f2d7609b3036645bc18fd5",
+}
+GOLDEN_GAP_POINTS = "064c2ec0821f957629cb1fa89d32702369b8789c47b72ad26dedb707c48620fe"
+BULK_LAMBDAS = (0.5, 1.5, 3.0, 10.0, 1.0 + 1e-13)
+GOLDEN_BULK = {
+    0.5: "090ecb58b51765d68926941bf1b3147832d188ff5269c2bf14e9780cd77dd6a0",
+    1.5: "484ee7d85635f0af8efb656454e314b52bb1a8c8cba65e9ba976dc1f4a2754d3",
+    3.0: "81564645be6fb2aed3e038112bdcf62bafdb314257dcd16e6ae4d345fb72d76d",
+    10.0: "b3986adc05f832311f60e838bb3686e4b93db522e2559152266499ce530f1454",
+    1.0000000000001: "77c09ac284637bd835976ce924cb925459fe89c83d8c9c53a487b5e601385a7a",
+}
+LEVEL_DENSITY_PARAMS = [(5, 1.5, 1.0), (20, 0.5, "auto"), (50, 10.0, "auto"), (3, 3.0, 2.5)]
+GOLDEN_LEVEL_DENSITY = {
+    (5, 1.5): "a0812e3a0b44e40dd22af0c5f2be2a8c5aa9c94350e5687196cc952ccbd79162",
+    (20, 0.5): "66c33246e0817f4fbd5cf6151c92be73656adee3d6150a61d9dd0dff5d3604b6",
+    (50, 10.0): "3bdb43e48f002e18b0a67788ba30d9e28192dfc6de6f0bb0e380e9f500515c0d",
+    (3, 3.0): "731b50cf17f4de20ee47cd82c5ee0e0b76cb8f708654c0512860b17c1bc40cf4",
+}
+
+
+def _level_density_grid() -> np.ndarray:
+    # 0, -0, points on both sides of the t > 1e12 plateau cut, the bulk and the tail
+    tiny = np.concatenate([np.geomspace(1e-150, 1e-3, 40), np.geomspace(1e-8, 1e-4, 33)])
+    body = np.linspace(-30.0, 30.0, 121)
+    tail = np.geomspace(30.0, 1e4, 25)
+    return np.concatenate([[0.0, -0.0], tiny, -tiny, body, tail, -tail])
+
+
+def _gap_curve_digest(n: int, lam: float) -> str:
+    c = gap_curve(EnsembleParams.from_lambda(n, lam, alpha="auto"), _gap_theta_grid(3.0, 40))
+    return _sha(c.abscissae, c.values, [c.quadrature_error])
+
+
+def _gap_points_digest() -> str:
+    vals = []
+    for n, lam, alpha in ((6, 1.5, 0.9), (20, 3.0, "auto"), (4, 0.5, 2.0)):
+        p = EnsembleParams.from_lambda(n, lam, alpha=alpha)
+        for theta in (0.05, 0.7, 2.5):
+            vals += [mean_count(theta, p), gap_probability(theta, p)]
+    return _sha(vals)
+
+
+def _bulk_digest(lam: float) -> str:
+    return _sha(gap_probability_bulk(np.linspace(0.0, 10.0, 201), lam))
+
+
+def _level_density_digest(n: int, lam: float, alpha) -> str:
+    p = EnsembleParams.from_lambda(n, lam, alpha=alpha)
+    grid = _level_density_grid()
+    return _sha(level_density(grid, p), [level_density(float(v), p) for v in grid])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n,lam", GAP_CURVE_CASES)
+def test_gap_curve_bits_frozen(n, lam):
+    assert _gap_curve_digest(n, lam) == GOLDEN_GAP_CURVE[(n, lam)]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_mean_count_and_gap_probability_bits_frozen():
+    assert _gap_points_digest() == GOLDEN_GAP_POINTS
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("lam", BULK_LAMBDAS)
+def test_gap_probability_bulk_bits_frozen(lam):
+    assert _bulk_digest(lam) == GOLDEN_BULK[lam]
+
+
+@pytest.mark.parametrize("n,lam,alpha", LEVEL_DENSITY_PARAMS)
+def test_level_density_bits_frozen(n, lam, alpha):
+    assert _level_density_digest(n, lam, alpha) == GOLDEN_LEVEL_DENSITY[(n, lam)]

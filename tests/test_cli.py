@@ -212,6 +212,26 @@ def test_exit_2_on_gap_outside_heavy_branch(q, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n,lam", [(20, "20"), (5, "40")])
+def test_exit_5_on_gap_curve_that_fails_its_checks(n, lam, tmp_path, capsys):
+    # the quadrature loses monotonicity at large lambda: a typed numerical
+    # failure, not a traceback, and nothing is written
+    code, out, err = run(["gap", "--n", str(n), "--lambda", lam, "--out", str(tmp_path)], capsys)
+    assert code == 5
+    assert err == f"error: gap probabilities must be nonincreasing at n={n}, lambda={lam}\n"
+    assert out == "" and os.listdir(tmp_path) == []
+
+
+def test_exit_5_on_level_density_overflow(tmp_path, capsys):
+    code, _, err = run(
+        ["density", "--n", "10", "--lambda", "300", "--alpha", "1", "--grid=-1:1:5",
+         "--out", str(tmp_path)], capsys,
+    )
+    assert code == 5
+    assert err.startswith("error: level density amplitude overflows float64") and err.count("\n") == 1
+
+
 def test_exit_3_on_unwritable_output(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
