@@ -322,34 +322,23 @@ def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
     e = abs(float(e))
     pref = (2.0 * a / (math.pi * lam)) * math.exp(-ln_gamma(lam))
     hi = _xi_max(lam)
-    if e > 0.0:
-        t = n * lam / (a * e * e)
-        if t <= hi:
-            # integrand = pref e^-xi xi^(lam-1/2) |E| sqrt(t - xi) on [0, t]
-            val, err, info = integrate.quad(
-                lambda xi: pref * math.exp(-xi) * e,
-                0.0,
-                t,
-                weight="alg",
-                wvar=(lam - 0.5, 0.5),
-                epsabs=1e-12,
-                epsrel=1e-10,
-                full_output=True,
-                limit=200,
-            )[:3]
-            return QuadratureResult(val, err, int(info["neval"]))
-    val, err, info = integrate.quad(
-        lambda xi: pref * math.exp(-xi) * math.sqrt(max(n * lam / a - xi * e * e, 0.0)),
-        0.0,
-        hi,
-        weight="alg",
-        wvar=(lam - 0.5, 0.0),
-        epsabs=1e-12,
-        epsrel=1e-10,
-        full_output=True,
-        limit=200,
-    )[:3]
-    return QuadratureResult(val, err, int(info["neval"]))
+    d = a * e * e
+    t = n * lam / d if d > 0.0 else math.inf  # E = 0, or E^2 underflowing to 0
+    if t <= hi:
+        # integrand = pref e^-xi xi^(lam-1/2) |E| sqrt(t - xi) on [0, t]
+        f, hi, wvar = (lambda xi: pref * math.exp(-xi) * e), t, (lam - 0.5, 0.5)
+    else:
+        f = lambda xi: pref * math.exp(-xi) * math.sqrt(max(n * lam / a - xi * e * e, 0.0))
+        wvar = (lam - 0.5, 0.0)
+    point = f"E={e!r}, n={n}"
+    val, err, neval = _gamma_average(f, lam, hi, wvar, (1e-12, 1e-10), "level_density_mixture", point)
+    # QUADPACK can hand back a negative or non-finite error estimate with no message
+    if not (math.isfinite(val) and err >= 0.0 and math.isfinite(err)):
+        raise NumericalError(
+            f"level_density_mixture has no finite, checked value at {point}, lambda={lam:g}: "
+            f"QUADPACK returned {val!r} with error estimate {err!r}"
+        )
+    return QuadratureResult(val, err, neval)
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +405,25 @@ _QUADPACK_IER = (
 )
 
 
-def _gamma_average(integrand, lam: float, hi: float, site: str, point: str):
-    """(value, err, neval) of Int_0^hi xi^(lam-1) integrand(xi) dxi by QAWS.
+# (epsabs, epsrel) of the Gamma averages of GOE laws
+_GOE_TOL = (1e-11, 1e-9)
 
-    The one QUADPACK call behind every Gamma average of a GOE law.  A call
-    that does not converge keeps its value and emits one IntegrationWarning
-    naming `site`, `point` and QUADPACK's ier.
+
+def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, site: str, point: str):
+    """(value, err, neval) of Int_0^hi xi^wvar[0] (hi - xi)^wvar[1] integrand(xi) dxi by QAWS.
+
+    The one QUADPACK call in this module.  A call that does not converge
+    keeps its value and emits one IntegrationWarning naming `site`, `point`,
+    lambda and QUADPACK's ier.
     """
     res = integrate.quad(
         integrand,
         0.0,
         hi,
         weight="alg",
-        wvar=(lam - 1.0, 0.0),
-        epsabs=1e-11,
-        epsrel=1e-9,
+        wvar=wvar,
+        epsabs=tol[0],
+        epsrel=tol[1],
         full_output=True,
         limit=200,
     )
@@ -464,7 +457,8 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, kernel, saturated:
         y = goe_counting(math.sqrt(two_a * xi / lam) * theta, n)
         return scale * math.exp(-xi) * kernel(y)
 
-    val, err, neval = _gamma_average(f, lam, hi, site, f"theta={theta!r}, n={n}")
+    point = f"theta={theta!r}, n={n}"
+    val, err, neval = _gamma_average(f, lam, hi, (lam - 1.0, 0.0), _GOE_TOL, site, point)
     tail = saturated * float(_sp.gammaincc(lam, xi_sat))
     # the strip [xi_max, xi_sat) is dropped when xi_sat exceeds the truncation;
     # its mass is below kernel_max * Q(lam, xi_max) ~ 1e-20
@@ -536,7 +530,8 @@ def gap_probability_bulk(s, lam: float = 1.0):
         if sv == 0.0:
             return 1.0
         f = lambda xi: scale * math.exp(-xi) * goe_gap(sv * math.sqrt(xi) * slope)
-        return min(_gamma_average(f, lam, hi, "gap_probability_bulk", f"s={sv!r}")[0], 1.0)
+        val = _gamma_average(f, lam, hi, (lam - 1.0, 0.0), _GOE_TOL, "gap_probability_bulk", f"s={sv!r}")[0]
+        return min(val, 1.0)
 
     if sa.ndim == 0:
         return one(float(sa))

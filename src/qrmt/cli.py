@@ -169,8 +169,6 @@ def _build_params(args) -> EnsembleParams:
             # heavy-tailed parametrization
             raise ParameterError(f"--lambda must be positive, got {args.lam} (use --q below 1)")
         return EnsembleParams.from_lambda(args.n, args.lam, alpha=alpha)
-    if args.q == 1.0:
-        return EnsembleParams.gaussian(args.n, alpha if alpha != "auto" else None)
     return EnsembleParams.from_q(args.n, args.q, alpha=alpha)
 
 
@@ -180,8 +178,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, cnt = float(lo_s), float(hi_s), int(cnt_s)
     except ValueError:
         raise ParameterError(f"grid must be 'min:max:count', got {spec!r}") from None
-    if cnt < 2 or not hi > lo:
-        raise ParameterError(f"grid needs max > min and count >= 2, got {spec!r}")
+    if cnt < 2 or not -math.inf < lo < hi < math.inf:
+        raise ParameterError(f"grid needs finite max > min and count >= 2, got {spec!r}")
     return np.linspace(lo, hi, cnt)
 
 
@@ -229,8 +227,8 @@ def _grid(params: EnsembleParams, args, what: str) -> np.ndarray:
 
 
 def _gap_theta_grid(theta_max: float, points: int) -> np.ndarray:
-    if not theta_max > 0 or points < 2:
-        raise ParameterError("need theta-max > 0 and points >= 2")
+    if not (0 < theta_max < math.inf) or points < 2:
+        raise ParameterError(f"need a finite theta-max > 0 and points >= 2, got {theta_max}, {points}")
     body = np.geomspace(theta_max / 300.0, theta_max, points - 1)
     return np.concatenate([[0.0], body])
 
@@ -688,8 +686,8 @@ def cmd_verify(args) -> int:
     if args.manifest:
         return _verify_manifest(args.manifest)
     ts = args.tolerance_scale
-    if ts < 0:
-        raise ParameterError(f"--tolerance-scale must be nonnegative, got {ts}")
+    if not (0 <= ts < math.inf):
+        raise ParameterError(f"--tolerance-scale must be finite and nonnegative, got {ts}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:

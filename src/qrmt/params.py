@@ -15,7 +15,7 @@ Three regimes partition the valid (q, f) plane:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = [
@@ -133,7 +133,13 @@ def alpha_scaling(n: int, sigma: float) -> float:
         raise ParameterError(f"matrix dimension must be >= 1, got {n}")
     if not 0.0 < sigma <= 2.0:
         raise ParameterError(f"tail exponent must lie in (0, 2], got {sigma}")
-    return n ** (2.0 / sigma) / 2.0
+    try:
+        return n ** (2.0 / sigma) / 2.0
+    except OverflowError:
+        raise ParameterError(
+            f"alpha = n^(2/sigma)/2 overflows float64 at n = {n}, sigma = {sigma:g}; "
+            "give an explicit alpha (--alpha)"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -142,11 +148,13 @@ class EnsembleParams:
 
     Build instances through :meth:`from_q`, :meth:`from_lambda` or
     :meth:`gaussian`; the raw constructor performs only consistency checks.
+    A member is fixed by (n, q, lam, alpha), so equality and hashing use those
+    four fields and skip the derived ones.
     """
 
     n: int
     # independent element count, n(n+1)/2
-    f: int
+    f: int = field(compare=False)
     # entropic index; 1 for the Gaussian regime, may be -inf (bounded trace)
     q: float
     # shape parameter 1/(q-1) - f/2; +inf in the Gaussian regime
@@ -154,14 +162,14 @@ class EnsembleParams:
     # confinement scale, > 0
     alpha: float
     # norm target f/(2 alpha), derived metadata only
-    mu: float
-    regime: Regime
+    mu: float = field(compare=False)
+    regime: Regime = field(compare=False)
     # tail exponent; None on the restricted-trace branch where no tail exists
-    sigma: float | None
+    sigma: float | None = field(compare=False)
     # tail coefficient; None unless 0 < lambda < 1 or lambda > 1
-    big_lambda: float | None
+    big_lambda: float | None = field(compare=False)
     # characteristic energy sqrt(n lam / alpha); heavy-tailed branch only
-    e_char: float | None
+    e_char: float | None = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -182,37 +190,8 @@ class EnsembleParams:
                 raise ParameterError(
                     f"q = {q} is not below q_max = {q_max(f)} for n = {n} (f = {f})"
                 )
-        if q == 1:
-            lam = math.inf
-            regime = Regime.GAUSSIAN
-            sigma: float | None = 2.0
-            big_lambda: float | None = None
-        elif q < 1:
-            lam = lambda_from_q(q, f)
-            regime = Regime.RESTRICTED_TRACE
-            sigma = None
-            big_lambda = None
-        else:
-            lam = lambda_from_q(q, f)
-            regime = Regime.LEVY_BRANCH
-            try:
-                sigma, big_lambda = tail_params(lam)
-            except MarginalTailError:
-                sigma, big_lambda = 2.0, None  # lambda = 1: scaling convention only
-        alpha_val = cls._resolve_alpha(n, alpha, sigma)
-        e_char = math.sqrt(n * lam / alpha_val) if regime is Regime.LEVY_BRANCH else None
-        return cls(
-            n=n,
-            f=f,
-            q=q,
-            lam=lam,
-            alpha=alpha_val,
-            mu=f / (2.0 * alpha_val),
-            regime=regime,
-            sigma=sigma,
-            big_lambda=big_lambda,
-            e_char=e_char,
-        )
+        lam = math.inf if q == 1 else lambda_from_q(q, f)
+        return cls._build(n, f, q, lam, alpha)
 
     @classmethod
     def from_lambda(cls, n: int, lam: float, alpha: float | str | None = None) -> "EnsembleParams":
@@ -226,24 +205,8 @@ class EnsembleParams:
                 f"from_lambda requires lambda > 0 (heavy-tailed branch), got {lam}"
             )
         f = dof(n)
-        # built directly so lam is stored exactly (no q round-trip noise)
-        try:
-            sigma, big_lambda = tail_params(lam)
-        except MarginalTailError:
-            sigma, big_lambda = 2.0, None  # lambda = 1: scaling convention only
-        alpha_val = cls._resolve_alpha(n, alpha, sigma)
-        return cls(
-            n=n,
-            f=f,
-            q=q_from_lambda(lam, f),
-            lam=lam,
-            alpha=alpha_val,
-            mu=f / (2.0 * alpha_val),
-            regime=Regime.LEVY_BRANCH,
-            sigma=sigma,
-            big_lambda=big_lambda,
-            e_char=math.sqrt(n * lam / alpha_val),
-        )
+        # lam is stored exactly (no q round-trip noise)
+        return cls._build(n, f, q_from_lambda(lam, f), lam, alpha)
 
     @classmethod
     def gaussian(cls, n: int, alpha: float | str | None = None) -> "EnsembleParams":
@@ -259,6 +222,29 @@ class EnsembleParams:
         if not (alpha > 0.0 and math.isfinite(alpha)):
             raise ParameterError(f"alpha must be positive and finite, got {alpha}")
         return alpha
+
+    @classmethod
+    def _build(cls, n: int, f: int, q: float, lam: float, alpha) -> "EnsembleParams":
+        """The member (n, q, lam, alpha) with every derived field, from validated inputs.
+
+        The regime follows from lam alone: +inf at q = 1, negative below it,
+        positive on the heavy-tailed branch (where q itself may round to 1).
+        """
+        sigma = big_lambda = e_char = None
+        if lam == math.inf:
+            regime, sigma = Regime.GAUSSIAN, 2.0
+        elif lam < 0:
+            regime = Regime.RESTRICTED_TRACE
+        else:
+            regime = Regime.LEVY_BRANCH
+            try:
+                sigma, big_lambda = tail_params(lam)
+            except MarginalTailError:
+                sigma = 2.0  # lambda = 1: scaling convention only
+        alpha = cls._resolve_alpha(n, alpha, sigma)
+        if regime is Regime.LEVY_BRANCH:
+            e_char = math.sqrt(n * lam / alpha)
+        return cls(n, f, q, lam, alpha, f / (2.0 * alpha), regime, sigma, big_lambda, e_char)
 
     def as_dict(self) -> dict:
         """JSON-safe field dump (non-finite floats become strings)."""

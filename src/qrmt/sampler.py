@@ -32,16 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .params import EnsembleParams, ParameterError, Regime, RegimeError
+from .params import EnsembleParams, ParameterError, Regime
 
 __all__ = [
     "RngStream",
     "MatrixSample",
     "SampleBatch",
     "sample_goe",
-    "sample_q_gt1",
-    "sample_q_lt1",
-    "sample_bounded_trace",
     "sample_levy_stable",
     "sample_ensemble",
     "sample_batch",
@@ -259,34 +256,6 @@ class SampleBatch(Sequence):
 def sample_goe(n: int, alpha: float, rng, sample_index: int = 0) -> MatrixSample:
     """Gaussian-regime draw: density proportional to exp(-alpha tr H^2)."""
     return sample_ensemble(EnsembleParams.gaussian(n, alpha), rng, sample_index)
-
-
-def sample_q_gt1(params: EnsembleParams, rng, sample_index: int = 0) -> MatrixSample:
-    """Heavy-tailed branch draw via the Gamma mixture of Gaussian ensembles."""
-    if params.regime is not Regime.LEVY_BRANCH:
-        raise RegimeError(f"sample_q_gt1 requires the heavy-tailed branch, got {params.regime}")
-    return sample_ensemble(params, rng, sample_index)
-
-
-def sample_q_lt1(params: EnsembleParams, rng, sample_index: int = 0) -> MatrixSample:
-    """Restricted-trace draw, exact on the ball tr H^2 < -lambda/alpha.
-
-    In the weighted coordinates x (diagonal entries, then sqrt(2) times the
-    upper off-diagonals) the matrix measure is Lebesgue and the density is a
-    function of |x|^2 alone, so direction and radius separate: the direction
-    is a normalized Gaussian f-vector and u = alpha |x|^2 / |lambda| follows
-    Beta(f/2, 1/(1-q) + 1).  Every draw satisfies the trace bound by
-    construction (u < 1 almost surely).
-    """
-    if params.regime is not Regime.RESTRICTED_TRACE:
-        raise RegimeError(f"sample_q_lt1 requires the restricted-trace regime, got {params.regime}")
-    return sample_ensemble(params, rng, sample_index)
-
-
-def sample_bounded_trace(n: int, alpha: float, rng, sample_index: int = 0) -> MatrixSample:
-    """Uniform draw on the ball tr H^2 < f/(2 alpha), the q -> -inf limit."""
-    params = EnsembleParams.from_q(n, -math.inf, alpha)
-    return sample_q_lt1(params, rng, sample_index)
 
 
 def sample_levy_stable(sigma: float, scale: float, rng, size: int | None = None):

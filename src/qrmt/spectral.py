@@ -228,6 +228,8 @@ def nn_spacings(batch: SpectrumBatch, window: float = 0.6) -> np.ndarray:
     if not 0.0 < window <= 1.0:
         raise ParameterError(f"window must lie in (0, 1], got {window}")
     n = batch.params.n
+    if n < 2:
+        raise ParameterError(f"nearest-neighbor spacings need n >= 2, got n = {n}")
     keep = max(2, int(round(window * n)))
     lo = (n - keep) // 2
     block = batch.spectra[:, lo : lo + keep]

@@ -82,7 +82,7 @@ def sturm_eigenvalues(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
-def rejection_sample_q_lt1(params, rng, count: int) -> np.ndarray:
+def rejection_sample_restricted(params, rng, count: int) -> np.ndarray:
     """Restricted-trace matrices by rejection from the uniform ball.
 
     Proposes weighted coordinates uniformly in the support ball and accepts

@@ -473,6 +473,14 @@ def test_level_density_underflowing_energy_is_the_plateau():
     rho0 = level_density(0.0, p)
     assert level_density(1e-300, p) == rho0 == level_density(-5e-324, p)
     assert np.all(level_density(np.array([1e-300, -1e-200, 0.0]), p) == rho0)
+    assert level_density_mixture(1e-300, p) == level_density_mixture(0.0, p)
+
+
+def test_level_density_mixture_negative_error_estimate_raises_numerical_error():
+    # QUADPACK returns 1.90 with error estimate -1.08e15 and no message here
+    p = EnsembleParams.from_lambda(10, 50.0, alpha=1.0)
+    with pytest.raises(NumericalError, match=r"E=1\.0, n=10, lambda=50: .* error estimate -"):
+        level_density_mixture(1.0, p)
 
 
 def test_level_density_constants_are_cached_per_params():

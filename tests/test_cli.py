@@ -232,6 +232,36 @@ def test_exit_5_on_level_density_overflow(tmp_path, capsys):
     assert err.startswith("error: level density amplitude overflows float64") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--n", "5", "--lambda", "2", "--theta-max", "inf"],
+    ["density", "--n", "5", "--lambda", "2", "--grid=0:inf:5"],
+    ["verify", "--suite", "specfun", "--tolerance-scale", "nan"],
+], ids=["theta-max", "grid", "tolerance-scale"])
+def test_exit_2_on_nonfinite_numbers(argv, tmp_path, capsys):
+    if argv[0] != "verify":
+        argv = argv + ["--out", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+    assert out == ""
+
+
+def test_exit_2_on_auto_alpha_overflow(tmp_path, capsys):
+    code, _, err = run(
+        ["sample", "--n", "10", "--lambda", "0.001", "--count", "5", "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: alpha = n^(2/sigma)/2 overflows float64 at n = 10, sigma = 0.002")
+    assert "--alpha" in err and err.count("\n") == 1
+
+
+def test_exit_5_on_mixture_with_negative_error_estimate(tmp_path, capsys):
+    code, out, err = run(["density", "--n", "10", "--lambda", "50", "--out", str(tmp_path)], capsys)
+    assert code == 5
+    assert err.startswith("error: level_density_mixture has no finite, checked value")
+    assert err.count("\n") == 1 and out == "" and os.listdir(tmp_path) == []
+
+
 def test_exit_3_on_unwritable_output(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

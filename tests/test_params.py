@@ -1,4 +1,7 @@
 """Parameter algebra: regime classification, q <-> lambda maps, tail constants."""
+import dataclasses
+import hashlib
+import json
 import math
 
 import pytest
@@ -124,6 +127,15 @@ def test_alpha_scaling():
         alpha_scaling(0, 2.0)
 
 
+def test_alpha_scaling_overflow_is_a_parameter_error():
+    # n^(2/sigma) leaves float64 range: a typed error that names n and sigma
+    with pytest.raises(ParameterError, match=r"n = 10, sigma = 0\.002; give an explicit alpha"):
+        alpha_scaling(10, 0.002)
+    with pytest.raises(ParameterError, match="overflows float64"):
+        EnsembleParams.from_lambda(3, 0.001)
+    assert EnsembleParams.from_lambda(3, 0.001, alpha=1.0).alpha == 1.0
+
+
 def test_from_q_levy_branch():
     # n = 3 so f = 6; q = 1.125 gives lambda = 8 - 3 = 5 exactly
     p = EnsembleParams.from_q(3, 1.125, alpha=1.0)
@@ -215,6 +227,34 @@ def test_as_dict_json_safe():
     json.dumps(d2)
     assert d2["q"] == "-inf"
     assert d2["lambda"] == -3.0
+
+
+# sha256 of the as_dict() dumps below, computed with the code in which from_q
+# and from_lambda each derived the fields themselves
+GOLDEN_AS_DICT = "6bf52c5bb38cfc8e90242735e4767219be7ab2bd15f98582b49fc4da73428b42"
+
+
+def test_as_dict_bits_frozen_for_every_constructor():
+    docs = []
+    for n in (1, 2, 3, 10, 50):
+        f = dof(n)
+        for q in (1.0, 0.5, 0.0, -3.0, -math.inf, 1.0 + 0.5 * (q_max(f) - 1.0)):
+            for alpha in (None, "auto", 0.7):
+                docs.append(EnsembleParams.from_q(n, q, alpha).as_dict())
+        for lam in (0.5, 1.0, 1.5, 2.0, 10.0, 300.0):
+            for alpha in (None, 0.7, "1.5"):
+                docs.append(EnsembleParams.from_lambda(n, lam, alpha).as_dict())
+        for alpha in (None, 0.7):
+            docs.append(EnsembleParams.gaussian(n, alpha).as_dict())
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == GOLDEN_AS_DICT
+
+
+def test_equality_and_hash_use_the_defining_fields_only():
+    # a member is fixed by (n, q, lam, alpha); the derived fields follow from them
+    p = EnsembleParams.from_lambda(3, 2.0, alpha=1.0)
+    other = dataclasses.replace(p, mu=0.0, regime=Regime.GAUSSIAN, sigma=None, e_char=None)
+    assert other == p and hash(other) == hash(p) == hash((3, p.q, 2.0, 1.0))
+    assert p != EnsembleParams.from_lambda(3, 2.0, alpha=1.5)
 
 
 def test_characteristic_energy_regime_guard():

@@ -12,22 +12,19 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
-from qrmt.params import EnsembleParams, ParameterError, Regime, RegimeError
+from qrmt.params import EnsembleParams, ParameterError
 from qrmt.sampler import (
     MatrixSample,
     RngStream,
     SampleBatch,
     _beta,
     sample_batch,
-    sample_bounded_trace,
     sample_ensemble,
     sample_goe,
     sample_levy_stable,
-    sample_q_gt1,
-    sample_q_lt1,
 )
 
-from oracles import rejection_sample_q_lt1
+from oracles import rejection_sample_restricted
 
 
 def _ks(sample, cdf) -> float:
@@ -95,11 +92,6 @@ def test_goe_diag_offdiag_ratio_large_alpha():
     assert vd == pytest.approx(0.02, rel=0.1)
 
 
-def test_mixture_requires_levy_branch():
-    with pytest.raises(RegimeError):
-        sample_q_gt1(EnsembleParams.gaussian(3, alpha=1.0), RngStream(1, 0))
-
-
 def test_mixture_marginals_are_student_t():
     # element marginal is Student t with 2*lambda degrees of freedom,
     # scale 1/sqrt(2 alpha) on the diagonal and 1/sqrt(4 alpha) off it
@@ -107,7 +99,7 @@ def test_mixture_marginals_are_student_t():
     g = RngStream(105, 0).generator()
     dd, oo = np.empty(4000), np.empty(4000)
     for i in range(4000):
-        h = sample_q_gt1(params, g).h
+        h = sample_ensemble(params, g).h
         dd[i] = h[0, 0]
         oo[i] = h[0, 1]
     lam, al = params.lam, params.alpha
@@ -119,7 +111,7 @@ def test_mixture_xi_recorded_and_trace_moment():
     # E[tr H^2] = f lam / (2 alpha (lam - 1)) for lam > 1
     params = EnsembleParams.from_lambda(4, 3.0, alpha=1.0)
     g = RngStream(106, 0).generator()
-    samples = [sample_q_gt1(params, g) for _ in range(5000)]
+    samples = [sample_ensemble(params, g) for _ in range(5000)]
     assert all(s.xi is not None and s.xi > 0 for s in samples)
     mean_tr = float(np.mean([s.trace_sq() for s in samples]))
     expect = params.f * 3.0 / (2.0 * 1.0 * 2.0)
@@ -131,7 +123,7 @@ def test_restricted_trace_support_strict():
     g = RngStream(107, 0).generator()
     bound = -params.lam / params.alpha
     for _ in range(2000):
-        s = sample_q_lt1(params, g)
+        s = sample_ensemble(params, g)
         assert s.trace_sq() < bound
         assert s.xi is None
         assert np.array_equal(s.h, s.h.T)
@@ -142,7 +134,7 @@ def test_restricted_trace_radial_law():
     params = EnsembleParams.from_q(3, 0.0, alpha=1.0)
     g = RngStream(108, 0).generator()
     u = np.array(
-        [sample_q_lt1(params, g).trace_sq() * params.alpha / -params.lam for _ in range(4000)]
+        [sample_ensemble(params, g).trace_sq() * params.alpha / -params.lam for _ in range(4000)]
     )
     assert _ks(u, lambda x: stats.beta.cdf(x, 3.0, 2.0)) < 0.03
 
@@ -151,8 +143,8 @@ def test_restricted_trace_matches_rejection_oracle():
     # same law as plain rejection sampling on the matrix density
     params = EnsembleParams.from_q(2, 0.5, alpha=1.3)
     g = RngStream(109, 0).generator()
-    mine = np.array([sample_q_lt1(params, g).trace_sq() for _ in range(3000)])
-    hs = rejection_sample_q_lt1(params, RngStream(110, 0).generator(), 3000)
+    mine = np.array([sample_ensemble(params, g).trace_sq() for _ in range(3000)])
+    hs = rejection_sample_restricted(params, RngStream(110, 0).generator(), 3000)
     theirs = np.einsum("kij,kij->k", hs, hs)
     d = stats.ks_2samp(mine, theirs).statistic
     assert d < 0.04
@@ -161,20 +153,16 @@ def test_restricted_trace_matches_rejection_oracle():
 def test_bounded_trace_limit():
     # q -> -inf: uniform on the ball, so u^(f/2) is uniform on (0, 1)
     n, alpha = 3, 0.5
+    params = EnsembleParams.from_q(n, -math.inf, alpha)
     g = RngStream(111, 0).generator()
     f = 6
     bound = f / (2 * alpha)
     u_pow = np.empty(4000)
     for i in range(4000):
-        t = sample_bounded_trace(n, alpha, g).trace_sq()
+        t = sample_ensemble(params, g).trace_sq()
         assert t < bound
         u_pow[i] = (t / bound) ** (f / 2)
     assert _ks(u_pow, lambda x: np.clip(x, 0.0, 1.0)) < 0.03
-
-
-def test_sample_q_lt1_rejects_levy_params():
-    with pytest.raises(RegimeError):
-        sample_q_lt1(EnsembleParams.from_lambda(3, 2.0, alpha=1.0), RngStream(1, 0))
 
 
 def test_stable_sigma2_is_gaussian():
@@ -310,6 +298,6 @@ def test_sample_batch_chunks_cover_the_batch():
 )
 def test_restricted_trace_support_property(n, q, seed):
     params = EnsembleParams.from_q(n, q, alpha=1.0)
-    s = sample_q_lt1(params, RngStream(seed, 0))
+    s = sample_ensemble(params, RngStream(seed, 0))
     assert s.trace_sq() < -params.lam / params.alpha
     assert np.array_equal(s.h, s.h.T)

@@ -15,7 +15,7 @@ from oracles import sturm_eigenvalues
 
 import qrmt.analytic as an
 from qrmt.params import EnsembleParams, ParameterError
-from qrmt.sampler import MatrixSample, RngStream, sample_batch, sample_goe
+from qrmt.sampler import MatrixSample, RngStream, sample_batch, sample_ensemble, sample_goe
 from qrmt.spectral import (
     GapEstimate,
     Histogram,
@@ -259,6 +259,15 @@ def test_nn_spacings_unit_mean_and_window():
         nn_spacings(b, window=1.2)
 
 
+def test_nn_spacings_need_two_levels():
+    # n = 1 has no spacing: a typed error, not a NaN histogram
+    b = _batch(EnsembleParams.gaussian(1, alpha=1.0), 10, seed=46)
+    with pytest.raises(ParameterError, match="n >= 2"):
+        nn_spacings(b)
+    with pytest.raises(ParameterError, match="n >= 2"):
+        nn_spacing(b)
+
+
 def test_nn_spacings_constant_grid():
     # equally spaced levels: every normalized spacing is exactly 1
     p = EnsembleParams.gaussian(6, alpha=1.0)
@@ -312,11 +321,9 @@ def test_tail_index_uses_default_k():
 
 def test_tail_index_element_tail_matches_two_lambda():
     # one off-diagonal reading per matrix: iid entries with tail index 2 lam
-    from qrmt.sampler import sample_q_gt1
-
     p = EnsembleParams.from_lambda(2, 0.75, alpha=1.0)
     g = RngStream(2028, 0).generator()
-    x = np.abs(np.array([sample_q_gt1(p, g).h[0, 1] for _ in range(30000)]))
+    x = np.abs(np.array([sample_ensemble(p, g).h[0, 1] for _ in range(30000)]))
     est = tail_index(x, k=1000)
     assert est.index == pytest.approx(1.5, abs=0.15)  # 1.535 at this seed
 
