@@ -1,9 +1,11 @@
 """Exact samplers for the three ensemble regimes.
 
-Every draw is a pure function of (params, stream): streams are derived from
-(master_seed, sample_index) through SeedSequence spawn keys, so a batch is
-bit-for-bit reproducible no matter how it is split or in which order its
-draws are made.  Scalar primitives come from numpy's Generator (normal:
+Every draw is a pure function of (params, stream): draw i of a batch runs on
+PCG64(SeedSequence(master_seed, spawn_key=(i,))), so a batch is bit-for-bit
+reproducible no matter how it is split or in which order its draws are made.
+`sample_batch` does not build those objects per draw: it computes the same
+PCG64 states for all ids at once (`_stream_states`) and sets them in turn on
+one reused Generator.  Scalar primitives come from numpy's Generator (normal:
 ziggurat; gamma: Marsaglia-Tsang with the shape < 1 boost); Beta is built
 explicitly as a Gamma ratio.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -46,21 +49,117 @@ __all__ = [
 
 # dense matrices are built in blocks of about this many floats (256 KiB)
 _CHUNK_FLOATS = 1 << 15
+# stream states are derived in blocks of this many ids, so that a large batch
+# never holds the Python-int states of all its draws at once
+_STATE_BLOCK = 1 << 10
+
+# numpy's SeedSequence constants (stable under NEP 19) and PCG64's LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _nonnegative_int(value, what: str) -> int:
+    """`value` as an int; ParameterError unless it is a nonnegative integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ParameterError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class RngStream:
     """One deterministic random stream per sample index.
 
-    Identical (master_seed, stream_id) reproduces an identical draw regardless
-    of batch split or scheduling.
+    The stream is PCG64(SeedSequence(master_seed, spawn_key=(stream_id,))):
+    identical (master_seed, stream_id) reproduces an identical draw regardless
+    of batch split or scheduling.  Both must be nonnegative integers.
     """
 
     master_seed: int
     stream_id: int
 
+    def __post_init__(self) -> None:
+        _nonnegative_int(self.master_seed, "master seed")
+        _nonnegative_int(self.stream_id, "stream id")
+
     def generator(self) -> Generator:
         return Generator(PCG64(SeedSequence(self.master_seed, spawn_key=(self.stream_id,))))
+
+
+def _hashmix(value, hc: int, mult: int):
+    """SeedSequence's hash of a uint32 int or array under hash constant hc; also the next hc."""
+    hc_next = hc * mult & _MASK32
+    value = (value ^ hc) * hc_next & _MASK32
+    return value ^ (value >> 16), hc_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words (uint32 ints or arrays)."""
+    r = ((x * _MIX_L & _MASK32) - (y * _MIX_R & _MASK32)) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _mix_in(pool: list, word, hc: int) -> tuple[list, int]:
+    """Mix one more entropy word into each pool word, as SeedSequence does past the fourth."""
+    out = []
+    for p in pool:
+        v, hc = _hashmix(word, hc, _MULT_A)
+        out.append(_mix(p, v))
+    return out, hc
+
+
+def _stream_states(master_seed: int, count: int) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) of SeedSequence(master_seed, spawn_key=(i,)) for i < count, in order.
+
+    Follows numpy's SeedSequence: the seed is split into little-endian uint32
+    words and padded to the 4-word pool, the stream id is one more word, the
+    pool is mixed, and generate_state(4, uint64) gives PCG64's seed and
+    sequence, which PCG64's setseq seeding turns into (state, inc).  Every
+    word before the id is shared by all streams, so that part of the mixing
+    runs once on Python ints; the id's part runs on uint32 arrays of a block
+    of ids at a time.  Each pair equals the `state` and `inc` of
+    `PCG64(SeedSequence(master_seed, spawn_key=(i,))).state`.
+    """
+    words = [master_seed >> k & _MASK32 for k in range(0, max(master_seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hc = _INIT_A
+    pool = []
+    for w in words[:4]:
+        v, hc = _hashmix(w, hc, _MULT_A)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, hc = _hashmix(pool[src], hc, _MULT_A)
+                pool[dst] = _mix(pool[dst], v)
+    for w in words[4:]:
+        pool, hc = _mix_in(pool, w, hc)
+    for lo in range(0, count, _STATE_BLOCK):
+        mixed, _ = _mix_in(pool, np.arange(lo, min(lo + _STATE_BLOCK, count), dtype=np.uint32), hc)
+        # generate_state: 8 uint32 words, paired little-endian into 4 uint64
+        out, h = [], _INIT_B
+        for k in range(8):
+            v, h = _hashmix(mixed[k % 4], h, _MULT_B)
+            out.append(v.astype(np.uint64))
+        seed_hi, seed_lo, seq_hi, seq_lo = (
+            (out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)
+        )
+        for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _reseeded(states: Iterator[tuple[int, int]]) -> Iterator[Generator]:
+    """One Generator, set in turn to each PCG64 (state, inc)."""
+    g = Generator(PCG64(0))
+    bg = g.bit_generator
+    for state, inc in states:
+        bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+        yield g
 
 
 @dataclass(frozen=True)
@@ -301,14 +400,19 @@ def sample_batch(
 ) -> SampleBatch:
     """Draw `count` samples on per-index streams, ordered by sample_index.
 
-    Draw i depends only on (master_seed, i).  `threads` is accepted for
-    compatibility and ignored: the draws run on one thread, because the
-    per-stream loop holds the interpreter lock and a thread pool only slowed
-    it down.
+    Draw i runs on PCG64(SeedSequence(master_seed, spawn_key=(i,))), the
+    stream of `RngStream(master_seed, i)`, so it depends only on
+    (master_seed, i); the states of all streams are computed in bulk and set
+    on one reused Generator.  The seed must be a nonnegative integer and
+    count below 2**32, so that every id is one SeedSequence word.  `threads`
+    is accepted for compatibility and ignored: the draws run on one thread,
+    because the per-stream loop holds the interpreter lock and a thread pool
+    only slowed it down.
     """
-    if count < 0:
-        raise ParameterError(f"count must be nonnegative, got {count}")
-    gens = (RngStream(master_seed, i).generator() for i in range(count))
-    packed, a = _draw_packed(params, gens, count)
+    master_seed = _nonnegative_int(master_seed, "master seed")
+    count = _nonnegative_int(count, "count")
+    if count >= 1 << 32:
+        raise ParameterError(f"count must be below 2**32, got {count}")
+    packed, a = _draw_packed(params, _reseeded(_stream_states(master_seed, count)), count)
     xi = a if params.regime is Regime.LEVY_BRANCH else None
     return SampleBatch(params=params, packed=packed, xi=xi, master_seed=master_seed)

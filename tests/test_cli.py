@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import qrmt
 from qrmt.cli import main
 
 
@@ -246,6 +247,20 @@ def test_exit_2_on_nonfinite_numbers(argv, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "3", "--lambda", "1.5", "--count", "5", "--seed", "-5"],
+    ["reproduce", "fig2", "--samples", "50", "--seed", "-1"],
+    ["verify", "--suite", "samplers", "--seed", "-1"],
+], ids=["sample", "reproduce", "verify"])
+def test_exit_2_on_negative_seed(argv, tmp_path, capsys):
+    if argv[0] != "verify":
+        argv = argv + ["--out", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: master seed must be a nonnegative integer, got -")
+    assert err.count("\n") == 1
+
+
 def test_exit_2_on_auto_alpha_overflow(tmp_path, capsys):
     code, _, err = run(
         ["sample", "--n", "10", "--lambda", "0.001", "--count", "5", "--out", str(tmp_path)], capsys
@@ -279,8 +294,13 @@ def test_argparse_failure_propagates_exit_2(capsys):
 
 
 def test_version_subprocess():
+    # the child imports the qrmt under test, also when only pytest's
+    # `pythonpath` setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(qrmt.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-m", "qrmt", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "qrmt", "--version"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert out.stdout.startswith("qrmt ")

@@ -12,12 +12,16 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
+from numpy.random import PCG64, SeedSequence
+
 from qrmt.params import EnsembleParams, ParameterError
 from qrmt.sampler import (
+    _STATE_BLOCK,
     MatrixSample,
     RngStream,
     SampleBatch,
     _beta,
+    _stream_states,
     sample_batch,
     sample_ensemble,
     sample_goe,
@@ -230,6 +234,64 @@ def test_batch_count_validation():
         sample_batch(params, -1, master_seed=0)
     empty = sample_batch(params, 0, master_seed=0)
     assert len(empty) == 0 and list(empty) == []
+    # ids stay one SeedSequence word; rejected before anything is allocated
+    with pytest.raises(ParameterError, match="below 2\\*\\*32"):
+        sample_batch(params, 2**32, master_seed=0)
+    with pytest.raises(ParameterError, match="count must be a nonnegative integer"):
+        sample_batch(params, 3.0, master_seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "7", None, True])
+def test_seeds_must_be_nonnegative_integers(seed):
+    params = EnsembleParams.gaussian(2, alpha=1.0)
+    with pytest.raises(ParameterError, match="master seed must be a nonnegative integer"):
+        sample_batch(params, 3, master_seed=seed)
+    with pytest.raises(ParameterError, match="master seed must be a nonnegative integer"):
+        RngStream(seed, 0)
+    with pytest.raises(ParameterError, match="stream id must be a nonnegative integer"):
+        RngStream(0, seed)
+
+
+def test_numpy_integer_seeds_are_accepted():
+    params = EnsembleParams.from_lambda(3, 1.5, alpha=1.0)
+    a = sample_batch(params, 5, master_seed=np.uint64(2**63 + 9))
+    b = sample_batch(params, 5, master_seed=2**63 + 9)
+    assert a.packed.tobytes() == b.packed.tobytes()
+    assert RngStream(np.int64(4), np.uint32(2)).generator().random() == RngStream(4, 2).generator().random()
+
+
+def _numpy_states(seed: int, ids) -> list[tuple[int, int]]:
+    out = []
+    for i in ids:
+        st = PCG64(SeedSequence(seed, spawn_key=(i,))).state["state"]
+        out.append((st["state"], st["inc"]))
+    return out
+
+
+# word boundaries of the seed: 1, 2, 4 (the pool size), 5 and 7 uint32 words
+_ORACLE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**128 + 5, 2**200 + 1]
+
+
+@pytest.mark.parametrize("seed", _ORACLE_SEEDS)
+def test_stream_states_match_numpy_seed_sequence(seed):
+    # the bulk derivation restates numpy's SeedSequence and PCG64 seeding; a
+    # numpy release that changes either fails here
+    assert list(_stream_states(seed, 40)) == _numpy_states(seed, range(40))
+
+
+def test_stream_states_across_blocks():
+    count = 2 * _STATE_BLOCK + 3
+    states = list(_stream_states(12345, count))
+    assert len(states) == count
+    ids = [0, _STATE_BLOCK - 1, _STATE_BLOCK, _STATE_BLOCK + 1, 2 * _STATE_BLOCK, count - 1]
+    assert [states[i] for i in ids] == _numpy_states(12345, ids)
+    assert list(_stream_states(12345, 0)) == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**300), count=st.integers(min_value=1, max_value=12))
+def test_stream_states_match_numpy_property(seed, count):
+    assert list(_stream_states(seed, count)) == _numpy_states(seed, range(count))
 
 
 _REGIMES = [
@@ -245,12 +307,23 @@ _REGIMES = [
 @pytest.mark.parametrize("params", _REGIMES, ids=lambda p: f"{p.regime.value}-n{p.n}-lam{p.lam:g}")
 def test_batch_rows_equal_single_draws(params):
     # batch and single draws share one code path: row i is the draw on stream (seed, i)
+    _assert_rows_equal_single_draws(params, 17)
+
+
+@pytest.mark.parametrize("seed", [2**64 + 17, 2**200 + 17], ids=["2-words", "7-words"])
+@pytest.mark.parametrize("params", _REGIMES, ids=lambda p: f"{p.regime.value}-n{p.n}-lam{p.lam:g}")
+def test_batch_rows_equal_single_draws_at_multiword_seeds(params, seed):
+    # the bulk stream states of sample_batch against numpy's own SeedSequence
+    _assert_rows_equal_single_draws(params, seed)
+
+
+def _assert_rows_equal_single_draws(params, seed):
     count = 300 if params.lam == 0.001 else 40
-    batch = sample_batch(params, count, master_seed=17)
+    batch = sample_batch(params, count, master_seed=seed)
     dense = batch.h
     assert dense.shape == (count, params.n, params.n)
     for i in range(count):
-        one = sample_ensemble(params, RngStream(17, i), i)
+        one = sample_ensemble(params, RngStream(seed, i), i)
         assert one.h.tobytes() == dense[i].tobytes()
         assert one.xi == batch[i].xi
     if params.lam == 0.001:
