@@ -193,6 +193,7 @@ def _ensure_dir(path: str) -> None:
 
 def cmd_sample(args) -> int:
     params = _build_params(args)
+    RngStream(args.seed, 0)  # reject a bad seed before any output exists
     _ensure_dir(args.out)
     manifest = RunManifest("sample", params, args.seed, args.count)
     samples = sample_batch(params, args.count, master_seed=args.seed)
@@ -326,6 +327,7 @@ def _overlay_violations(params, batch, x_ok: float) -> tuple[int, int, float]:
 
 def cmd_reproduce(args) -> int:
     """Run one figure, then write its report.json; exit 4 when any check fails."""
+    RngStream(args.seed, 0)  # reject a bad seed before any output exists
     _ensure_dir(args.out)
     run, default_samples = _FIGURES[args.figure]
     samples = args.samples if args.samples is not None else default_samples
@@ -533,36 +535,39 @@ def _suite_specfun(seed: int, ts: float) -> list:
     return checks
 
 
+def _trace_sq(batch) -> np.ndarray:
+    """tr H^2 of every draw in a batch, byte for byte `MatrixSample.trace_sq`."""
+    h = batch.h
+    return np.sum(h * h, axis=(1, 2))
+
+
 def _suite_samplers(seed: int, ts: float) -> list:
     checks = []
     g = RngStream(seed, 101).generator()
     draws = np.array([sample_goe(8, 0.7, g).h for _ in range(3000)])
-    diag = np.array([d[np.diag_indices(8)] for d in draws]).ravel()
-    off = np.array([d[np.triu_indices(8, 1)] for d in draws]).ravel()
+    diag = np.diagonal(draws, axis1=1, axis2=2).ravel()
+    i, j = np.triu_indices(8, 1)
+    off = draws[:, i, j].ravel()
     checks.append(_check(
         "goe diagonal variance", abs(diag.var() * 2.0 * 0.7 - 1.0), 0.08 * ts, "target 1/(2a)"))
     checks.append(_check(
         "goe off-diagonal variance", abs(off.var() * 4.0 * 0.7 - 1.0), 0.08 * ts, "target 1/(4a)"))
 
     p = EnsembleParams.from_lambda(5, 3.0, alpha=0.5)
-    tr = np.array([s.trace_sq() for s in sample_batch(p, 4000, master_seed=seed + 1)])
+    tr = _trace_sq(sample_batch(p, 4000, master_seed=seed + 1))
     expect = p.f * 3.0 / (2.0 * 0.5 * (3.0 - 1.0))
     checks.append(_check(
         "gamma-mixture trace mean", abs(tr.mean() / expect - 1.0), 0.1 * ts,
         f"target {expect:g}"))
 
     p0 = EnsembleParams.from_q(3, 0.0, alpha=1.0)
-    us = np.array([
-        s.trace_sq() * p0.alpha / (-p0.lam) for s in sample_batch(p0, 3000, master_seed=seed + 2)
-    ])
+    us = _trace_sq(sample_batch(p0, 3000, master_seed=seed + 2)) * p0.alpha / (-p0.lam)
     checks.append(_check(
         "restricted-trace support", float(np.count_nonzero(us >= 1.0)) / len(us), 1e-12 * ts,
         "fraction outside the ball"))
 
     pb = EnsembleParams.from_q(3, -math.inf, alpha=1.0)
-    ub = np.array([
-        s.trace_sq() * pb.alpha / (-pb.lam) for s in sample_batch(pb, 3000, master_seed=seed + 3)
-    ])
+    ub = _trace_sq(sample_batch(pb, 3000, master_seed=seed + 3)) * pb.alpha / (-pb.lam)
     ks = sp.ks_distance(ub, lambda u: np.clip(u, 0.0, 1.0) ** (pb.f / 2.0))
     checks.append(_check("bounded-trace radial law", ks, 0.04 * ts, "KS vs u^(f/2)"))
 
@@ -621,10 +626,13 @@ def _suite_analytic(seed: int, ts: float) -> list:
         "bulk gap closed form vs quadrature", float(np.max(np.abs(bulk_closed - bulk_quad))),
         1e-9 * ts))
 
+    # x = (u - v)/sqrt 2, y = (u + v)/sqrt 2 turns the |x - y| kink on the diagonal into
+    # the edge v = 0 of the half-plane; the density is symmetric, so that half holds mass/2
     p2 = EnsembleParams.from_lambda(2, 2.5, alpha=0.8)
-    mass2 = integrate.dblquad(
-        lambda y, x: an.joint_eigen_density([x, y], p2),
-        -np.inf, np.inf, lambda x: -np.inf, lambda x: np.inf, epsabs=1e-8,
+    r2 = math.sqrt(2.0)
+    mass2 = 2.0 * integrate.dblquad(
+        lambda u, v: an.joint_eigen_density([(u - v) / r2, (u + v) / r2], p2),
+        0.0, np.inf, -np.inf, np.inf, epsabs=1e-8,
     )[0]
     checks.append(_check("joint eigenvalue density mass (n=2)", abs(mass2 - 1.0), 1e-5 * ts))
     return checks

@@ -147,16 +147,14 @@ def test_criterion_05_restricted_trace_invariants():
     # q=0, n=3: every draw obeys tr H^2 < -lambda/alpha (max u 0.99905 here);
     # bounded-trace radial CDF is u^(f/2), KS = 0.0026 at this seed.
     p = EnsembleParams.from_q(3, 0.0, alpha=1.0)
-    tr2 = np.array(
-        [float(np.sum(s.h * s.h)) for s in sample_batch(p, 100_000, master_seed=501)]
-    )
+    h = sample_batch(p, 100_000, master_seed=501).h
+    tr2 = np.sum(h * h, axis=(1, 2))
     bound = -p.lam / p.alpha
     violations = int(np.sum(tr2 >= bound))
 
     pb = EnsembleParams.from_q(3, float("-inf"), alpha=1.0)
-    u = np.array(
-        [float(np.sum(s.h * s.h)) for s in sample_batch(pb, 100_000, master_seed=502)]
-    ) * pb.alpha / abs(pb.lam)
+    h = sample_batch(pb, 100_000, master_seed=502).h
+    u = np.sum(h * h, axis=(1, 2)) * pb.alpha / abs(pb.lam)
     ks_radial = sp.ks_distance(u, lambda t: np.clip(t, 0.0, 1.0) ** (pb.f / 2))
 
     ok = violations == 0 and ks_radial < 0.01
@@ -174,8 +172,8 @@ def test_criterion_06_tail_index_stability():
     # entries of a single draw and of H1+H2 at lambda=0.5 share the tail index
     # 2*lambda = 1.  Hill at k=1000 over 10^5 iid entries gives 0.985 and 1.019.
     p = EnsembleParams.from_lambda(2, 0.5, alpha=1.0)
-    e1 = np.array([s.h[0, 1] for s in sample_batch(p, 100_000, master_seed=601)])
-    e2 = np.array([s.h[0, 1] for s in sample_batch(p, 100_000, master_seed=602)])
+    e1 = sample_batch(p, 100_000, master_seed=601).h[:, 0, 1]
+    e2 = sample_batch(p, 100_000, master_seed=602).h[:, 0, 1]
     single = sp.tail_index(np.abs(e1), k=1000).index
     summed = sp.tail_index(np.abs(e1 + e2), k=1000).index
 
@@ -248,10 +246,10 @@ def test_criterion_08_moment_and_coupling():
     # entries (5x10^5 two-by-two draws), each within 3 MC standard errors.
     # Measured: |d m2| = 0.0016 vs 3SE = 0.011, |d C| = 0.006 vs 3SE = 0.36.
     p = EnsembleParams.from_lambda(2, 3.0, alpha=0.5)
-    batch = sample_batch(p, 500_000, master_seed=801)
-    x = np.array([s.h[0, 0] for s in batch]) ** 2
-    y = np.array([s.h[1, 1] for s in batch]) ** 2
-    del batch
+    h = sample_batch(p, 500_000, master_seed=801).h
+    x = h[:, 0, 0] ** 2
+    y = h[:, 1, 1] ** 2
+    del h
     m = x.size
 
     t = 0.5 * (x + y)  # per-matrix mean: iid units for the standard error

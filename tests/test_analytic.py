@@ -581,13 +581,17 @@ def test_joint_density_n1_reduces_to_element_law():
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_joint_density_n2_mass_levy():
-    # heavy tails: integrate over the whole plane, not a finite box
+    # heavy tails: integrate over the whole plane, not a finite box.  On the
+    # rotated half-plane x = (u - v)/sqrt 2, y = (u + v)/sqrt 2, v >= 0 the
+    # |x - y| kink is an edge, not a diagonal QUADPACK must bisect along, and
+    # symmetry doubles the half.  Measured error 2.6e-8.
     p = EnsembleParams.from_lambda(2, 1.5, alpha=1.0)
-    val, _ = integrate.dblquad(
-        lambda y, x: joint_eigen_density([x, y], p),
-        -np.inf, np.inf, lambda x: -np.inf, lambda x: np.inf, epsabs=1e-8,
+    r2 = math.sqrt(2.0)
+    half, _ = integrate.dblquad(
+        lambda u, v: joint_eigen_density([(u - v) / r2, (u + v) / r2], p),
+        0.0, np.inf, -np.inf, np.inf, epsabs=1e-8,
     )
-    assert val == pytest.approx(1.0, abs=1e-5)
+    assert 2 * half == pytest.approx(1.0, abs=1e-5)
 
 
 def test_joint_density_n2_mass_light_tails():

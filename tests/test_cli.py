@@ -250,15 +250,19 @@ def test_exit_2_on_nonfinite_numbers(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "3", "--lambda", "1.5", "--count", "5", "--seed", "-5"],
     ["reproduce", "fig2", "--samples", "50", "--seed", "-1"],
+    ["reproduce", "fig1", "--samples", "50", "--seed", "-1"],
     ["verify", "--suite", "samplers", "--seed", "-1"],
-], ids=["sample", "reproduce", "verify"])
+], ids=["sample", "reproduce", "reproduce-fig1", "verify"])
 def test_exit_2_on_negative_seed(argv, tmp_path, capsys):
+    # sample and reproduce reject the seed before they create --out or write a file
+    out_dir = tmp_path / "d"
     if argv[0] != "verify":
-        argv = argv + ["--out", str(tmp_path)]
+        argv = argv + ["--out", str(out_dir)]
     code, out, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: master seed must be a nonnegative integer, got -")
     assert err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_exit_2_on_auto_alpha_overflow(tmp_path, capsys):
@@ -320,6 +324,70 @@ def test_verify_specfun_tap_deterministic(capsys):
     assert len(points) == k
     for i, line in enumerate(points, start=1):
         assert line.startswith(f"ok {i} - ")
+
+
+# the 31 checks of `verify --suite all`, in the order they print
+VERIFY_ALL_CHECKS = [
+    "bessel_k half-integer closed form",
+    "bessel_k(1,1) anchor",
+    "kummer_m(1,2,-1) closed form",
+    "erf(1) anchor",
+    "ln_gamma(7.25) anchor",
+    "levy_density cauchy point",
+    "levy_density oscillatory anchor",
+    "kummer transform consistency",
+    "goe diagonal variance",
+    "goe off-diagonal variance",
+    "gamma-mixture trace mean",
+    "restricted-trace support",
+    "bounded-trace radial law",
+    "stable sigma=2 variance",
+    "stable sigma=1.5 char fn at k=1",
+    "determinism per-index streams",
+    "log partition f=1 anchor",
+    "element density mass",
+    "level density mass",
+    "mixture route vs closed form",
+    "gap curve anchored and monotone",
+    "mean count vs density integral",
+    "bulk gap closed form vs quadrature",
+    "joint eigenvalue density mass (n=2)",
+    "pauli-x eigenvalues",
+    "trace identities",
+    "rotation invariance of spectra",
+    "hill estimator on pareto(1)",
+    "goe spacings vs wigner surmise",
+    "ks statistic on own law",
+    "empirical gap near analytic",
+]
+
+
+def test_verify_all_passes_every_check_in_order(capsys):
+    code, out, _ = run(["verify", "--suite", "all"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "1..31" and lines[-1] == "# 31/31 passed"
+    assert [l.split(" # ")[0] for l in lines[1:-1]] == [
+        f"ok {i} - {name}" for i, name in enumerate(VERIFY_ALL_CHECKS, start=1)
+    ]
+
+
+def test_verify_analytic_joint_density_call_budget(monkeypatch, capsys):
+    # the n = 2 mass check integrates on the rotated half-plane (about 11.5k
+    # calls); one dblquad over the whole plane bisects along the |x - y| kink
+    # and takes 598k
+    calls = 0
+    joint = qrmt.analytic.joint_eigen_density
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return joint(*args, **kwargs)
+
+    monkeypatch.setattr(qrmt.analytic, "joint_eigen_density", counted)
+    code, _, _ = run(["verify", "--suite", "analytic"], capsys)
+    assert code == 0
+    assert 0 < calls < 50_000
 
 
 def test_verify_zero_tolerance_fails(capsys):

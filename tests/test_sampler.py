@@ -363,6 +363,19 @@ def test_sample_batch_chunks_cover_the_batch():
     assert np.concatenate(blocks).tobytes() == batch.h.tobytes()
 
 
+@pytest.mark.parametrize("params,count,seed", [
+    (EnsembleParams.from_lambda(5, 3.0, alpha=0.5), 4000, 8),
+    (EnsembleParams.from_q(3, 0.0, alpha=1.0), 3000, 9),
+    (EnsembleParams.from_q(3, -math.inf, alpha=1.0), 3000, 10),
+], ids=["heavy", "restricted", "bounded"])
+def test_stacked_trace_sq_equals_per_sample(params, count, seed):
+    # the array route the verify suite takes over the draws of its default seed
+    batch = sample_batch(params, count, master_seed=seed)
+    h = batch.h
+    per_sample = np.array([s.trace_sq() for s in batch])
+    assert np.sum(h * h, axis=(1, 2)).tobytes() == per_sample.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=5),
