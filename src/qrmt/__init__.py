@@ -4,143 +4,17 @@ One parameter family interpolating between a bounded-trace ensemble (q < 1),
 the Gaussian orthogonal ensemble (q = 1), and heavy-tailed ensembles with
 power-law element marginals (1 < q < q_max).  The package samples the family
 exactly, evaluates its closed-form spectral laws, and cross-checks the two
-against each other.
+against each other.  The public names are those each module lists in its
+own `__all__`.
 """
-from .params import (
-    EnsembleParams,
-    MarginalTailError,
-    NumericalError,
-    ParameterError,
-    Regime,
-    RegimeError,
-    alpha_scaling,
-    characteristic_energy,
-    dof,
-    lambda_from_q,
-    q_from_lambda,
-    q_max,
-    tail_params,
-)
-from .sampler import (
-    MatrixSample,
-    RngStream,
-    SampleBatch,
-    sample_batch,
-    sample_ensemble,
-    sample_goe,
-    sample_levy_stable,
-)
-from .analytic import (
-    AnalyticCurve,
-    density_curve,
-    element_cdf,
-    element_char_fn,
-    element_correlation,
-    element_curve,
-    element_pdf,
-    gap_curve,
-    gap_probability,
-    gap_probability_bulk,
-    goe_counting,
-    goe_gap,
-    joint_eigen_density,
-    level_density,
-    level_density_mixture,
-    log_partition,
-    matrix_pdf,
-    mean_count,
-    semicircle_density,
-    wigner_surmise,
-    wigner_surmise_cdf,
-)
-from .spectral import (
-    GapEstimate,
-    Histogram,
-    SpectrumBatch,
-    TailIndexEstimate,
-    eigenvalues,
-    empirical_density,
-    empirical_gap,
-    ks_distance,
-    ks_distance_two,
-    nn_spacing,
-    nn_spacings,
-    spectra_from_samples,
-    tail_index,
-)
-from .specfun import (
-    QuadratureResult,
-    bessel_k,
-    erf,
-    kummer_m,
-    kummer_m_transformed,
-    levy_density,
-    ln_gamma,
-)
+from . import analytic, params, sampler, specfun, spectral
+from .analytic import *  # noqa: F401,F403
+from .params import *  # noqa: F401,F403
+from .sampler import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticCurve",
-    "EnsembleParams",
-    "GapEstimate",
-    "Histogram",
-    "MarginalTailError",
-    "MatrixSample",
-    "NumericalError",
-    "ParameterError",
-    "QuadratureResult",
-    "Regime",
-    "RegimeError",
-    "RngStream",
-    "SampleBatch",
-    "SpectrumBatch",
-    "TailIndexEstimate",
-    "__version__",
-    "alpha_scaling",
-    "bessel_k",
-    "characteristic_energy",
-    "density_curve",
-    "dof",
-    "eigenvalues",
-    "element_cdf",
-    "element_char_fn",
-    "element_correlation",
-    "element_curve",
-    "element_pdf",
-    "empirical_density",
-    "empirical_gap",
-    "erf",
-    "gap_curve",
-    "gap_probability",
-    "gap_probability_bulk",
-    "goe_counting",
-    "goe_gap",
-    "joint_eigen_density",
-    "ks_distance",
-    "ks_distance_two",
-    "kummer_m",
-    "kummer_m_transformed",
-    "lambda_from_q",
-    "level_density",
-    "level_density_mixture",
-    "levy_density",
-    "ln_gamma",
-    "log_partition",
-    "matrix_pdf",
-    "mean_count",
-    "nn_spacing",
-    "nn_spacings",
-    "q_from_lambda",
-    "q_max",
-    "sample_batch",
-    "sample_ensemble",
-    "sample_goe",
-    "sample_levy_stable",
-    "semicircle_density",
-    "spectra_from_samples",
-    "tail_index",
-    "tail_params",
-    "wigner_surmise",
-    "wigner_surmise_cdf",
-]
+__all__ = [*params.__all__, *sampler.__all__, *analytic.__all__, *spectral.__all__,
+           *specfun.__all__, "__version__"]

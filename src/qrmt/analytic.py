@@ -57,7 +57,7 @@ class AnalyticCurve:
 
     abscissae: np.ndarray
     values: np.ndarray
-    kind: str  # element_pdf | level_density | gap_probability | char_fn | semicircle
+    kind: str  # element_pdf | level_density | gap_probability
     params: EnsembleParams | None
     quadrature_error: float
 
@@ -67,7 +67,7 @@ class AnalyticCurve:
         where = "" if self.params is None else f" at n={self.params.n}, lambda={self.params.lam:g}"
         if not np.all(np.isfinite(self.values)):
             raise NumericalError(f"non-finite values in {self.kind} curve{where}")
-        if self.kind in ("element_pdf", "level_density", "semicircle"):
+        if self.kind in ("element_pdf", "level_density"):
             if np.any(np.asarray(self.values) < -1e-12):
                 raise NumericalError(f"densities must be nonnegative{where}")
         if self.kind == "gap_probability":

@@ -67,7 +67,7 @@ class RunManifest:
     def add_output(self, path: str) -> None:
         self.outputs.append({"path": os.path.basename(path), "sha256": _sha256(path)})
 
-    def write(self, out_dir: str, name: str = "manifest.json") -> str:
+    def write(self, out_dir: str) -> str:
         self.finished = _now()
         doc = {
             "tool_version": self.tool_version,
@@ -79,7 +79,7 @@ class RunManifest:
             "finished": self.finished,
             "outputs": self.outputs,
         }
-        path = os.path.join(out_dir, name)
+        path = os.path.join(out_dir, "manifest.json")
         _write_json(path, doc)
         return path
 
@@ -193,7 +193,9 @@ def _ensure_dir(path: str) -> None:
 
 def cmd_sample(args) -> int:
     params = _build_params(args)
-    RngStream(args.seed, 0)  # reject a bad seed before any output exists
+    RngStream(args.seed, 0)  # reject a bad seed or count before any output exists
+    if not 1 <= args.count < 1 << 32:
+        raise ParameterError(f"--count must be at least 1 and below 2**32, got {args.count}")
     _ensure_dir(args.out)
     manifest = RunManifest("sample", params, args.seed, args.count)
     samples = sample_batch(params, args.count, master_seed=args.seed)
@@ -327,10 +329,12 @@ def _overlay_violations(params, batch, x_ok: float) -> tuple[int, int, float]:
 
 def cmd_reproduce(args) -> int:
     """Run one figure, then write its report.json; exit 4 when any check fails."""
-    RngStream(args.seed, 0)  # reject a bad seed before any output exists
-    _ensure_dir(args.out)
     run, default_samples = _FIGURES[args.figure]
     samples = args.samples if args.samples is not None else default_samples
+    RngStream(args.seed, 0)  # reject a bad seed or count before any output exists
+    if not 1 <= samples < 1 << 32:
+        raise ParameterError(f"--samples must be at least 1 and below 2**32, got {samples}")
+    _ensure_dir(args.out)
     report, manifest = run(args.out, args.seed, samples)
     ok = all(chk["pass"] for chk in report["checks"].values())
     report["pass"] = ok

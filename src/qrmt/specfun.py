@@ -1,10 +1,12 @@
 """Special functions and quadrature plumbing used by the closed-form evaluators.
 
 log-gamma, erf, the modified Bessel function K_nu and the confluent
-hypergeometric M(a, b, z) are thin validated wrappers over scipy.special,
-whose implementations were probed against 40-digit arbitrary-precision
-references over the parameter boxes needed here (worst relative error
-observed ~1e-13, two orders below the 1e-10 contract).  The symmetric stable
+hypergeometric M(a, b, z) are thin validated wrappers over scipy.special:
+each converts its argument to a float array once and hands that array on,
+and a 0-d argument gives a float.  The scipy implementations were probed
+against 40-digit arbitrary-precision references over the parameter boxes
+needed here (worst relative error observed ~1e-13, two orders below the
+1e-10 contract).  The symmetric stable
 density integral is evaluated by a hand-rolled oscillatory scheme because no
 stock routine exposes the (sigma, Lambda) parametrization required.
 """
@@ -47,13 +49,13 @@ def ln_gamma(x):
     if np.any(xa <= 0.0):
         raise ValueError("ln_gamma requires x > 0")
     out = _sp.gammaln(xa)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+    return float(out) if xa.ndim == 0 else out
 
 
 def erf(x):
     """Error function, any real argument; vectorized."""
     out = _sp.erf(np.asarray(x, dtype=float))
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_k(nu: float, z):
@@ -68,14 +70,17 @@ def bessel_k(nu: float, z):
     if np.any(za <= 0.0):
         raise ValueError("bessel_k requires z > 0")
     out = _sp.kv(nu, za)
-    return float(out) if np.isscalar(z) or za.ndim == 0 else out
+    return float(out) if za.ndim == 0 else out
 
 
-def _check_kummer_args(b: float, z) -> None:
+def _check_kummer_args(b: float, z) -> np.ndarray:
+    """z as a float array, once b and z are checked for the z <= 0 domain."""
     if b <= 0 and float(b).is_integer():
         raise ValueError(f"kummer_m is undefined for nonpositive integer b, got b = {b}")
-    if np.any(np.asarray(z, dtype=float) > 0.0):
+    za = np.asarray(z, dtype=float)
+    if (za > 0.0).any():
         raise ValueError("kummer_m is restricted to z <= 0")
+    return za
 
 
 def kummer_m(a: float, b: float, z):
@@ -85,10 +90,9 @@ def kummer_m(a: float, b: float, z):
     z = -T with T >= 0, and restricting the domain avoids the cancellation
     regime of z > 0 entirely.  M(a, b, 0) = 1 exactly.
     """
-    _check_kummer_args(b, z)
-    za = np.asarray(z, dtype=float)
+    za = _check_kummer_args(b, z)
     out = _sp.hyp1f1(a, b, za)
-    return float(out) if np.isscalar(z) or za.ndim == 0 else out
+    return float(out) if za.ndim == 0 else out
 
 
 def kummer_m_transformed(a: float, b: float, z: float) -> float:

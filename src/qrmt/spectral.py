@@ -1,8 +1,10 @@
 """Empirical spectral statistics: eigenvalues, histograms, gaps, spacings, tails.
 
 Everything here is measurement; the matching closed-form laws live in
-`analytic`.  Batch statistics are computed from pooled data, never from
-streaming order, so results are independent of how the batch was assembled.
+`analytic`.  Draws come in as one `SampleBatch` and leave as one
+`SpectrumBatch` of sorted rows.  Batch statistics are computed from pooled
+data, never from streaming order, so results are independent of how the
+batch was assembled.
 """
 from __future__ import annotations
 
@@ -38,16 +40,17 @@ class SpectrumBatch:
 
     spectra: np.ndarray  # shape (count, n), each row ascending
     params: EnsembleParams
-    count: int
 
     def __post_init__(self) -> None:
         s = np.asarray(self.spectra)
-        if s.ndim != 2 or s.shape != (self.count, self.params.n):
-            raise ParameterError(f"spectra must have shape (count, n), got {s.shape}")
-        if self.count < 1:
-            raise ParameterError("a batch needs at least one spectrum")
+        if s.ndim != 2 or s.shape[1] != self.params.n or len(s) < 1:
+            raise ParameterError(f"spectra must have shape (count >= 1, n), got {s.shape}")
         if np.any(np.diff(s, axis=1) < 0):
             raise ParameterError("each spectrum must be sorted ascending")
+
+    @property
+    def count(self) -> int:
+        return len(self.spectra)
 
     def pooled(self) -> np.ndarray:
         return self.spectra.ravel()
@@ -106,62 +109,43 @@ class TailIndexEstimate:
     k: int  # top order statistics used
 
 
-def _require_symmetric(h: np.ndarray) -> None:
-    """Raise unless every matrix of the stack h (..., n, n) is symmetric to 1e-10 of its largest entry."""
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    asym = np.abs(h - np.swapaxes(h, -1, -2)).max(axis=(-2, -1))
-    if np.any(asym > 1e-10 * scale):
-        raise ParameterError("matrix is not symmetric")
-
-
 def eigenvalues(h: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
     LAPACK symmetric solver (Householder tridiagonalization followed by a
     divide-and-conquer/QL sweep); backward stable, residual per pair at the
-    1e-12 * ||H|| level.
+    1e-12 * ||H|| level.  The matrix must be square, finite and symmetric to
+    1e-10 of its largest entry.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ParameterError(f"need a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ParameterError("matrix has non-finite entries")
-    _require_symmetric(h)
+    if np.abs(h - h.T).max() > 1e-10 * max(1.0, np.abs(h).max()):
+        raise ParameterError("matrix is not symmetric")
     return np.linalg.eigvalsh(h)
 
 
-def _dense_blocks(samples, n: int):
-    if isinstance(samples, SampleBatch):
-        yield from samples.chunks()
-        return
-    step = SampleBatch.chunk_rows(n)
-    for lo in range(0, len(samples), step):
-        hs = [np.asarray(s.h, dtype=float) for s in samples[lo : lo + step]]
-        if any(h.shape != (n, n) for h in hs):
-            raise ParameterError(f"every matrix of the batch must be {n} x {n}")
-        yield np.stack(hs)
+def spectra_from_samples(samples: SampleBatch) -> SpectrumBatch:
+    """Diagonalize a SampleBatch into a SpectrumBatch.
 
-
-def spectra_from_samples(samples) -> SpectrumBatch:
-    """Diagonalize a batch of draws into a SpectrumBatch.
-
-    `samples` is a SampleBatch or a list of MatrixSample.  Dense matrices
-    are formed in chunks; each chunk gets the checks of `eigenvalues` (finite
-    entries, then symmetry at the same tolerance) and one batched LAPACK
-    call.  Draws with non-finite entries (the mixing variable overflows at
-    tiny lambda) raise one ParameterError that counts them.
+    Dense matrices are formed in chunks, one batched LAPACK call each.  Each
+    packed value is written to both triangles, so every finite chunk is
+    symmetric by construction.  Draws with non-finite entries (the mixing
+    variable overflows at tiny lambda) raise one ParameterError that counts
+    them.
     """
+    if not isinstance(samples, SampleBatch):
+        raise TypeError(f"samples must be a SampleBatch, got {type(samples)!r}")
     if not samples:
         raise ParameterError("empty sample list")
-    params = samples.params if isinstance(samples, SampleBatch) else samples[0].params
-    n = params.n
-    spectra = np.empty((len(samples), n))
+    spectra = np.empty((len(samples), samples.params.n))
     nonfinite = 0
     lo = 0
-    for h in _dense_blocks(samples, n):
+    for h in samples.chunks():
         nonfinite += int(np.count_nonzero(~np.isfinite(h).all(axis=(1, 2))))
         if not nonfinite:
-            _require_symmetric(h)
             spectra[lo : lo + len(h)] = np.linalg.eigvalsh(h)
         lo += len(h)
     if nonfinite:
@@ -169,7 +153,7 @@ def spectra_from_samples(samples) -> SpectrumBatch:
             f"{nonfinite} of {len(samples)} draws have non-finite entries; "
             "lambda or alpha is too small for float64"
         )
-    return SpectrumBatch(spectra=spectra, params=params, count=len(samples))
+    return SpectrumBatch(spectra=spectra, params=samples.params)
 
 
 def empirical_density(batch: SpectrumBatch, bins) -> Histogram:

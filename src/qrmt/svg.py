@@ -1,6 +1,7 @@
 """Minimal self-contained SVG line plots.
 
-Quick-look rendering only: a handful of series, linear or log axes, a legend.
+Quick-look rendering only: a handful of series on a fixed 720 x 480 canvas,
+a linear x axis, a linear or log y axis, a legend.
 Deterministic output (same input, same bytes) so plots can be digest-checked
 like any other artifact.
 """
@@ -12,6 +13,7 @@ __all__ = ["Series", "render_svg"]
 
 _PALETTE = ["#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#cf222e"]
 _DASH = {"solid": None, "dashed": "7,5", "dotted": "2,4"}
+_WIDTH, _HEIGHT = 720, 480
 
 
 class Series:
@@ -69,21 +71,18 @@ def render_svg(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    xlog: bool = False,
     ylog: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> None:
     """Write a line plot of the given series to `path`."""
     ml, mr, mt, mb = 64, 16, 34, 46
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def usable(s: Series):
         pts = []
         for xv, yv in zip(s.x, s.y):
             if not (math.isfinite(xv) and math.isfinite(yv)):
                 continue
-            if (xlog and xv <= 0.0) or (ylog and yv <= 0.0):
+            if ylog and yv <= 0.0:
                 continue
             pts.append((xv, yv))
         return pts
@@ -102,13 +101,10 @@ def render_svg(
     if not ylog:
         pad = 0.05 * (y1 - y0)
         y0, y1 = y0 - pad, y1 + pad
-    if not xlog:
-        pad = 0.02 * (x1 - x0)
-        x0, x1 = x0 - pad, x1 + pad
+    pad = 0.02 * (x1 - x0)
+    x0, x1 = x0 - pad, x1 + pad
 
     def tx(v: float) -> float:
-        if xlog:
-            return ml + pw * (math.log10(v) - math.log10(x0)) / (math.log10(x1) - math.log10(x0))
         return ml + pw * (v - x0) / (x1 - x0)
 
     def ty(v: float) -> float:
@@ -120,19 +116,19 @@ def render_svg(
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica,Arial,sans-serif">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="Helvetica,Arial,sans-serif">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444" stroke-width="1"/>'
     )
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
         )
 
-    for t in _ticks(x0, x1, xlog):
+    for t in _ticks(x0, x1, False):
         px = tx(t)
         out.append(
             f'<line x1="{px:.2f}" y1="{mt + ph}" x2="{px:.2f}" y2="{mt + ph + 5}" stroke="#444"/>'
@@ -154,7 +150,7 @@ def render_svg(
         )
     if xlabel:
         out.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" font-size="12">{xlabel}</text>'
+            f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" font-size="12">{xlabel}</text>'
         )
     if ylabel:
         out.append(

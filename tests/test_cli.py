@@ -265,6 +265,26 @@ def test_exit_2_on_negative_seed(argv, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sample", "--n", "2", "--lambda", "1", "--count", "-5"], "--count"),
+    (["sample", "--n", "2", "--lambda", "1", "--count", "0"], "--count"),
+    (["reproduce", "fig2", "--samples", "-5"], "--samples"),
+    (["reproduce", "fig2", "--samples", "0"], "--samples"),
+    (["reproduce", "fig1", "--samples", "0"], "--samples"),
+    (["sample", "--n", "2", "--lambda", "1", "--count", str(2**32)], "--count"),
+    (["reproduce", "fig2", "--samples", str(2**32)], "--samples"),
+], ids=["sample-negative", "sample-zero", "fig2-negative", "fig2-zero", "fig1-zero",
+        "sample-2**32", "fig2-2**32"])
+def test_exit_2_on_count_out_of_range(argv, flag, tmp_path, capsys):
+    # the count is rejected, like the seed, before --out is created or a file written
+    out_dir = tmp_path / "d"
+    code, _, err = run(argv + ["--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {flag} must be at least 1 and below 2**32, got ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_exit_2_on_auto_alpha_overflow(tmp_path, capsys):
     code, _, err = run(
         ["sample", "--n", "10", "--lambda", "0.001", "--count", "5", "--out", str(tmp_path)], capsys

@@ -15,7 +15,7 @@ from oracles import sturm_eigenvalues
 
 import qrmt.analytic as an
 from qrmt.params import EnsembleParams, ParameterError
-from qrmt.sampler import MatrixSample, RngStream, sample_batch, sample_ensemble, sample_goe
+from qrmt.sampler import RngStream, sample_batch, sample_ensemble, sample_goe
 from qrmt.spectral import (
     GapEstimate,
     Histogram,
@@ -83,11 +83,19 @@ def test_eigenvalues_validation():
 def test_spectrum_batch_validation():
     p = EnsembleParams.gaussian(3, alpha=1.0)
     with pytest.raises(ParameterError):
-        SpectrumBatch(spectra=np.array([[2.0, 1.0, 3.0]]), params=p, count=1)
+        SpectrumBatch(spectra=np.array([[2.0, 1.0, 3.0]]), params=p)
     with pytest.raises(ParameterError):
-        SpectrumBatch(spectra=np.empty((0, 3)), params=p, count=0)
-    b = SpectrumBatch(spectra=np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]]), params=p, count=2)
+        SpectrumBatch(spectra=np.empty((0, 3)), params=p)
+    with pytest.raises(ParameterError):
+        SpectrumBatch(spectra=np.zeros((2, 4)), params=p)
+    b = SpectrumBatch(spectra=np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]]), params=p)
     assert b.pooled().shape == (6,)
+
+
+def test_spectrum_batch_count_is_the_row_count():
+    p = EnsembleParams.gaussian(3, alpha=1.0)
+    spectra = np.tile([-1.0, 0.0, 1.0], (5, 1))
+    assert SpectrumBatch(spectra, p).count == len(spectra) == 5
 
 
 def test_spectra_from_samples_round_trip():
@@ -97,31 +105,26 @@ def test_spectra_from_samples_round_trip():
     assert b.count == 7 and b.spectra.shape == (7, 5)
     # row 3 must be the eigenvalues of matrix 3
     assert np.allclose(b.spectra[3], eigenvalues(samples[3].h), atol=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(TypeError, match="SampleBatch"):
         spectra_from_samples([])
+    with pytest.raises(TypeError, match="SampleBatch"):
+        spectra_from_samples(list(samples))
+
+
+def test_spectra_from_samples_rejects_an_empty_batch():
+    p = EnsembleParams.from_lambda(5, 1.0, alpha=2.0)
+    with pytest.raises(ParameterError, match="^empty sample list$"):
+        spectra_from_samples(sample_batch(p, 0, master_seed=5))
 
 
 def test_spectra_from_samples_batched_equals_per_matrix():
     # one batched eigensolve per chunk gives the per-matrix spectra bit for
-    # bit, for a SampleBatch (several chunks at n=40) and a plain list alike
+    # bit, also when the batch spans several chunks (n=40)
     for p, count in ((EnsembleParams.gaussian(40, alpha=1.0), 45),
                      (EnsembleParams.from_q(3, 0.5, alpha=1.0), 30)):
         samples = sample_batch(p, count, master_seed=8)
         per_matrix = np.stack([eigenvalues(s.h) for s in samples])
         assert spectra_from_samples(samples).spectra.tobytes() == per_matrix.tobytes()
-        assert spectra_from_samples(list(samples)).spectra.tobytes() == per_matrix.tobytes()
-
-
-def test_spectra_from_samples_checks_symmetry_and_shape():
-    p = EnsembleParams.gaussian(2, alpha=1.0)
-    good = list(sample_batch(p, 3, master_seed=2))
-    skew = MatrixSample(h=np.array([[0.0, 1.0], [0.0, 0.0]]), params=p, xi=None,
-                        sample_index=3, seed_path=None)
-    with pytest.raises(ParameterError, match="not symmetric"):
-        spectra_from_samples(good + [skew])
-    wide = MatrixSample(h=np.zeros((3, 3)), params=p, xi=None, sample_index=3, seed_path=None)
-    with pytest.raises(ParameterError):
-        spectra_from_samples(good[:1] + [wide])
 
 
 def test_spectra_from_samples_counts_nonfinite_draws():
@@ -272,7 +275,7 @@ def test_nn_spacings_constant_grid():
     # equally spaced levels: every normalized spacing is exactly 1
     p = EnsembleParams.gaussian(6, alpha=1.0)
     grid = np.tile(np.arange(6.0), (3, 1))
-    b = SpectrumBatch(spectra=grid, params=p, count=3)
+    b = SpectrumBatch(spectra=grid, params=p)
     s = nn_spacings(b, window=1.0)
     assert np.allclose(s, 1.0, atol=0)
 
@@ -282,7 +285,7 @@ def test_goe_spacings_follow_wigner_surmise():
     spectra = np.sort(
         np.stack([eigenvalues(sample_goe(40, 0.5, g).h) for _ in range(300)]), axis=1
     )
-    b = SpectrumBatch(spectra=spectra, params=EnsembleParams.gaussian(40, alpha=0.5), count=300)
+    b = SpectrumBatch(spectra=spectra, params=EnsembleParams.gaussian(40, alpha=0.5))
     d = ks_distance(nn_spacings(b), an.wigner_surmise_cdf)
     assert d < 0.025  # 0.009 at this seed
 
