@@ -331,7 +331,8 @@ def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
         f = lambda xi: pref * math.exp(-xi) * math.sqrt(max(n * lam / a - xi * e * e, 0.0))
         wvar = (lam - 0.5, 0.0)
     point = f"E={e!r}, n={n}"
-    val, err, neval = _gamma_average(f, lam, hi, wvar, (1e-12, 1e-10), "level_density_mixture", point)
+    val, err, neval = _gamma_average(f, lam, hi, wvar, (1e-12, 1e-10), "level_density_mixture", point,
+                                     stacklevel=3)
     # QUADPACK can hand back a negative or non-finite error estimate with no message
     if not (math.isfinite(val) and err >= 0.0 and math.isfinite(err)):
         raise NumericalError(
@@ -354,18 +355,11 @@ def goe_counting(x, n: int):
     if n < 1:
         raise ParameterError(f"matrix dimension must be >= 1, got {n}")
     edge = math.sqrt(2.0 * n)
-    # a float takes the math-module route (same operations, same bits) that
-    # spares numpy's per-call overhead inside quadrature integrands
-    if isinstance(x, float):
-        if x < 0.0:
-            raise ParameterError("goe_counting is defined for x >= 0")
-        xc, sqrt, maximum = min(x, edge), math.sqrt, max
-    else:
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < 0.0):
-            raise ParameterError("goe_counting is defined for x >= 0")
-        xc, sqrt, maximum = np.minimum(xa, edge), np.sqrt, np.maximum
-    out = (xc * sqrt(maximum(2.0 * n - xc * xc, 0.0)) + 2.0 * n * np.arcsin(xc / edge)) / math.pi
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < 0.0):
+        raise ParameterError("goe_counting is defined for x >= 0")
+    xc = np.minimum(xa, edge)
+    out = (xc * np.sqrt(np.maximum(2.0 * n - xc * xc, 0.0)) + 2.0 * n * np.arcsin(xc / edge)) / math.pi
     return out if isinstance(out, np.ndarray) else float(out)
 
 
@@ -374,8 +368,7 @@ _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
 def goe_gap(y):
     """Surmise-level GOE gap probability E_GOE(y) = erfc(y sqrt(pi)/2)."""
-    ya = y if isinstance(y, float) else np.asarray(y, dtype=float)
-    out = _sp.erfc(ya * _HALF_SQRT_PI)
+    out = _sp.erfc(np.asarray(y, dtype=float) * _HALF_SQRT_PI)
     return out if isinstance(out, np.ndarray) else float(out)
 
 
@@ -409,12 +402,13 @@ _QUADPACK_IER = (
 _GOE_TOL = (1e-11, 1e-9)
 
 
-def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, site: str, point: str):
+def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, site: str, point: str,
+                   stacklevel: int):
     """(value, err, neval) of Int_0^hi xi^wvar[0] (hi - xi)^wvar[1] integrand(xi) dxi by QAWS.
 
     The one QUADPACK call in this module.  A call that does not converge
     keeps its value and emits one IntegrationWarning naming `site`, `point`,
-    lambda and QUADPACK's ier.
+    lambda and QUADPACK's ier, at `stacklevel`: the caller of the public function.
     """
     res = integrate.quad(
         integrand,
@@ -433,36 +427,58 @@ def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, si
         warnings.warn(
             f"{site}: QUADPACK ier={ier} at {point}, lambda={lam!r}: {msg.splitlines()[0].strip()}",
             integrate.IntegrationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return res[0], res[1], int(res[2]["neval"])
 
 
-def _gamma_weighted_goe(theta: float, params: EnsembleParams, kernel, saturated: float, site: str):
-    """(value, err, neval) of (1/Gamma(lam)) Int e^-xi xi^(lam-1) kernel(y(...)) dxi.
+def _goe_integrand(theta: float, params: EnsembleParams, count: bool):
+    """xi -> e^-xi/Gamma(lam) * y (count) or * goe_gap(y), y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
 
-    `kernel` maps the counting value y to the integrand factor; `saturated` is
-    kernel(n), the exact constant once xi passes n lam/(alpha theta^2) and the
-    counting function has absorbed all n levels; that tail is added in closed
-    form through the regularized upper incomplete gamma.
+    goe_counting's and goe_gap's float arithmetic inline, in the same order and so with the same bits;
+    min and max are written as the comparisons the builtins make, which cost less than the calls, and
+    numpy's arcsin and scipy's erfc stay, since math.asin and math.erfc round differently.
+    """
+    n, lam, two_a, hsp = params.n, params.lam, 2.0 * params.alpha, _HALF_SQRT_PI
+    scale, two_n, edge = math.exp(-ln_gamma(lam)), 2.0 * n, math.sqrt(2.0 * n)
+    sqrt, exp, asin, erfc, pi = math.sqrt, math.exp, np.arcsin, _sp.erfc, math.pi
+
+    def s_integrand(xi: float) -> float:
+        xc = sqrt(two_a * xi / lam) * theta
+        xc = edge if edge < xc else xc
+        v = two_n - xc * xc
+        y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
+        return scale * exp(-xi) * y
+
+    def e_integrand(xi: float) -> float:
+        xc = sqrt(two_a * xi / lam) * theta
+        xc = edge if edge < xc else xc
+        v = two_n - xc * xc
+        y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
+        return scale * exp(-xi) * float(erfc(y * hsp))
+
+    return s_integrand if count else e_integrand
+
+
+def _gamma_weighted_goe(theta: float, params: EnsembleParams, count: bool, site: str):
+    """(value, err, neval) of the Gamma average of the count y (count=True) or of goe_gap(y).
+
+    Past xi_sat = n lam/(alpha theta^2), infinite when theta^2 underflows, y = n: that tail
+    is the constant n or goe_gap(n) times the regularized upper incomplete gamma.
     """
     n, lam, a = params.n, params.lam, params.alpha
     theta = float(theta)
-    xi_sat = n * lam / (a * theta * theta)
+    d = a * theta * theta
+    xi_sat = n * lam / d if d > 0.0 else math.inf
     hi = min(xi_sat, _xi_max(lam))
-    scale = math.exp(-ln_gamma(lam))
-    two_a = 2.0 * a
-
-    def f(xi: float) -> float:
-        y = goe_counting(math.sqrt(two_a * xi / lam) * theta, n)
-        return scale * math.exp(-xi) * kernel(y)
-
+    saturated = float(n) if count else goe_gap(float(n))
+    f = _goe_integrand(theta, params, count)
     point = f"theta={theta!r}, n={n}"
-    val, err, neval = _gamma_average(f, lam, hi, (lam - 1.0, 0.0), _GOE_TOL, site, point)
+    val, err, neval = _gamma_average(f, lam, hi, (lam - 1.0, 0.0), _GOE_TOL, site, point, stacklevel=4)
     tail = saturated * float(_sp.gammaincc(lam, xi_sat))
     # the strip [xi_max, xi_sat) is dropped when xi_sat exceeds the truncation;
-    # its mass is below kernel_max * Q(lam, xi_max) ~ 1e-20
-    dropped = abs(saturated) * float(_sp.gammaincc(lam, hi)) if xi_sat > hi else 0.0
+    # its mass is below saturated * Q(lam, xi_max) ~ 1e-20
+    dropped = saturated * float(_sp.gammaincc(lam, hi)) if xi_sat > hi else 0.0
     return val + tail, err + dropped, neval
 
 
@@ -475,16 +491,12 @@ def gap_probability(theta: float, params: EnsembleParams) -> float:
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("gap probability needs the heavy-tailed branch")
-    if theta < 0:
+    if not theta >= 0:
         raise ParameterError(f"theta must be nonnegative, got {theta}")
     if theta == 0.0:
         return 1.0
-    val, _, _ = _gamma_weighted_goe(theta, params, goe_gap, goe_gap(float(params.n)), "gap_probability")
+    val, _, _ = _gamma_weighted_goe(theta, params, False, "gap_probability")
     return min(val, 1.0)
-
-
-def _identity(y: float) -> float:
-    return y
 
 
 def mean_count(theta: float, params: EnsembleParams) -> float:
@@ -496,11 +508,11 @@ def mean_count(theta: float, params: EnsembleParams) -> float:
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("mean count needs the heavy-tailed branch")
-    if theta < 0:
+    if not theta >= 0:
         raise ParameterError(f"theta must be nonnegative, got {theta}")
     if theta == 0.0:
         return 0.0
-    val, _, _ = _gamma_weighted_goe(theta, params, _identity, float(params.n), "mean_count")
+    val, _, _ = _gamma_weighted_goe(theta, params, True, "mean_count")
     return val
 
 
@@ -513,24 +525,28 @@ def gap_probability_bulk(s, lam: float = 1.0):
     carries the 1/(2 s^2) tail.  The finite-n curve follows this law until
     the gap window swallows an O(1) fraction of the spectrum.
     """
-    if not lam > 0:
-        raise RegimeError(f"bulk gap law needs lambda > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise RegimeError(f"bulk gap law needs finite lambda > 0, got {lam}")
     sa = np.asarray(s, dtype=float)
-    if np.any(sa < 0):
-        raise ParameterError("mean count s must be nonnegative")
+    if not np.all((sa >= 0) & (sa < math.inf)):
+        raise ParameterError("mean count s must be finite and nonnegative")
     if lam == 1.0:
         out = 1.0 - sa / np.sqrt(1.0 + sa * sa)
         return float(out) if np.isscalar(s) or sa.ndim == 0 else out
     # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
     slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
-    scale = math.exp(-ln_gamma(lam))
-    hi = _xi_max(lam)
+    scale, hi, hsp = math.exp(-ln_gamma(lam)), _xi_max(lam), _HALF_SQRT_PI
+    sqrt, exp, erfc = math.sqrt, math.exp, _sp.erfc
 
     def one(sv: float) -> float:
         if sv == 0.0:
             return 1.0
-        f = lambda xi: scale * math.exp(-xi) * goe_gap(sv * math.sqrt(xi) * slope)
-        val = _gamma_average(f, lam, hi, (lam - 1.0, 0.0), _GOE_TOL, "gap_probability_bulk", f"s={sv!r}")[0]
+        # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order
+        f = lambda xi: scale * exp(-xi) * float(erfc(sv * sqrt(xi) * slope * hsp))
+        val = _gamma_average(f, lam, hi, (lam - 1.0, 0.0), _GOE_TOL, "gap_probability_bulk", f"s={sv!r}",
+                             stacklevel=4)[0]
+        if not math.isfinite(val):
+            raise NumericalError(f"gap_probability_bulk is not finite at s={sv!r}, lambda={lam!r}: {val!r}")
         return min(val, 1.0)
 
     if sa.ndim == 0:
@@ -543,18 +559,17 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("gap curve needs the heavy-tailed branch")
     thetas = np.asarray(theta_grid, dtype=float)
-    if np.any(thetas < 0) or np.any(np.diff(thetas) <= 0):
+    if not (np.all(thetas >= 0) and np.all(np.diff(thetas) > 0)):
         raise ParameterError("theta grid must be nonnegative and strictly increasing")
     s = np.empty_like(thetas)
     e = np.empty_like(thetas)
     worst = 0.0
-    e_sat = goe_gap(float(params.n))
     for i, th in enumerate(thetas):
         if th == 0.0:
             s[i], e[i] = 0.0, 1.0
             continue
-        ev, eerr, _ = _gamma_weighted_goe(th, params, goe_gap, e_sat, "gap_curve")
-        sv, serr, _ = _gamma_weighted_goe(th, params, _identity, float(params.n), "gap_curve")
+        ev, eerr, _ = _gamma_weighted_goe(th, params, False, "gap_curve")
+        sv, serr, _ = _gamma_weighted_goe(th, params, True, "gap_curve")
         s[i], e[i] = sv, min(ev, 1.0)
         worst = max(worst, eerr, serr)
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)

@@ -22,6 +22,7 @@ from oracles import MEHTA_INTEGRALS, fourier_char_fn
 
 from qrmt.analytic import (
     AnalyticCurve,
+    _goe_integrand,
     _goe_joint_norm,
     _joint_log_const,
     _level_density_consts,
@@ -503,7 +504,94 @@ def test_quadpack_failure_warns_with_site_point_and_ier(call, match):
     with pytest.warns(IntegrationWarning, match=match) as record:
         val = call()
     assert len(record) == 1
+    assert record[0].filename == __file__  # the caller of the public function
     assert 0.0 <= val <= 1.0
+
+
+def test_gap_curve_quadpack_warnings_point_at_the_caller():
+    p = EnsembleParams.from_lambda(20, 10.0, alpha="auto")
+    with pytest.warns(IntegrationWarning) as record:
+        gap_curve(p, _gap_theta_grid(3.0, 40))
+    assert {w.filename for w in record} == {__file__}
+
+
+# ------------------------------------------------- gap law edges and inputs
+
+def test_gap_laws_at_theta_whose_square_underflows():
+    # theta^2 underflows to 0, so the saturation point xi_sat is infinite
+    p = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
+    assert gap_probability(1e-200, p) == 1.0
+    assert 0.0 < mean_count(1e-200, p) < 1e-190
+    c = gap_curve(p, np.array([0.0, 5e-201, 1e-200]))
+    assert np.all(c.values == 1.0) and np.all(c.abscissae < 1e-190)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: gap_probability(math.nan, p),
+    lambda p: mean_count(math.nan, p),
+    lambda p: gap_curve(p, np.array([0.0, math.nan])),
+], ids=["gap_probability", "mean_count", "gap_curve"])
+def test_gap_laws_reject_nan_theta(call):
+    with pytest.raises(ParameterError, match="nonnegative"):
+        call(EnsembleParams.from_lambda(5, 1.5, alpha=1.0))
+
+
+def test_gap_laws_at_infinite_theta_are_saturated():
+    p = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
+    assert gap_probability(math.inf, p) == goe_gap(5.0)
+    assert mean_count(math.inf, p) == 5.0
+    c = gap_curve(p, np.array([0.0, 1.0, math.inf]))
+    assert c.abscissae[-1] == 5.0 and c.values[-1] == goe_gap(5.0)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, [1.0, math.nan]])
+def test_gap_probability_bulk_rejects_nonfinite_s(s):
+    for lam in (1.0, 2.0):
+        with pytest.raises(ParameterError, match="finite"):
+            gap_probability_bulk(s, lam)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_gap_probability_bulk_rejects_nonfinite_lambda(lam):
+    with pytest.raises(RegimeError, match="finite lambda"):
+        gap_probability_bulk(1.0, lam)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_gap_probability_bulk_nonfinite_result_raises_numerical_error():
+    # QAWS returns NaN for the weight xi^(1e6 - 1)
+    with pytest.raises(NumericalError, match=r"s=1\.0, lambda=1000000\.0: nan"):
+        gap_probability_bulk(1.0, 1e6)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 5, 50])
+def test_goe_integrands_match_public_composition_bit_for_bit(n):
+    # the inlined goe_counting / goe_gap arithmetic against the public
+    # functions, at xi on both sides of saturation, xi_sat = n lam/(alpha theta^2)
+    for lam, alpha, theta in ((0.5, 1.0, 0.3), (1.5, 0.9, 1.1), (10.0, 3.0, 2.5)):
+        p = EnsembleParams.from_lambda(n, lam, alpha=alpha)
+        xi_sat = n * lam / (alpha * theta * theta)
+        xis = np.concatenate([np.geomspace(1e-9, xi_sat, 150), np.linspace(0.5, 2.0, 150) * xi_sat])
+        scale = math.exp(-gammaln(lam))
+        ys = [goe_counting(math.sqrt(2.0 * alpha * xi / lam) * theta, n) for xi in xis.tolist()]
+        count, gap = _goe_integrand(theta, p, True), _goe_integrand(theta, p, False)
+        ref_s = [scale * math.exp(-xi) * y for xi, y in zip(xis.tolist(), ys)]
+        ref_e = [scale * math.exp(-xi) * goe_gap(y) for xi, y in zip(xis.tolist(), ys)]
+        assert np.array_equal(_bits([count(xi) for xi in xis.tolist()]), _bits(ref_s))
+        assert np.array_equal(_bits([gap(xi) for xi in xis.tolist()]), _bits(ref_e))
+        assert ys[-1] == n  # the grid reaches saturation
+
+
+def test_goe_counting_and_goe_gap_same_bits_for_scalar_and_array():
+    for n in (1, 5, 50):
+        x = np.concatenate([[0.0], np.geomspace(1e-12, 3.0 * math.sqrt(2.0 * n), 400), [math.sqrt(2.0 * n)]])
+        y = goe_counting(x, n)
+        assert np.array_equal(_bits([goe_counting(v, n) for v in x.tolist()]), _bits(y))
+        assert np.array_equal(_bits([goe_gap(v) for v in y.tolist()]), _bits(goe_gap(y)))
 
 
 # -------------------------------------------------------------------- joint

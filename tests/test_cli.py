@@ -139,6 +139,20 @@ def test_gap_curve_starts_at_full_probability(tmp_path, capsys):
     assert np.all(np.diff(e) <= 1e-12)  # nonincreasing in s
 
 
+def test_gap_curve_at_theta_whose_square_underflows(tmp_path, capsys):
+    # theta^2 underflows to 0 at every grid point: the saturation point is
+    # infinite and the curve is E = 1 at s ~ 0, not a division by zero
+    out = str(tmp_path / "g")
+    code, _, err = run(
+        ["gap", "--n", "5", "--lambda", "1.5", "--theta-max", "1e-200",
+         "--points", "3", "--out", out], capsys,
+    )
+    assert code == 0, err
+    s, e = _read_curve_csv(os.path.join(out, "curve.csv"))
+    assert np.all(np.isfinite(s)) and np.all(np.isfinite(e))
+    assert np.all(e == 1.0) and np.all((s >= 0.0) & (s < 1e-190))
+
+
 def test_density_json_format(tmp_path, capsys):
     out = str(tmp_path / "j")
     code, _, _ = run(
