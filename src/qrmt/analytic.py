@@ -183,16 +183,14 @@ def element_char_fn(k, params: EnsembleParams, entry: str = "diag"):
     ka = np.abs(np.asarray(k, dtype=float))
     if params.regime is Regime.GAUSSIAN:
         out = np.exp(-ka * ka / (4.0 * a))
-        return float(out) if np.isscalar(k) or ka.ndim == 0 else out
-    if params.regime is not Regime.LEVY_BRANCH:
+    elif params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("characteristic function in closed form needs lambda > 0")
-    lam = params.lam
-    c = math.sqrt(lam / a)
-    z = ka * c
-    out = np.ones_like(z)
-    pos = z > 0.0
-    if np.any(pos):
-        zp = z[pos] if z.ndim else np.array([float(z)])
+    else:
+        lam = params.lam
+        z = ka * math.sqrt(lam / a)
+        out = np.ones_like(z)
+        pos = z > 0.0
+        zp = z[pos]
         with np.errstate(over="ignore", divide="ignore"):
             kvz = _sp.kv(lam, zp)
             logf = (
@@ -201,11 +199,7 @@ def element_char_fn(k, params: EnsembleParams, entry: str = "diag"):
                 + lam * np.log(zp)
                 + np.log(kvz)
             )
-        vals = np.where(np.isposinf(kvz), 1.0, np.exp(logf))  # kv overflow: z so tiny F = 1
-        if z.ndim:
-            out[pos] = vals
-        else:
-            out = vals[0]
+        out[pos] = np.where(np.isposinf(kvz), 1.0, np.exp(logf))  # kv overflow: z so tiny F = 1
     return float(out) if np.isscalar(k) or ka.ndim == 0 else out
 
 
@@ -286,25 +280,15 @@ def level_density(e, params: EnsembleParams):
     rho0 = _level_density_consts(params)[0]
     # past t = 1e12 the relative error of the plateau value is
     # (lambda + 1/2)/(2 t) < 3e-11; E = 0 (and E^2 underflowing to 0) is the plateau
-    if not isinstance(e, float):
-        ea = np.asarray(e, dtype=float)
-        if ea.ndim:
-            with np.errstate(divide="ignore"):
-                t = n * lam / (a * ea * ea)
-            out = np.full(ea.shape, rho0)
-            idx = np.flatnonzero(~(t > 1e12))
-            if idx.size:
-                amp = _level_density_amplitudes(np.abs(ea.ravel()[idx]).tolist(), params)
-                out.flat[idx] = np.array(amp) * kummer_m(lam + 0.5, lam + 2.0, -t.ravel()[idx])
-            return out
-        e = float(ea)
-    d = a * e * e
-    if d == 0.0:
-        return rho0
-    t = n * lam / d
-    if t > 1e12:
-        return rho0
-    return _level_density_amplitudes((abs(e),), params)[0] * kummer_m(lam + 0.5, lam + 2.0, -t)
+    ea = np.asarray(e, dtype=float)
+    with np.errstate(divide="ignore"):
+        t = n * lam / (a * ea * ea)
+    out = np.full(ea.shape, rho0)
+    idx = np.flatnonzero(~(t > 1e12))
+    if idx.size:
+        amp = _level_density_amplitudes(np.abs(ea.ravel()[idx]).tolist(), params)
+        out.flat[idx] = np.array(amp) * kummer_m(lam + 0.5, lam + 2.0, -t.ravel()[idx])
+    return float(out) if ea.ndim == 0 else out
 
 
 def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
@@ -333,8 +317,8 @@ def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
     point = f"E={e!r}, n={n}"
     val, err, neval = _gamma_average(f, lam, hi, wvar, (1e-12, 1e-10), "level_density_mixture", point,
                                      stacklevel=3)
-    # QUADPACK can hand back a negative or non-finite error estimate with no message
-    if not (math.isfinite(val) and err >= 0.0 and math.isfinite(err)):
+    # QUADPACK can hand back a negative error estimate with no message
+    if err < 0.0:
         raise NumericalError(
             f"level_density_mixture has no finite, checked value at {point}, lambda={lam:g}: "
             f"QUADPACK returned {val!r} with error estimate {err!r}"
@@ -406,9 +390,10 @@ def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, si
                    stacklevel: int):
     """(value, err, neval) of Int_0^hi xi^wvar[0] (hi - xi)^wvar[1] integrand(xi) dxi by QAWS.
 
-    The one QUADPACK call in this module.  A call that does not converge
-    keeps its value and emits one IntegrationWarning naming `site`, `point`,
-    lambda and QUADPACK's ier, at `stacklevel`: the caller of the public function.
+    The one QUADPACK call in this module.  A value or error estimate that is
+    not finite is a NumericalError.  A call that does not converge keeps its
+    value and emits one IntegrationWarning naming `site`, `point`, lambda and
+    QUADPACK's ier, at `stacklevel`: the caller of the public function.
     """
     res = integrate.quad(
         integrand,
@@ -421,6 +406,9 @@ def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, si
         full_output=True,
         limit=200,
     )
+    if not (math.isfinite(res[0]) and math.isfinite(res[1])):
+        raise NumericalError(f"{site} has no finite value at {point}, lambda={lam!r}: {res[0]!r} "
+                             f"with error estimate {res[1]!r}")
     if len(res) > 3:
         msg = str(res[3])
         ier = next((code for words, code in _QUADPACK_IER if words in msg), "?")
@@ -460,12 +448,31 @@ def _goe_integrand(theta: float, params: EnsembleParams, count: bool):
     return s_integrand if count else e_integrand
 
 
-def _gamma_weighted_goe(theta: float, params: EnsembleParams, count: bool, site: str):
-    """(value, err, neval) of the Gamma average of the count y (count=True) or of goe_gap(y).
+def _goe_weight(lam: float, site: str) -> tuple:
+    """QAWS's wvar for the Gamma weight xi^(lam - 1); NumericalError when lam - 1 drops lam's digits.
 
-    Past xi_sat = n lam/(alpha theta^2), infinite when theta^2 underflows, y = n: that tail
+    The weight's mass near 0 is ((lam - 1) + 1)^-1 xi^((lam - 1) + 1), so below lam ~ 1e-7 the
+    float lam - 1.0 alone moves the average by more than the 1e-9 tolerance.
+    """
+    if abs((lam - 1.0) + 1.0 - lam) > 1e-9 * lam:
+        raise NumericalError(f"{site}: lambda={lam!r} is too small for float64: the Gamma weight's "
+                             f"exponent lambda - 1 rounds to {lam - 1.0!r}")
+    return lam - 1.0, 0.0
+
+
+def _gamma_weighted_goe(theta: float, params: EnsembleParams, count: bool, site: str) -> tuple:
+    """(value, err) of the Gamma average of the count y (count=True) or of goe_gap(y), at theta >= 0.
+
+    The point evaluator of gap_probability, mean_count and gap_curve.  Past
+    xi_sat = n lam/(alpha theta^2), infinite when theta^2 underflows, y = n: that tail
     is the constant n or goe_gap(n) times the regularized upper incomplete gamma.
     """
+    if params.regime is not Regime.LEVY_BRANCH:
+        raise RegimeError(f"{site.replace('_', ' ')} needs the heavy-tailed branch")
+    if not theta >= 0:
+        raise ParameterError(f"theta must be nonnegative, got {theta}")
+    if theta == 0.0:
+        return (0.0 if count else 1.0), 0.0
     n, lam, a = params.n, params.lam, params.alpha
     theta = float(theta)
     d = a * theta * theta
@@ -474,12 +481,12 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, count: bool, site:
     saturated = float(n) if count else goe_gap(float(n))
     f = _goe_integrand(theta, params, count)
     point = f"theta={theta!r}, n={n}"
-    val, err, neval = _gamma_average(f, lam, hi, (lam - 1.0, 0.0), _GOE_TOL, site, point, stacklevel=4)
+    val, err, _ = _gamma_average(f, lam, hi, _goe_weight(lam, site), _GOE_TOL, site, point, stacklevel=4)
     tail = saturated * float(_sp.gammaincc(lam, xi_sat))
     # the strip [xi_max, xi_sat) is dropped when xi_sat exceeds the truncation;
     # its mass is below saturated * Q(lam, xi_max) ~ 1e-20
     dropped = saturated * float(_sp.gammaincc(lam, hi)) if xi_sat > hi else 0.0
-    return val + tail, err + dropped, neval
+    return val + tail, err + dropped
 
 
 def gap_probability(theta: float, params: EnsembleParams) -> float:
@@ -489,14 +496,7 @@ def gap_probability(theta: float, params: EnsembleParams) -> float:
     rescaled counting function; equals 1 at theta = 0 and decays like
     1/(2 s^2) in scaled units when lambda = 1.
     """
-    if params.regime is not Regime.LEVY_BRANCH:
-        raise RegimeError("gap probability needs the heavy-tailed branch")
-    if not theta >= 0:
-        raise ParameterError(f"theta must be nonnegative, got {theta}")
-    if theta == 0.0:
-        return 1.0
-    val, _, _ = _gamma_weighted_goe(theta, params, False, "gap_probability")
-    return min(val, 1.0)
+    return min(_gamma_weighted_goe(theta, params, False, "gap_probability")[0], 1.0)
 
 
 def mean_count(theta: float, params: EnsembleParams) -> float:
@@ -506,14 +506,7 @@ def mean_count(theta: float, params: EnsembleParams) -> float:
     (the integral of the mixture commutes with the energy integral); this is
     the scaled abscissa of the parametric gap curve.
     """
-    if params.regime is not Regime.LEVY_BRANCH:
-        raise RegimeError("mean count needs the heavy-tailed branch")
-    if not theta >= 0:
-        raise ParameterError(f"theta must be nonnegative, got {theta}")
-    if theta == 0.0:
-        return 0.0
-    val, _, _ = _gamma_weighted_goe(theta, params, True, "mean_count")
-    return val
+    return _gamma_weighted_goe(theta, params, True, "mean_count")[0]
 
 
 def gap_probability_bulk(s, lam: float = 1.0):
@@ -543,10 +536,8 @@ def gap_probability_bulk(s, lam: float = 1.0):
             return 1.0
         # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order
         f = lambda xi: scale * exp(-xi) * float(erfc(sv * sqrt(xi) * slope * hsp))
-        val = _gamma_average(f, lam, hi, (lam - 1.0, 0.0), _GOE_TOL, "gap_probability_bulk", f"s={sv!r}",
-                             stacklevel=4)[0]
-        if not math.isfinite(val):
-            raise NumericalError(f"gap_probability_bulk is not finite at s={sv!r}, lambda={lam!r}: {val!r}")
+        wvar = _goe_weight(lam, "gap_probability_bulk")
+        val = _gamma_average(f, lam, hi, wvar, _GOE_TOL, "gap_probability_bulk", f"s={sv!r}", stacklevel=4)[0]
         return min(val, 1.0)
 
     if sa.ndim == 0:
@@ -565,11 +556,8 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     e = np.empty_like(thetas)
     worst = 0.0
     for i, th in enumerate(thetas):
-        if th == 0.0:
-            s[i], e[i] = 0.0, 1.0
-            continue
-        ev, eerr, _ = _gamma_weighted_goe(th, params, False, "gap_curve")
-        sv, serr, _ = _gamma_weighted_goe(th, params, True, "gap_curve")
+        ev, eerr = _gamma_weighted_goe(th, params, False, "gap_curve")
+        sv, serr = _gamma_weighted_goe(th, params, True, "gap_curve")
         s[i], e[i] = sv, min(ev, 1.0)
         worst = max(worst, eerr, serr)
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)

@@ -51,10 +51,16 @@ _THREADS_HELP = ("accepted for compatibility and ignored: sampling runs on one t
 
 
 class RunManifest:
-    """Run metadata with content digests; field order in the JSON is fixed."""
+    """Run metadata with content digests; field order in the JSON is fixed.
 
-    def __init__(self, command: str, params: EnsembleParams | None, master_seed: int | None,
-                 sample_count: int | None):
+    Creates the run's output directory; every file of the run is written
+    through `add`, so each one is listed, in write order, with its sha256.
+    """
+
+    def __init__(self, out_dir: str, command: str, params: EnsembleParams | None,
+                 master_seed: int | None, sample_count: int | None):
+        os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
         self.tool_version = __version__
         self.command = command
         self.params = params
@@ -64,10 +70,14 @@ class RunManifest:
         self.finished: str | None = None
         self.outputs: list[dict] = []
 
-    def add_output(self, path: str) -> None:
-        self.outputs.append({"path": os.path.basename(path), "sha256": _sha256(path)})
+    def add(self, name: str, writer, *args, **kwargs) -> str:
+        """Write `name` in the run directory by writer(path, *args, **kwargs); record its sha256."""
+        path = os.path.join(self.out_dir, name)
+        writer(path, *args, **kwargs)
+        self.outputs.append({"path": name, "sha256": _sha256(path)})
+        return path
 
-    def write(self, out_dir: str) -> str:
+    def write(self) -> str:
         self.finished = _now()
         doc = {
             "tool_version": self.tool_version,
@@ -79,7 +89,7 @@ class RunManifest:
             "finished": self.finished,
             "outputs": self.outputs,
         }
-        path = os.path.join(out_dir, "manifest.json")
+        path = os.path.join(self.out_dir, "manifest.json")
         _write_json(path, doc)
         return path
 
@@ -157,19 +167,13 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_params(args) -> EnsembleParams:
-    alpha = args.alpha
-    if isinstance(alpha, str) and alpha != "auto":
-        try:
-            alpha = float(alpha)
-        except ValueError:
-            raise ParameterError(f"alpha must be a number or 'auto', got {alpha!r}") from None
     if args.lam is not None:
         if args.lam <= 0:
             # negative lambda is reachable through --q; the flag itself is the
             # heavy-tailed parametrization
             raise ParameterError(f"--lambda must be positive, got {args.lam} (use --q below 1)")
-        return EnsembleParams.from_lambda(args.n, args.lam, alpha=alpha)
-    return EnsembleParams.from_q(args.n, args.q, alpha=alpha)
+        return EnsembleParams.from_lambda(args.n, args.lam, alpha=args.alpha)
+    return EnsembleParams.from_q(args.n, args.q, alpha=args.alpha)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -183,10 +187,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, cnt)
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -196,21 +196,17 @@ def cmd_sample(args) -> int:
     RngStream(args.seed, 0)  # reject a bad seed or count before any output exists
     if not 1 <= args.count < 1 << 32:
         raise ParameterError(f"--count must be at least 1 and below 2**32, got {args.count}")
-    _ensure_dir(args.out)
-    manifest = RunManifest("sample", params, args.seed, args.count)
+    manifest = RunManifest(args.out, "sample", params, args.seed, args.count)
     samples = sample_batch(params, args.count, master_seed=args.seed)
     batch = sp.spectra_from_samples(samples)
-    spath = os.path.join(args.out, "spectra.csv")
     meta = _meta_lines(params, master_seed=args.seed, count=args.count)
-    _write_csv(spath, meta, [f"e{i + 1}" for i in range(params.n)], batch.spectra)
-    manifest.add_output(spath)
+    spath = manifest.add("spectra.csv", _write_csv, meta, [f"e{i + 1}" for i in range(params.n)],
+                         batch.spectra)
     if args.raw:
-        mpath = os.path.join(args.out, "matrices.csv")
         header = [f"h{i + 1}{j + 1}" for i in range(params.n) for j in range(params.n)]
         rows = (row for h in samples.chunks() for row in h.reshape(len(h), -1))
-        _write_csv(mpath, meta, header, rows)
-        manifest.add_output(mpath)
-    mpath = manifest.write(args.out)
+        manifest.add("matrices.csv", _write_csv, meta, header, rows)
+    mpath = manifest.write()
     print(f"wrote {spath} ({args.count} x {params.n}) and {mpath}")
     return 0
 
@@ -274,16 +270,11 @@ def cmd_curve(args) -> int:
     params = _build_params(args)
     _, build, series, labels = _CURVES[args.cmd]
     curve, meta_extra = build(params, args)
-    _ensure_dir(args.out)
-    manifest = RunManifest(args.cmd, params, None, None)
-    cpath = os.path.join(args.out, f"curve.{args.format}")
-    _write_curve(cpath, curve, args.format, meta_extra)
-    manifest.add_output(cpath)
+    manifest = RunManifest(args.out, args.cmd, params, None, None)
+    cpath = manifest.add(f"curve.{args.format}", _write_curve, curve, args.format, meta_extra)
     if args.svg:
-        ppath = os.path.join(args.out, "plot.svg")
-        render_svg(ppath, series(curve, args), **labels)
-        manifest.add_output(ppath)
-    manifest.write(args.out)
+        manifest.add("plot.svg", render_svg, series(curve, args), **labels)
+    manifest.write()
     print(f"wrote {cpath}")
     return 0
 
@@ -292,8 +283,8 @@ def cmd_curve(args) -> int:
 # figure reproduction
 
 
-def _mass_quantile(params: EnsembleParams, one_sided: float) -> float:
-    """x with (fraction of eigenvalue mass in [-x, x]) = 1 - 2*one_sided."""
+def _mass_quantiles(params: EnsembleParams, *one_sided: float) -> tuple[float, ...]:
+    """For each one_sided, x with (fraction of eigenvalue mass in [-x, x]) = 1 - 2*one_sided."""
     if params.regime is Regime.LEVY_BRANCH:
         base = math.sqrt(params.n / params.alpha)
         grid = np.unique(
@@ -305,8 +296,7 @@ def _mass_quantile(params: EnsembleParams, one_sided: float) -> float:
         grid = np.linspace(0.0, math.sqrt(params.n / params.alpha), 900)
     rho = np.asarray(an.level_density(grid, params), dtype=float)
     cum = integrate.cumulative_trapezoid(rho, grid, initial=0.0) / params.n  # one-sided mass
-    target = 0.5 - one_sided
-    return float(np.interp(target, cum, grid))
+    return tuple(float(np.interp(0.5 - tail, cum, grid)) for tail in one_sided)
 
 
 def _overlay_violations(params, batch, x_ok: float) -> tuple[int, int, float]:
@@ -334,14 +324,11 @@ def cmd_reproduce(args) -> int:
     RngStream(args.seed, 0)  # reject a bad seed or count before any output exists
     if not 1 <= samples < 1 << 32:
         raise ParameterError(f"--samples must be at least 1 and below 2**32, got {samples}")
-    _ensure_dir(args.out)
     report, manifest = run(args.out, args.seed, samples)
     ok = all(chk["pass"] for chk in report["checks"].values())
     report["pass"] = ok
-    repath = os.path.join(args.out, "report.json")
-    _write_json(repath, report)
-    manifest.add_output(repath)
-    manifest.write(args.out)
+    manifest.add("report.json", _write_json, report)
+    manifest.write()
     for name, chk in report["checks"].items():
         print(f"{'ok' if chk['pass'] else 'FAIL'} {name}")
     print(f"{args.figure} {'pass' if ok else 'FAIL'}; outputs in {args.out}")
@@ -351,59 +338,52 @@ def cmd_reproduce(args) -> int:
 def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifest]:
     lams = (10.0, 1.0, 0.75, 0.5)
     n = 50
-    manifest = RunManifest("reproduce fig1", None, seed, samples)
+    manifest = RunManifest(out, "reproduce fig1", None, seed, samples)
     report: dict = {"figure": "fig1", "n": n, "samples": samples, "curves": [], "checks": {}}
     series = []
     curves = {}
     for i, lam in enumerate(lams):
         params = EnsembleParams.from_lambda(n, lam, alpha="auto")
-        lim = _mass_quantile(params, 0.005)
+        lim, x80 = _mass_quantiles(params, 0.005, 0.10)  # x80: the central 80% of mass
         grid = np.linspace(-lim, lim, 241)
         curve = an.density_curve(params, grid)
-        curves[lam] = (params, curve)
-        cpath = os.path.join(out, f"fig1_density_lam{lam:g}.csv")
-        _write_curve(cpath, curve, "csv", {"figure": "fig1"})
-        manifest.add_output(cpath)
-        report["curves"].append({"lambda": lam, "alpha": params.alpha, "file": os.path.basename(cpath)})
+        curves[lam] = (params, curve, x80)
+        cname = f"fig1_density_lam{lam:g}.csv"
+        manifest.add(cname, _write_curve, curve, "csv", {"figure": "fig1"})
+        report["curves"].append({"lambda": lam, "alpha": params.alpha, "file": cname})
         series.append(Series(grid / math.sqrt(n / params.alpha), curve.values * math.sqrt(n / params.alpha) / n,
                              label=f"lambda={lam:g}", color=None))
 
         # Monte Carlo overlay, binomial band check on the central 80% of mass
         batch = sp.spectra_from_samples(sample_batch(params, samples, master_seed=seed + i))
-        x80 = _mass_quantile(params, 0.10)
         bad, checked, worst = _overlay_violations(params, batch, x80)
         hist = sp.empirical_density(batch, np.linspace(-lim, lim, 49))
-        hpath = os.path.join(out, f"fig1_hist_lam{lam:g}.csv")
-        _write_csv(
-            hpath,
+        manifest.add(
+            f"fig1_hist_lam{lam:g}.csv", _write_csv,
             _meta_lines(params, figure="fig1", master_seed=seed + i, count=samples),
             ["center", "height", "count"],
             zip(hist.centers, hist.heights, hist.counts),
         )
-        manifest.add_output(hpath)
         report["checks"][f"mc_overlay_lam{lam:g}"] = {
             "bins_checked": checked, "violations": bad, "worst_z": worst, "pass": bad == 0,
         }
 
     # reference: semicircle at the lambda -> inf effective confinement of lam=10
-    p10, c10 = curves[10.0]
+    p10, c10, x80 = curves[10.0]
     a_eff = (10.0 - 1.0) / 10.0 * p10.alpha
     ref = an.semicircle_density(c10.abscissae, n, a_eff)
-    rpath = os.path.join(out, "fig1_density_goe_ref.csv")
-    _write_csv(
-        rpath,
+    manifest.add(
+        "fig1_density_goe_ref.csv", _write_csv,
         _meta_lines(p10, figure="fig1", reference="semicircle", alpha_eff=repr(a_eff)),
         ["x", "value"],
         zip(c10.abscissae, ref),
     )
-    manifest.add_output(rpath)
     series.append(
         Series(c10.abscissae / math.sqrt(n / p10.alpha), ref * math.sqrt(n / p10.alpha) / n,
                label="semicircle ref", style="dashed", color="#444444")
     )
 
     # check 1: lam=10 sup distance to the shifted semicircle, central 80% of mass
-    x80 = _mass_quantile(p10, 0.10)
     mask = np.abs(c10.abscissae) <= x80
     sup = float(np.max(np.abs(c10.values[mask] - ref[mask])))
     peak = float(np.max(ref))
@@ -412,7 +392,7 @@ def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
     }
 
     # check 2: lam=0.5 log-log tail slope on [3, 30] characteristic energies
-    p05, _ = curves[0.5]
+    p05 = curves[0.5][0]
     ec = p05.e_char
     es = np.geomspace(3.0 * ec, 30.0 * ec, 40)
     rho = np.asarray(an.level_density(es, p05), dtype=float)
@@ -421,19 +401,17 @@ def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
         "slope": slope, "target": -2.0, "pass": abs(slope + 2.0) < 0.1,
     }
 
-    ppath = os.path.join(out, "fig1.svg")
-    render_svg(
-        ppath, series, title="level densities, n=50 (scaled units)",
+    manifest.add(
+        "fig1.svg", render_svg, series, title="level densities, n=50 (scaled units)",
         xlabel="E / sqrt(n/alpha)", ylabel="rho * sqrt(n/alpha) / n",
     )
-    manifest.add_output(ppath)
     return report, manifest
 
 
 def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifest]:
     n, lam = 20, 1.0
     params = EnsembleParams.from_lambda(n, lam, alpha="auto")
-    manifest = RunManifest("reproduce fig2", params, seed, samples)
+    manifest = RunManifest(out, "reproduce fig2", params, seed, samples)
 
     # analytic reference: scaling-limit curve, plus its power-law asymptote and
     # the GOE gap law; the asymptote column is exactly 1/(2 s^2)
@@ -442,27 +420,23 @@ def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
     with np.errstate(divide="ignore"):
         asym = np.where(s_grid > 0.0, 1.0 / (2.0 * s_grid**2), np.inf)
     e_goe = np.asarray(an.goe_gap(s_grid), dtype=float)
-    apath = os.path.join(out, "fig2_analytic.csv")
-    _write_csv(
-        apath,
+    manifest.add(
+        "fig2_analytic.csv", _write_csv,
         _meta_lines(params, figure="fig2"),
         ["s", "gap_probability", "asymptote", "goe"],
         zip(s_grid, e_bulk, asym, e_goe),
     )
-    manifest.add_output(apath)
 
     # simulation overlay: empirical gap fractions with the analytic s pairing
     thetas = np.concatenate([[0.0], np.geomspace(0.004, 0.30, 39)])
     batch = sp.spectra_from_samples(sample_batch(params, samples, master_seed=seed))
     gap = sp.empirical_gap(batch, thetas)
-    spath = os.path.join(out, "fig2_sim.csv")
-    _write_csv(
-        spath,
+    manifest.add(
+        "fig2_sim.csv", _write_csv,
         _meta_lines(params, figure="fig2", master_seed=seed, count=samples),
         ["theta", "s", "e_hat", "stderr"],
         zip(gap.theta, gap.s_hat, gap.e_hat, gap.stderr),
     )
-    manifest.add_output(spath)
 
     # acceptance: simulation within 0.03 of the curve on s in [0, 4]
     mask = gap.s_hat <= 4.0
@@ -482,10 +456,9 @@ def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
         },
     }
 
-    ppath = os.path.join(out, "fig2.svg")
     pos = s_grid > 0.2
-    render_svg(
-        ppath,
+    manifest.add(
+        "fig2.svg", render_svg,
         [
             Series(s_grid[pos], e_bulk[pos], label=f"E(s), lambda={lam:g}"),
             Series(s_grid[pos], asym[pos], label="1/(2s^2)", style="dotted", color="#444444"),
@@ -495,7 +468,6 @@ def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
         ],
         title="gap probability vs mean count", xlabel="s", ylabel="E(s)", ylog=True,
     )
-    manifest.add_output(ppath)
     return report, manifest
 
 

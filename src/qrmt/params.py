@@ -218,7 +218,10 @@ class EnsembleParams:
         if alpha is None or (isinstance(alpha, str) and alpha.lower() == "auto"):
             # restricted-trace has no tail exponent; the Gaussian convention applies
             return alpha_scaling(n, sigma if sigma is not None else 2.0)
-        alpha = float(alpha)
+        try:
+            alpha = float(alpha)
+        except (TypeError, ValueError):
+            raise ParameterError(f"alpha must be a number or 'auto', got {alpha!r}") from None
         if not (alpha > 0.0 and math.isfinite(alpha)):
             raise ParameterError(f"alpha must be positive and finite, got {alpha}")
         return alpha

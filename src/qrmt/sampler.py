@@ -323,14 +323,9 @@ class SampleBatch(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"sample index {index} out of range for a batch of {len(self)}")
-        return self._sample(i, _dense(self.params, self.packed[i : i + 1])[0])
-
-    def __iter__(self) -> Iterator[MatrixSample]:
-        start = 0
-        for block in self.chunks():
-            for j, h in enumerate(block):
-                yield self._sample(start + j, h)
-            start += len(block)
+        xi = None if self.xi is None else float(self.xi[i])
+        return MatrixSample(h=_dense(self.params, self.packed[i : i + 1])[0], params=self.params, xi=xi,
+                            sample_index=i, seed_path=(self.master_seed, i))
 
     @property
     def h(self) -> np.ndarray:
@@ -346,15 +341,10 @@ class SampleBatch(Sequence):
         for lo in range(0, len(self), step):
             yield _dense(self.params, self.packed[lo : lo + step])
 
-    def _sample(self, i: int, h: np.ndarray) -> MatrixSample:
-        xi = None if self.xi is None else float(self.xi[i])
-        return MatrixSample(h=h, params=self.params, xi=xi, sample_index=i,
-                            seed_path=(self.master_seed, i))
 
-
-def sample_goe(n: int, alpha: float, rng, sample_index: int = 0) -> MatrixSample:
+def sample_goe(n: int, alpha: float, rng) -> MatrixSample:
     """Gaussian-regime draw: density proportional to exp(-alpha tr H^2)."""
-    return sample_ensemble(EnsembleParams.gaussian(n, alpha), rng, sample_index)
+    return sample_ensemble(EnsembleParams.gaussian(n, alpha), rng)
 
 
 def sample_levy_stable(sigma: float, scale: float, rng, size: int | None = None):

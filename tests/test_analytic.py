@@ -564,6 +564,27 @@ def test_gap_probability_bulk_nonfinite_result_raises_numerical_error():
         gap_probability_bulk(1.0, 1e6)
 
 
+@pytest.mark.parametrize("lam", [1e-16, 5e-17, 1e-300])
+@pytest.mark.parametrize("call", [
+    lambda lam: gap_probability(0.5, EnsembleParams.from_lambda(5, lam, alpha=1.0)),
+    lambda lam: mean_count(0.5, EnsembleParams.from_lambda(5, lam, alpha=1.0)),
+    lambda lam: gap_probability_bulk(0.5, lam),
+], ids=["gap_probability", "mean_count", "gap_probability_bulk"])
+def test_gap_laws_at_lambda_that_lambda_minus_one_drops_raise_numerical_error(call, lam):
+    # (lam - 1.0) + 1.0 is not lam here, so the QAWS weight xi^(lam - 1) has the wrong mass
+    with pytest.raises(NumericalError, match=f"lambda={lam!r} is too small for float64"):
+        call(lam)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1e-300])
+@pytest.mark.parametrize("law", [gap_probability, mean_count], ids=["gap_probability", "mean_count"])
+def test_gap_point_laws_nonfinite_average_raises_numerical_error(law, theta):
+    # QAWS returns NaN for the weight xi^(1000 - 1); the point laws used to hand it back
+    p = EnsembleParams.from_lambda(5, 1000.0, alpha=1.0)
+    with pytest.raises(NumericalError, match=rf"theta={theta!r}, n=5, lambda=1000\.0: nan"):
+        law(theta, p)
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 

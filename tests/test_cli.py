@@ -315,6 +315,39 @@ def test_exit_5_on_mixture_with_negative_error_estimate(tmp_path, capsys):
     assert err.count("\n") == 1 and out == "" and os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("lam", ["1e-300", "5e-17"])
+def test_exit_5_on_gap_at_lambda_below_float64_resolution(lam, tmp_path, capsys):
+    code, out, err = run(["gap", "--n", "5", "--lambda", lam, "--alpha", "1", "--out", str(tmp_path)],
+                         capsys)
+    assert code == 5
+    assert err.startswith(f"error: gap_curve: lambda={float(lam)!r} is too small for float64")
+    assert err.count("\n") == 1 and out == "" and os.listdir(tmp_path) == []
+
+
+def test_exit_2_on_alpha_that_is_not_a_number(tmp_path, capsys):
+    out_dir = tmp_path / "d"
+    code, out, err = run(["sample", "--n", "3", "--q", "0.5", "--count", "2", "--alpha", "abc",
+                          "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err == "error: alpha must be a number or 'auto', got 'abc'\n"
+    assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "3", "--q", "0.5", "--count", "4", "--raw"],
+    ["density", "--n", "6", "--lambda", "1.5", "--grid=-3:3:21", "--svg", "--format", "json"],
+    ["reproduce", "fig1", "--samples", "200"],
+    ["reproduce", "fig2", "--samples", "500"],
+], ids=["sample-raw", "density-svg-json", "fig1", "fig2"])
+def test_every_file_written_is_in_the_manifest(argv, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    code, _, _ = run(argv + ["--out", out], capsys)
+    assert code in (0, 4)  # fig2's 500 samples fail its acceptance check by design
+    listed = [entry["path"] for entry in _manifest(out)["outputs"]]
+    assert len(listed) == len(set(listed))
+    assert set(os.listdir(out)) - {"manifest.json"} == set(listed)
+
+
 def test_exit_3_on_unwritable_output(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

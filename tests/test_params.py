@@ -213,6 +213,11 @@ def test_alpha_validation():
         EnsembleParams.from_lambda(3, 1.0, alpha=math.inf)
 
 
+def test_alpha_that_is_not_a_number_is_a_parameter_error():
+    with pytest.raises(ParameterError, match=r"^alpha must be a number or 'auto', got 'abc'$"):
+        EnsembleParams.from_q(3, 0.5, alpha="abc")
+
+
 def test_as_dict_json_safe():
     import json
 
