@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy import special as _sp
 
 from .params import EnsembleParams, NumericalError, ParameterError, Regime, RegimeError
-from .specfun import QuadratureResult, bessel_k, kummer_m, ln_gamma
+from .specfun import QuadratureResult, _Deferred, _sp, bessel_k, kummer_m, ln_gamma
+
+integrate = _Deferred("scipy.integrate")
 
 __all__ = [
     "AnalyticCurve",
@@ -563,8 +563,16 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)
 
 
+# largest mixture-vs-closed-form distance density_curve accepts, relative to the curve's peak
+_DENSITY_CROSS_CHECK_RTOL = 1e-8
+
+
 def density_curve(params: EnsembleParams, e_grid) -> AnalyticCurve:
-    """Level-density curve; error metadata from the mixture-route cross-check."""
+    """Level-density curve; error metadata from the mixture-route cross-check.
+
+    A cross-check distance above 1e-8 of the curve's largest value is a
+    NumericalError: the two routes disagree, so neither value is checked.
+    """
     grid = np.asarray(e_grid, dtype=float)
     vals = np.asarray(level_density(grid, params), dtype=float)
     worst = 0.0
@@ -574,6 +582,12 @@ def density_curve(params: EnsembleParams, e_grid) -> AnalyticCurve:
         for e, v in zip(grid[::step], vals[::step]):
             q = level_density_mixture(float(e), params)
             worst = max(worst, abs(q.value - float(v)))
+        peak = float(np.max(vals, initial=0.0))
+        if worst > _DENSITY_CROSS_CHECK_RTOL * peak:
+            raise NumericalError(
+                f"density_curve: the mixture cross-check is off by {worst!r}, above "
+                f"{_DENSITY_CROSS_CHECK_RTOL:g} of the peak {peak!r}, at n={params.n}, lambda={params.lam:g}"
+            )
     return AnalyticCurve(abscissae=grid, values=vals, kind="level_density", params=params, quadrature_error=worst)
 
 

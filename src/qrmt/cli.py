@@ -16,7 +16,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import integrate
 
 from . import __version__
 from . import analytic as an
@@ -31,6 +30,8 @@ from .params import (
 )
 from .sampler import RngStream, sample_batch, sample_goe, sample_levy_stable
 from .specfun import (
+    _Deferred,
+    _sp,
     bessel_k,
     erf,
     kummer_m,
@@ -39,6 +40,10 @@ from .specfun import (
     ln_gamma,
 )
 from .svg import Series, render_svg
+
+# a name of its own, apart from analytic's, so verify's quadratures stay out of
+# what a stand-in for analytic.integrate sees
+integrate = _Deferred("scipy.integrate")
 
 __all__ = ["main", "RunManifest"]
 
@@ -126,13 +131,14 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, meta: list[str], header: list[str], rows) -> None:
+def _write_csv(path: str, meta: list[str], header: list[str], blocks) -> None:
+    """Write each 2-D float array of `blocks` in turn, one repr per value, so a table can stream."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in meta:
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for block in blocks:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
 def _write_curve(path: str, curve: an.AnalyticCurve, fmt: str, meta_extra: dict) -> None:
@@ -146,9 +152,10 @@ def _write_curve(path: str, curve: an.AnalyticCurve, fmt: str, meta_extra: dict)
             "quadrature_error": float(curve.quadrature_error),
         })
         return
-    err = float(curve.quadrature_error)  # worst-case estimate, same for every row
-    rows = [(x, v, err) for x, v in zip(curve.abscissae, curve.values)]
-    _write_csv(path, meta, ["x", "value", "quad_error"], rows)
+    # quad_error: the worst-case estimate, same for every row
+    table = np.column_stack([curve.abscissae, curve.values,
+                             np.full(len(curve.values), float(curve.quadrature_error))])
+    _write_csv(path, meta, ["x", "value", "quad_error"], [table])
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +208,11 @@ def cmd_sample(args) -> int:
     batch = sp.spectra_from_samples(samples)
     meta = _meta_lines(params, master_seed=args.seed, count=args.count)
     spath = manifest.add("spectra.csv", _write_csv, meta, [f"e{i + 1}" for i in range(params.n)],
-                         batch.spectra)
+                         [batch.spectra])
     if args.raw:
         header = [f"h{i + 1}{j + 1}" for i in range(params.n) for j in range(params.n)]
-        rows = (row for h in samples.chunks() for row in h.reshape(len(h), -1))
-        manifest.add("matrices.csv", _write_csv, meta, header, rows)
+        blocks = (h.reshape(len(h), -1) for h in samples.chunks())
+        manifest.add("matrices.csv", _write_csv, meta, header, blocks)
     mpath = manifest.write()
     print(f"wrote {spath} ({args.count} x {params.n}) and {mpath}")
     return 0
@@ -362,7 +369,7 @@ def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
             f"fig1_hist_lam{lam:g}.csv", _write_csv,
             _meta_lines(params, figure="fig1", master_seed=seed + i, count=samples),
             ["center", "height", "count"],
-            zip(hist.centers, hist.heights, hist.counts),
+            [np.column_stack([hist.centers, hist.heights, hist.counts])],
         )
         report["checks"][f"mc_overlay_lam{lam:g}"] = {
             "bins_checked": checked, "violations": bad, "worst_z": worst, "pass": bad == 0,
@@ -376,7 +383,7 @@ def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
         "fig1_density_goe_ref.csv", _write_csv,
         _meta_lines(p10, figure="fig1", reference="semicircle", alpha_eff=repr(a_eff)),
         ["x", "value"],
-        zip(c10.abscissae, ref),
+        [np.column_stack([c10.abscissae, ref])],
     )
     series.append(
         Series(c10.abscissae / math.sqrt(n / p10.alpha), ref * math.sqrt(n / p10.alpha) / n,
@@ -424,7 +431,7 @@ def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
         "fig2_analytic.csv", _write_csv,
         _meta_lines(params, figure="fig2"),
         ["s", "gap_probability", "asymptote", "goe"],
-        zip(s_grid, e_bulk, asym, e_goe),
+        [np.column_stack([s_grid, e_bulk, asym, e_goe])],
     )
 
     # simulation overlay: empirical gap fractions with the analytic s pairing
@@ -435,7 +442,7 @@ def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
         "fig2_sim.csv", _write_csv,
         _meta_lines(params, figure="fig2", master_seed=seed, count=samples),
         ["theta", "s", "e_hat", "stderr"],
-        zip(gap.theta, gap.s_hat, gap.e_hat, gap.stderr),
+        [np.column_stack([gap.theta, gap.s_hat, gap.e_hat, gap.stderr])],
     )
 
     # acceptance: simulation within 0.03 of the curve on s in [0, 4]
@@ -644,9 +651,7 @@ def _suite_spectral(seed: int, ts: float) -> list:
     checks.append(_check("goe spacings vs wigner surmise", ks, 0.03 * ts))
 
     gn = RngStream(seed, 203).generator()
-    from scipy.special import ndtr
-
-    ksn = sp.ks_distance(gn.normal(size=100000), ndtr)
+    ksn = sp.ks_distance(gn.normal(size=100000), _sp.ndtr)
     checks.append(_check(
         "ks statistic on own law", ksn, 1.95 / math.sqrt(100000.0) * ts, "asymptotic critical"))
 

@@ -1,7 +1,10 @@
 """Special functions and quadrature plumbing used by the closed-form evaluators.
 
-log-gamma, erf, the modified Bessel function K_nu and the confluent
-hypergeometric M(a, b, z) are thin validated wrappers over scipy.special:
+scipy is imported on first use, through `_Deferred`: sampling needs only
+numpy, so `import qrmt` and `qrmt sample` never load scipy, and the first
+analytic call pays its import.  log-gamma, erf, the modified Bessel function
+K_nu and the confluent hypergeometric M(a, b, z) are thin validated wrappers
+over scipy.special:
 each converts its argument to a float array once and hands that array on,
 and a 0-d argument gives a float.  The scipy implementations were probed
 against 40-digit arbitrary-precision references over the parameter boxes
@@ -12,12 +15,12 @@ stock routine exposes the (sigma, Lambda) parametrization required.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "QuadratureResult",
@@ -28,6 +31,25 @@ __all__ = [
     "kummer_m_transformed",
     "levy_density",
 ]
+
+
+class _Deferred:
+    """Stand-in for the module `name`, imported on the first attribute access.
+
+    Each attribute is fetched once and cached on the instance, so later
+    accesses are plain attribute lookups.
+    """
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+_sp = _Deferred("scipy.special")
 
 
 @dataclass(frozen=True)

@@ -99,12 +99,14 @@ def test_criterion_03_element_law_ks():
     # against the closed-form element CDF.  KS = 0.0020 at this seed.
     batch = sample_batch(p, 2223, master_seed=303)
     iu = np.triu_indices(p.n, 1)
-    pooled = np.concatenate([s.h[iu] for s in batch])[:100_000]
+    pooled = batch.h[:, iu[0], iu[1]].ravel()[:100_000]
     ks_pool = sp.ks_distance(pooled, lambda x: an.element_cdf(x, p, "offdiag"))
 
     # mixture sampler vs direct scaled Student-t scalars, one diagonal entry
     # per matrix so the two samples are both iid.  KS = 0.0034 at these seeds.
-    diag = np.array([s.h[0, 0] for s in sample_batch(p, 100_000, master_seed=311)])
+    # one dense chunk at a time, each entry copied out so that no chunk stays
+    # alive: the whole batch's dense matrices would take 80 MB
+    diag = np.concatenate([h[:, 0, 0].copy() for h in sample_batch(p, 100_000, master_seed=311).chunks()])
     scalars = np.random.default_rng(312).standard_t(2 * p.lam, 100_000) / math.sqrt(
         2 * p.alpha
     )

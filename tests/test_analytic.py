@@ -484,6 +484,13 @@ def test_level_density_mixture_negative_error_estimate_raises_numerical_error():
         level_density_mixture(1.0, p)
 
 
+def test_density_curve_cross_check_above_bound_raises_numerical_error():
+    # the mixture route is off by about 1e23 times the curve's peak here
+    p = EnsembleParams.from_lambda(10, 100.0, alpha="auto")
+    with pytest.raises(NumericalError, match=r"mixture cross-check is off by .* at n=10, lambda=100"):
+        density_curve(p, np.linspace(-3.0, 3.0, 17))
+
+
 def test_level_density_constants_are_cached_per_params():
     p = EnsembleParams.from_lambda(7, 2.5, alpha=0.3)
     _level_density_consts.cache_clear()

@@ -315,6 +315,16 @@ def test_exit_5_on_mixture_with_negative_error_estimate(tmp_path, capsys):
     assert err.count("\n") == 1 and out == "" and os.listdir(tmp_path) == []
 
 
+def test_exit_5_on_density_whose_cross_check_disagrees(tmp_path, capsys):
+    # at lambda = 100 the mixture route returns 2.9e23 with error estimate 0
+    # where the closed form gives 1.9: the curve has no checked value
+    code, out, err = run(["density", "--n", "10", "--lambda", "100", "--out", str(tmp_path)], capsys)
+    assert code == 5
+    assert err.startswith("error: density_curve: the mixture cross-check is off by ")
+    assert "at n=10, lambda=100" in err
+    assert err.count("\n") == 1 and out == "" and os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("lam", ["1e-300", "5e-17"])
 def test_exit_5_on_gap_at_lambda_below_float64_resolution(lam, tmp_path, capsys):
     code, out, err = run(["gap", "--n", "5", "--lambda", lam, "--alpha", "1", "--out", str(tmp_path)],
@@ -364,17 +374,61 @@ def test_argparse_failure_propagates_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_version_subprocess():
+def _child_env() -> dict:
     # the child imports the qrmt under test, also when only pytest's
     # `pythonpath` setting put it on sys.path
     src = os.path.dirname(os.path.dirname(qrmt.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_version_subprocess():
     out = subprocess.run(
-        [sys.executable, "-m", "qrmt", "--version"], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "qrmt", "--version"], capture_output=True, text=True, env=_child_env(),
     )
     assert out.returncode == 0
     assert out.stdout.startswith("qrmt ")
+
+
+def test_import_and_sample_load_no_scipy(tmp_path):
+    # sampling needs only numpy: scipy loads on the first analytic call
+    code = (
+        "import sys\n"
+        "import qrmt, qrmt.cli as cli\n"
+        "assert cli.main(['sample', '--n', '4', '--q', '0.5', '--count', '20', '--raw',\n"
+        "                 '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "run")], capture_output=True, text=True,
+        env=_child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert os.path.isfile(tmp_path / "run" / "matrices.csv")
+
+
+def test_gap_curve_quadratures_go_through_analytic_integrate(monkeypatch):
+    # a stand-in for qrmt.analytic.integrate sees every QUADPACK call of the
+    # analytic layer, and none of the CLI's own
+    real = qrmt.analytic.integrate
+    assert qrmt.cli.integrate is not real
+    calls = 0
+
+    class Counting:
+        @staticmethod
+        def quad(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real.quad(*args, **kwargs)
+
+        def __getattr__(self, attr):
+            return getattr(real, attr)
+
+    monkeypatch.setattr(qrmt.analytic, "integrate", Counting())
+    p = qrmt.EnsembleParams.from_lambda(5, 1.5, alpha="auto")
+    curve = qrmt.analytic.gap_curve(p, np.array([0.0, 0.2, 0.5]))
+    assert calls == 4  # E and s at each theta > 0; theta = 0 needs no quadrature
+    assert curve.values[0] == 1.0
 
 
 # ------------------------------------------------------------------- verify
