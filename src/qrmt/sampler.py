@@ -3,11 +3,11 @@
 Every draw is a pure function of (params, stream): draw i of a batch runs on
 PCG64(SeedSequence(master_seed, spawn_key=(i,))), so a batch is bit-for-bit
 reproducible no matter how it is split or in which order its draws are made.
-`sample_batch` does not build those objects per draw: it computes the same
-PCG64 states for all ids at once (`_stream_states`) and sets them in turn on
-one reused Generator.  Scalar primitives come from numpy's Generator (normal:
-ziggurat; gamma: Marsaglia-Tsang with the shape < 1 boost); Beta is built
-explicitly as a Gamma ratio.
+`sample_batch` does not build the SeedSequences: it computes their
+generate_state words for all ids at once (`_stream_words`) and lets each
+draw's PCG64 seed itself from them.  Scalar primitives come from numpy's
+Generator (normal: ziggurat; gamma: Marsaglia-Tsang with the shape < 1
+boost); Beta is built explicitly as a Gamma ratio.
 
 Every regime is a scalar law times one Gaussian core of f = n(n+1)/2
 standard normals.  The q > 1 sampler realizes the ensemble as a
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from .params import EnsembleParams, ParameterError, Regime
 
@@ -49,17 +50,15 @@ __all__ = [
 
 # dense matrices are built in blocks of about this many floats (256 KiB)
 _CHUNK_FLOATS = 1 << 15
-# stream states are derived in blocks of this many ids, so that a large batch
-# never holds the Python-int states of all its draws at once
+# stream seed words are derived in blocks of this many ids, so that a large
+# batch never holds the words of all its draws at once
 _STATE_BLOCK = 1 << 10
 
-# numpy's SeedSequence constants (stable under NEP 19) and PCG64's LCG multiplier
+# numpy's SeedSequence constants (stable under NEP 19)
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _nonnegative_int(value, what: str) -> int:
@@ -111,17 +110,16 @@ def _mix_in(pool: list, word, hc: int) -> tuple[list, int]:
     return out, hc
 
 
-def _stream_states(master_seed: int, count: int) -> Iterator[tuple[int, int]]:
-    """PCG64 (state, inc) of SeedSequence(master_seed, spawn_key=(i,)) for i < count, in order.
+def _stream_words(master_seed: int, count: int) -> Iterator[np.ndarray]:
+    """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64) for i < count, in order.
 
     Follows numpy's SeedSequence: the seed is split into little-endian uint32
     words and padded to the 4-word pool, the stream id is one more word, the
-    pool is mixed, and generate_state(4, uint64) gives PCG64's seed and
-    sequence, which PCG64's setseq seeding turns into (state, inc).  Every
-    word before the id is shared by all streams, so that part of the mixing
-    runs once on Python ints; the id's part runs on uint32 arrays of a block
-    of ids at a time.  Each pair equals the `state` and `inc` of
-    `PCG64(SeedSequence(master_seed, spawn_key=(i,))).state`.
+    pool is mixed, and generate_state hashes the pool into 8 uint32 words,
+    read as 4 little-endian uint64.  Every word before the id is shared by all
+    streams, so that part of the mixing runs once on Python ints; the id's
+    part runs on uint32 arrays of a block of ids at a time.  Each row is a
+    C-contiguous (4,) uint64 array, the words PCG64 seeds itself from.
     """
     words = [master_seed >> k & _MASK32 for k in range(0, max(master_seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words))
@@ -139,27 +137,30 @@ def _stream_states(master_seed: int, count: int) -> Iterator[tuple[int, int]]:
         pool, hc = _mix_in(pool, w, hc)
     for lo in range(0, count, _STATE_BLOCK):
         mixed, _ = _mix_in(pool, np.arange(lo, min(lo + _STATE_BLOCK, count), dtype=np.uint32), hc)
-        # generate_state: 8 uint32 words, paired little-endian into 4 uint64
-        out, h = [], _INIT_B
+        state = np.empty((len(mixed[0]), 8), dtype=np.uint32)
+        h = _INIT_B
         for k in range(8):
-            v, h = _hashmix(mixed[k % 4], h, _MULT_B)
-            out.append(v.astype(np.uint64))
-        seed_hi, seed_lo, seq_hi, seq_lo = (
-            (out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)
-        )
-        for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+            state[:, k], h = _hashmix(mixed[k % 4], h, _MULT_B)
+        # as numpy reads the uint32 words: little-endian pairs, then native uint64
+        yield from state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _reseeded(states: Iterator[tuple[int, int]]) -> Iterator[Generator]:
-    """One Generator, set in turn to each PCG64 (state, inc)."""
-    g = Generator(PCG64(0))
-    bg = g.bit_generator
-    for state, inc in states:
-        bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-        yield g
+class _SeedWords(ISeedSequence):
+    """One stream's `_stream_words` row, handed to PCG64 in place of its SeedSequence.
+
+    PCG64 asks its seed sequence for generate_state(4, uint64) once, at
+    construction, and runs its own setseq seeding on the answer, so
+    `PCG64(_SeedWords(row))` is in the same state as PCG64 built on the
+    SeedSequence the row came from.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -200,35 +201,51 @@ def _beta(a: float, b: float, g: Generator) -> float:
 # the Gaussian core: one routine for single draws and batches
 
 
-def _draw(params: EnsembleParams, g: Generator, core: np.ndarray) -> tuple[float, float]:
-    """One draw's variates, in the regime's stream order (part of the determinism contract).
+def _draw_packed(params: EnsembleParams, gens, count: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Packed entries (count, f) of `count` draws, one generator of `gens` per draw, and their xi.
 
-    Fills `core` (length f) with standard normals and returns the scalar
-    law's variates: (0, 0) at the Gaussian point, (xi, 0) on the heavy branch
-    (Gamma first, then the core), and (|v|^2, u) on the restricted branch
-    (the core, redrawn while it is all zero, then the Beta radius u).
+    The order of variates within a draw is part of the determinism contract.
+    Each draw fills its row with f standard normals; on the heavy branch the
+    Gamma variate xi comes first (redrawn while it underflows to 0), and on
+    the restricted branch the row is redrawn while it is all zero and the
+    Beta radius u follows it.  xi is None outside the heavy branch.
     """
+    core = np.empty((count, params.f))
     regime = params.regime
     if regime is Regime.GAUSSIAN:
-        g.standard_normal(out=core)
-        return 0.0, 0.0
+        for row, g in zip(core, gens):
+            g.standard_normal(out=row)
+        _scale(params, core, None, None)
+        return core, None
     if regime is Regime.LEVY_BRANCH:
-        xi = g.gamma(params.lam)
-        while xi == 0.0:  # underflow guard for very small shapes
-            xi = g.gamma(params.lam)
-        g.standard_normal(out=core)
-        return xi, 0.0
-    g.standard_normal(out=core)
-    sq = core.dot(core)
-    while sq == 0.0:
-        g.standard_normal(out=core)
-        sq = core.dot(core)
+        lam = params.lam
+        xis = []
+        for row, g in zip(core, gens):
+            xi = g.gamma(lam)
+            while xi == 0.0:  # underflow guard for very small shapes
+                xi = g.gamma(lam)
+            g.standard_normal(out=row)
+            xis.append(xi)
+        xi = np.array(xis, dtype=float)
+        _scale(params, core, xi, None)
+        return core, xi
     # second Beta parameter is 1/(1-q) + 1 = -(lambda + f/2) + 1, written in
     # lambda form so the q = -inf (bounded trace) limit lands on exactly 1
-    return sq, _beta(params.f / 2.0, 1.0 - (params.lam + params.f / 2.0), g)
+    shape_a, shape_b = params.f / 2.0, 1.0 - (params.lam + params.f / 2.0)
+    sqs, us = [], []
+    for row, g in zip(core, gens):
+        g.standard_normal(out=row)
+        sq = row.dot(row)
+        while sq == 0.0:
+            g.standard_normal(out=row)
+            sq = row.dot(row)
+        sqs.append(sq)
+        us.append(_beta(shape_a, shape_b, g))
+    _scale(params, core, np.array(sqs, dtype=float), np.array(us, dtype=float))
+    return core, None
 
 
-def _scale(params: EnsembleParams, core: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+def _scale(params: EnsembleParams, core: np.ndarray, a: np.ndarray | None, b: np.ndarray | None) -> None:
     """Turn the cores (count, f) into packed matrix entries, in place, for all draws at once.
 
     Gaussian and heavy rows hold the upper off-diagonal block, then the
@@ -261,39 +278,30 @@ def _scale(params: EnsembleParams, core: np.ndarray, a: np.ndarray, b: np.ndarra
 
 
 @functools.lru_cache(maxsize=64)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major upper off-diagonal indices of an n x n matrix (read-only)."""
-    iu = np.triu_indices(n, 1)
-    for a in iu:
-        a.setflags(write=False)
-    return iu
+def _entry_columns(n: int, restricted: bool) -> np.ndarray:
+    """Packed column of each entry of an n x n matrix, row-major (read-only).
+
+    Gaussian and heavy rows hold the upper off-diagonals (row-major), then
+    the diagonal; restricted rows hold the diagonal first.  Both triangles
+    of H read the same column.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    m = len(iu)
+    off, diag = (n, 0) if restricted else (0, m)
+    where = np.empty((n, n), dtype=np.intp)
+    where[iu, ju] = where[ju, iu] = off + np.arange(m)
+    where[np.arange(n), np.arange(n)] = diag + np.arange(n)
+    where = where.ravel()
+    where.setflags(write=False)
+    return where
 
 
 def _dense(params: EnsembleParams, packed: np.ndarray) -> np.ndarray:
-    """Symmetric (k, n, n) matrices from packed rows (k, f); both triangles share each value."""
+    """Symmetric (k, n, n) matrices, C-ordered, from packed rows (k, f)."""
     n = params.n
-    if params.regime is Regime.RESTRICTED_TRACE:
-        diag, off = packed[:, :n], packed[:, n:]
-    else:
-        off, diag = packed[:, : params.f - n], packed[:, params.f - n :]
-    h = np.zeros((len(packed), n, n))
-    iu, ju = _triu(n)
-    h[:, iu, ju] = off
-    h[:, ju, iu] = off
-    d = np.arange(n)
-    h[:, d, d] = diag
-    return h
-
-
-def _draw_packed(params: EnsembleParams, gens, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed entries (count, f) and first scalar variates (count,), one generator per draw."""
-    core = np.empty((count, params.f))
-    a = np.zeros(count)
-    b = np.zeros(count)
-    for i, g in enumerate(gens):
-        a[i], b[i] = _draw(params, g, core[i])
-    _scale(params, core, a, b)
-    return core, a
+    where = _entry_columns(n, params.regime is Regime.RESTRICTED_TRACE)
+    # np.take keeps the result C-ordered; packed[:, where] would not
+    return np.take(packed, where, axis=1).reshape(len(packed), n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,15 +325,19 @@ class SampleBatch(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+            ids = range(*index.indices(len(self)))
+            return list(map(self._sample, ids, _dense(self.params, self.packed[index])))
         i = operator.index(index)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"sample index {index} out of range for a batch of {len(self)}")
+        return self._sample(i, _dense(self.params, self.packed[i : i + 1])[0])
+
+    def _sample(self, i: int, h: np.ndarray) -> MatrixSample:
         xi = None if self.xi is None else float(self.xi[i])
-        return MatrixSample(h=_dense(self.params, self.packed[i : i + 1])[0], params=self.params, xi=xi,
-                            sample_index=i, seed_path=(self.master_seed, i))
+        return MatrixSample(h=h, params=self.params, xi=xi, sample_index=i,
+                            seed_path=(self.master_seed, i))
 
     @property
     def h(self) -> np.ndarray:
@@ -376,9 +388,9 @@ def sample_levy_stable(sigma: float, scale: float, rng, size: int | None = None)
 def sample_ensemble(params: EnsembleParams, rng, sample_index: int = 0) -> MatrixSample:
     """One draw from whatever member `params` describes, by the batch routine on one row."""
     g, path = _resolve_rng(rng)
-    packed, a = _draw_packed(params, [g], 1)
-    xi = float(a[0]) if params.regime is Regime.LEVY_BRANCH else None
-    return MatrixSample(h=_dense(params, packed)[0], params=params, xi=xi,
+    packed, xi = _draw_packed(params, [g], 1)
+    return MatrixSample(h=_dense(params, packed)[0], params=params,
+                        xi=None if xi is None else float(xi[0]),
                         sample_index=sample_index, seed_path=path)
 
 
@@ -392,17 +404,17 @@ def sample_batch(
 
     Draw i runs on PCG64(SeedSequence(master_seed, spawn_key=(i,))), the
     stream of `RngStream(master_seed, i)`, so it depends only on
-    (master_seed, i); the states of all streams are computed in bulk and set
-    on one reused Generator.  The seed must be a nonnegative integer and
-    count below 2**32, so that every id is one SeedSequence word.  `threads`
-    is accepted for compatibility and ignored: the draws run on one thread,
-    because the per-stream loop holds the interpreter lock and a thread pool
-    only slowed it down.
+    (master_seed, i).  Each stream's SeedSequence words are computed in bulk
+    and PCG64 seeds itself from them.  The seed must be a nonnegative integer
+    and count below 2**32, so that every id is one SeedSequence word.
+    `threads` is accepted for compatibility and ignored: the draws run on one
+    thread, because the per-stream loop holds the interpreter lock and a
+    thread pool only slowed it down.
     """
     master_seed = _nonnegative_int(master_seed, "master seed")
     count = _nonnegative_int(count, "count")
     if count >= 1 << 32:
         raise ParameterError(f"count must be below 2**32, got {count}")
-    packed, a = _draw_packed(params, _reseeded(_stream_states(master_seed, count)), count)
-    xi = a if params.regime is Regime.LEVY_BRANCH else None
+    gens = map(Generator, map(PCG64, map(_SeedWords, _stream_words(master_seed, count))))
+    packed, xi = _draw_packed(params, gens, count)
     return SampleBatch(params=params, packed=packed, xi=xi, master_seed=master_seed)

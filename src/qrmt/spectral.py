@@ -255,7 +255,8 @@ def tail_index(values, k: int | None = None) -> TailIndexEstimate:
         k = default_hill_k(n)
     if not 0 < k < n:
         raise ParameterError(f"need 0 < k < {n}, got k={k}")
-    top = np.sort(x)[n - k - 1 :]  # k largest plus the threshold order statistic
+    # k largest plus the threshold order statistic, ascending, as in a full sort
+    top = np.sort(np.partition(x, n - k - 1)[n - k - 1 :])
     logs = np.log(top)
     hill = float(np.mean(logs[1:] - logs[0]))
     if hill <= 0.0:

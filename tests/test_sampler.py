@@ -14,14 +14,15 @@ from scipy.special import stdtr
 
 from numpy.random import PCG64, SeedSequence
 
-from qrmt.params import EnsembleParams, ParameterError
+from qrmt.params import EnsembleParams, ParameterError, Regime
 from qrmt.sampler import (
     _STATE_BLOCK,
     MatrixSample,
     RngStream,
     SampleBatch,
+    _SeedWords,
     _beta,
-    _stream_states,
+    _stream_words,
     sample_batch,
     sample_ensemble,
     sample_goe,
@@ -260,12 +261,14 @@ def test_numpy_integer_seeds_are_accepted():
     assert RngStream(np.int64(4), np.uint32(2)).generator().random() == RngStream(4, 2).generator().random()
 
 
-def _numpy_states(seed: int, ids) -> list[tuple[int, int]]:
-    out = []
-    for i in ids:
-        st = PCG64(SeedSequence(seed, spawn_key=(i,))).state["state"]
-        out.append((st["state"], st["inc"]))
-    return out
+def _numpy_words(seed: int, ids) -> list[list[int]]:
+    return [SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64).tolist() for i in ids]
+
+
+def _words(seed: int, count: int) -> list[list[int]]:
+    rows = list(_stream_words(seed, count))
+    assert all(r.dtype == np.uint64 and r.shape == (4,) and r.flags.c_contiguous for r in rows)
+    return [r.tolist() for r in rows]
 
 
 # word boundaries of the seed: 1, 2, 4 (the pool size), 5 and 7 uint32 words
@@ -273,25 +276,27 @@ _ORACLE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**128 + 5,
 
 
 @pytest.mark.parametrize("seed", _ORACLE_SEEDS)
-def test_stream_states_match_numpy_seed_sequence(seed):
-    # the bulk derivation restates numpy's SeedSequence and PCG64 seeding; a
-    # numpy release that changes either fails here
-    assert list(_stream_states(seed, 40)) == _numpy_states(seed, range(40))
+def test_stream_words_match_numpy_seed_sequence(seed):
+    # the bulk derivation restates numpy's SeedSequence; a numpy release that
+    # changes it fails here
+    assert _words(seed, 40) == _numpy_words(seed, range(40))
+    for i, row in enumerate(_stream_words(seed, 3)):
+        assert PCG64(_SeedWords(row)).state == PCG64(SeedSequence(seed, spawn_key=(i,))).state
 
 
-def test_stream_states_across_blocks():
+def test_stream_words_across_blocks():
     count = 2 * _STATE_BLOCK + 3
-    states = list(_stream_states(12345, count))
-    assert len(states) == count
+    words = _words(12345, count)
+    assert len(words) == count
     ids = [0, _STATE_BLOCK - 1, _STATE_BLOCK, _STATE_BLOCK + 1, 2 * _STATE_BLOCK, count - 1]
-    assert [states[i] for i in ids] == _numpy_states(12345, ids)
-    assert list(_stream_states(12345, 0)) == []
+    assert [words[i] for i in ids] == _numpy_words(12345, ids)
+    assert list(_stream_words(12345, 0)) == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(min_value=0, max_value=2**300), count=st.integers(min_value=1, max_value=12))
-def test_stream_states_match_numpy_property(seed, count):
-    assert list(_stream_states(seed, count)) == _numpy_states(seed, range(count))
+def test_stream_words_match_numpy_property(seed, count):
+    assert _words(seed, count) == _numpy_words(seed, range(count))
 
 
 _REGIMES = [
@@ -352,6 +357,40 @@ def test_sample_batch_sequence_behaviour():
     with pytest.raises(IndexError):
         batch[-10]
     assert sample_batch(EnsembleParams.from_q(3, 0.0, alpha=1.0), 2, master_seed=1).xi is None
+
+
+def _scatter_dense(params, packed):
+    """Dense stack by zeros and three scatters, an independent construction to check the gather."""
+    n = params.n
+    if params.regime is Regime.RESTRICTED_TRACE:
+        diag, off = packed[:, :n], packed[:, n:]
+    else:
+        off, diag = packed[:, : params.f - n], packed[:, params.f - n :]
+    h = np.zeros((len(packed), n, n))
+    iu, ju = np.triu_indices(n, 1)
+    h[:, iu, ju] = off
+    h[:, ju, iu] = off
+    h[:, np.arange(n), np.arange(n)] = diag
+    return h
+
+
+@pytest.mark.parametrize("params", _REGIMES + [EnsembleParams.gaussian(1, 1.0), EnsembleParams.from_q(1, 0.5, 1.0)],
+                         ids=lambda p: f"{p.regime.value}-n{p.n}-lam{p.lam:g}")
+def test_dense_stack_is_c_ordered_scatter(params):
+    batch = sample_batch(params, 37, master_seed=77)
+    h = batch.h
+    assert h.flags.c_contiguous and h.shape == (37, params.n, params.n)
+    assert h.tobytes() == _scatter_dense(params, batch.packed).tobytes()
+
+
+@pytest.mark.parametrize("a,b", [(0, 9), (2, 7), (5, 5), (-4, None), (None, 3)])
+def test_slice_equals_single_items(a, b):
+    batch = sample_batch(EnsembleParams.from_q(4, 0.5, alpha=1.0), 9, master_seed=31)
+    part = batch[a:b]
+    single = [batch[i] for i in range(*slice(a, b).indices(len(batch)))]
+    assert [s.sample_index for s in part] == [s.sample_index for s in single]
+    assert [s.seed_path for s in part] == [s.seed_path for s in single]
+    assert [s.h.tobytes() for s in part] == [s.h.tobytes() for s in single]
 
 
 def test_sample_batch_chunks_cover_the_batch():

@@ -316,6 +316,17 @@ def test_tail_index_pareto():
     assert est.k == 1000
 
 
+@pytest.mark.parametrize("k", [1, 7, 1000, 19998])
+def test_tail_index_top_values_match_full_sort(k):
+    # partition-then-sort takes the same top k + 1 values, in the same order
+    g = RngStream(2027, 0).generator()
+    x = np.round(1.0 / g.uniform(size=20000), 2)  # rounded, so values repeat
+    top = np.sort(x)[len(x) - k - 1 :]
+    logs = np.log(top)
+    hill = float(np.mean(logs[1:] - logs[0]))
+    assert tail_index(x, k=k).index == 1.0 / hill
+
+
 def test_tail_index_uses_default_k():
     g = RngStream(2026, 1).generator()
     est = tail_index(1.0 / g.uniform(size=20000))
