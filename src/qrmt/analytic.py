@@ -614,18 +614,12 @@ def _mehta_integral(n: int) -> float:
     return out
 
 
-def _goe_joint_norm(n: int) -> float:
-    """Normalization of exp(-sum E^2/2) prod |E_j - E_i| (alpha = 1/2 units)."""
-    if n > 4:
-        raise ParameterError("joint eigenvalue density is implemented for n <= 4")
-    return 1.0 / _mehta_integral(n)
-
-
 @lru_cache(maxsize=128)
 def _joint_log_const(params: EnsembleParams) -> float:
     """log of the joint density's constant factor; a function of params alone."""
     n, f, a = params.n, params.f, params.alpha
-    log_goe = math.log(_goe_joint_norm(n))
+    # log of the normalization of exp(-sum E^2/2) prod |E_j - E_i| (alpha = 1/2 units)
+    log_goe = math.log(1.0 / _mehta_integral(n))
     if params.regime is Regime.GAUSSIAN:
         return log_goe + 0.5 * f * math.log(2.0 * a)
     lam = params.lam

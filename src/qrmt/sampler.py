@@ -171,6 +171,7 @@ class MatrixSample:
     params: EnsembleParams
     # Gamma mixing variable; None outside the heavy-tailed branch
     xi: float | None
+    # the stream id; 0 when drawn from a bare Generator
     sample_index: int
     # (master_seed, stream_id) when drawn from an RngStream, else None
     seed_path: tuple[int, int] | None
@@ -385,13 +386,13 @@ def sample_levy_stable(sigma: float, scale: float, rng, size: int | None = None)
     return float(out) if size is None else out
 
 
-def sample_ensemble(params: EnsembleParams, rng, sample_index: int = 0) -> MatrixSample:
+def sample_ensemble(params: EnsembleParams, rng) -> MatrixSample:
     """One draw from whatever member `params` describes, by the batch routine on one row."""
     g, path = _resolve_rng(rng)
     packed, xi = _draw_packed(params, [g], 1)
     return MatrixSample(h=_dense(params, packed)[0], params=params,
                         xi=None if xi is None else float(xi[0]),
-                        sample_index=sample_index, seed_path=path)
+                        sample_index=0 if path is None else path[1], seed_path=path)
 
 
 def sample_batch(

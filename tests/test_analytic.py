@@ -6,6 +6,7 @@ Oracles used here:
     characteristic function;
   * an independent change-of-variable quadrature for the gap probability,
     integrating in the GOE argument rather than the mixture weight;
+  * the bulk gap law's regularized incomplete beta closed form;
   * scipy ordered-region quadrature for the joint eigenvalue masses.
 """
 import hashlib
@@ -16,14 +17,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.integrate import IntegrationWarning
-from scipy.special import erfc, gammaln, stdtr
+from scipy.special import betainc, erfc, gammaln, stdtr
 
 from oracles import MEHTA_INTEGRALS, fourier_char_fn
 
 from qrmt.analytic import (
     AnalyticCurve,
     _goe_integrand,
-    _goe_joint_norm,
     _joint_log_const,
     _level_density_consts,
     _mehta_integral,
@@ -379,11 +379,29 @@ def test_gap_probability_bulk_closed_form_lam1():
         )
 
 
+def _bulk_beta(s, lam: float):
+    """The bulk law in closed form: E(s) = I_{1/(1+b^2)}(lam, 1/2).
+
+    With b = s (sqrt(pi)/2) Gamma(lam)/Gamma(lam + 1/2), polar coordinates in
+    (sqrt(xi), u) turn the Gamma average of erfc(b sqrt(xi)) into the
+    regularized incomplete beta function; at lam = 1, b = s and
+    I_x(1, 1/2) = 1 - s/sqrt(1 + s^2).
+    """
+    b = np.asarray(s) * math.sqrt(math.pi) / 2.0 * math.exp(gammaln(lam) - gammaln(lam + 0.5))
+    return betainc(lam, 0.5, 1.0 / (1.0 + b * b))
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("lam", [0.5, 1.5, 2.0, 3.0, 10.0])
 def test_gap_probability_bulk_against_oracle(lam):
     for s in (0.1, 1.0, 3.0, 8.0):
         assert gap_probability_bulk(s, lam) == pytest.approx(_bulk_oracle(s, lam), abs=1e-9)
+        assert gap_probability_bulk(s, lam) == pytest.approx(_bulk_beta(s, lam), abs=1e-9)
+
+
+def test_gap_probability_bulk_lam1_branch_is_the_beta_identity():
+    s = np.linspace(0.0, 10.0, 201)
+    assert np.max(np.abs(gap_probability_bulk(s, 1.0) - _bulk_beta(s, 1.0))) < 1e-15
 
 
 def test_gap_probability_bulk_tail_power_law():
@@ -648,7 +666,7 @@ def test_joint_density_n4_norm_is_fast_and_exact():
     val = joint_eigen_density([-1.0, 0.2, 0.5, 1.7], p)
     assert time.process_time() - t0 < 0.1
     assert isinstance(val, float) and val > 0.0
-    assert _goe_joint_norm(4) * MEHTA_INTEGRALS[4] == pytest.approx(1.0, rel=1e-12)
+    assert 1.0 / _mehta_integral(4) * MEHTA_INTEGRALS[4] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_joint_density_matches_numpy_reference_bit_for_bit():
@@ -680,7 +698,7 @@ def test_joint_density_matches_numpy_reference_bit_for_bit():
 
 
 def test_goe_joint_norm_n2_closed_form():
-    assert _goe_joint_norm(2) == pytest.approx(1.0 / (4 * math.sqrt(math.pi)), rel=1e-10)
+    assert 1.0 / _mehta_integral(2) == pytest.approx(1.0 / (4 * math.sqrt(math.pi)), rel=1e-10)
 
 
 def test_joint_density_n1_reduces_to_element_law():

@@ -250,12 +250,9 @@ def test_exit_5_on_level_density_overflow(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["gap", "--n", "5", "--lambda", "2", "--theta-max", "inf"],
     ["density", "--n", "5", "--lambda", "2", "--grid=0:inf:5"],
-    ["verify", "--suite", "specfun", "--tolerance-scale", "nan"],
-], ids=["theta-max", "grid", "tolerance-scale"])
+], ids=["theta-max", "grid"])
 def test_exit_2_on_nonfinite_numbers(argv, tmp_path, capsys):
-    if argv[0] != "verify":
-        argv = argv + ["--out", str(tmp_path)]
-    code, out, err = run(argv, capsys)
+    code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
     assert out == ""
@@ -511,17 +508,26 @@ def test_verify_analytic_joint_density_call_budget(monkeypatch, capsys):
     assert 0 < calls < 50_000
 
 
-def test_verify_zero_tolerance_fails(capsys):
-    code, out, _ = run(
-        ["verify", "--suite", "specfun", "--tolerance-scale", "0"], capsys
-    )
+def test_verify_zero_tolerance_fails(monkeypatch, capsys):
+    # every check can fail: at tolerance 0 none of them passes
+    check = qrmt.cli._check
+    monkeypatch.setattr(qrmt.cli, "_check",
+                        lambda name, metric, tol, detail="": check(name, metric, 0.0, detail))
+    code, out, _ = run(["verify", "--suite", "all"], capsys)
     assert code == 4
-    assert "not ok" in out
+    assert out.endswith("# 0/31 passed\n")
 
 
-def test_verify_negative_tolerance_rejected(capsys):
-    code, _, err = run(["verify", "--tolerance-scale", "-1"], capsys)
+@pytest.mark.parametrize("flag, argv", [
+    ("--tolerance-scale", ["verify", "--tolerance-scale", "1"]),
+    ("--threads", ["reproduce", "fig2", "--samples", "50", "--threads", "2", "--out", "d"]),
+], ids=["verify-tolerance-scale", "reproduce-threads"])
+def test_removed_options_are_rejected(flag, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
     assert code == 2
+    assert out == "" and f"unrecognized arguments: {flag}" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_manifest_mode(tmp_path, capsys):

@@ -207,6 +207,8 @@ def test_sample_ensemble_dispatch():
     assert sample_ensemble(lv, RngStream(6, 0)).xi is not None
     rt = EnsembleParams.from_q(3, 0.0, alpha=1.0)
     assert sample_ensemble(rt, RngStream(6, 0)).xi is None
+    bare = sample_ensemble(rt, np.random.default_rng(6))
+    assert bare.sample_index == 0 and bare.seed_path is None
 
 
 def test_batch_threads_do_not_change_draws():
@@ -328,7 +330,8 @@ def _assert_rows_equal_single_draws(params, seed):
     dense = batch.h
     assert dense.shape == (count, params.n, params.n)
     for i in range(count):
-        one = sample_ensemble(params, RngStream(seed, i), i)
+        one = sample_ensemble(params, RngStream(seed, i))
+        assert one.sample_index == i and one.seed_path == (seed, i)
         assert one.h.tobytes() == dense[i].tobytes()
         assert one.xi == batch[i].xi
     if params.lam == 0.001:
