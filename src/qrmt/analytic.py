@@ -112,19 +112,21 @@ def log_partition(params: EnsembleParams) -> float:
     return 0.5 * f * math.log(math.pi * al / a) + ln_gamma(1.0 + al - f / 2.0) - ln_gamma(1.0 + al)
 
 
+def _log_weight(params: EnsembleParams, t: float) -> float:
+    """log of the unnormalised matrix density at tr H^2 = t; -inf outside the restricted-trace ball."""
+    if params.regime is Regime.GAUSSIAN:
+        return -params.alpha * t
+    u = (params.alpha / params.lam) * t
+    if 1.0 + u <= 0.0:
+        return -math.inf
+    # exponent 1/(1-q) equals -(lambda + f/2) on both branches
+    return -(params.lam + params.f / 2.0) * math.log1p(u)
+
+
 def matrix_pdf(h: np.ndarray, params: EnsembleParams) -> float:
     """Matrix density at h; depends on h only through tr h^2 (rotation invariant)."""
     h = np.asarray(h, dtype=float)
-    t = float(np.sum(h * h))
-    log_z = log_partition(params)
-    if params.regime is Regime.GAUSSIAN:
-        return math.exp(-params.alpha * t - log_z)
-    lam, f = params.lam, params.f
-    u = (params.alpha / lam) * t
-    if 1.0 + u <= 0.0:  # outside the restricted-trace ball
-        return 0.0
-    # exponent 1/(1-q) equals -(lambda + f/2) on both branches
-    return math.exp(-(lam + f / 2.0) * math.log1p(u) - log_z)
+    return math.exp(_log_weight(params, float(np.sum(h * h))) - log_partition(params))
 
 
 # ---------------------------------------------------------------------------
@@ -616,28 +618,26 @@ def _mehta_integral(n: int) -> float:
 
 @lru_cache(maxsize=128)
 def _joint_log_const(params: EnsembleParams) -> float:
-    """log of the joint density's constant factor; a function of params alone."""
-    n, f, a = params.n, params.f, params.alpha
-    # log of the normalization of exp(-sum E^2/2) prod |E_j - E_i| (alpha = 1/2 units)
-    log_goe = math.log(1.0 / _mehta_integral(n))
-    if params.regime is Regime.GAUSSIAN:
-        return log_goe + 0.5 * f * math.log(2.0 * a)
-    lam = params.lam
-    if params.regime is Regime.LEVY_BRANCH:
-        return 0.5 * f * math.log(2.0 * a / lam) + ln_gamma(lam + f / 2.0) - ln_gamma(lam) + log_goe
-    al = -lam
-    return 0.5 * f * math.log(2.0 * a / al) + ln_gamma(1.0 + al) - ln_gamma(1.0 + al - f / 2.0) + log_goe
+    """log of the joint density's constant factor; a function of params alone.
+
+    The joint density is the matrix density at diag(E) times |Vandermonde(E)|
+    times the eigenvector volume, which does not depend on the regime.  The
+    GOE at alpha = 1/2 fixes that volume: its matrix density normalises with
+    (2 pi)^(f/2), and its eigenvalue density with Mehta's integral.
+    """
+    log_goe = 0.5 * params.f * math.log(2.0 * math.pi) - math.log(_mehta_integral(params.n))
+    return log_goe - log_partition(params)
 
 
 def joint_eigen_density(evals, params: EnsembleParams) -> float:
     """Joint density of the n eigenvalues (n <= 4), symmetric in its arguments.
 
-    The normalization ties the branch constant to the Gaussian one, which is
-    Mehta's integral in closed form; the n = 2 two-dimensional integral of
+    The matrix density at diag(E) times |Vandermonde(E)| times the volume
+    factor fixed in _joint_log_const; the n = 2 two-dimensional integral of
     this density is one of the acceptance checks.
     """
     e = sorted(map(float, evals))
-    n, f, a = params.n, params.f, params.alpha
+    n = params.n
     if len(e) != n:
         raise ParameterError(f"expected {n} eigenvalues, got {len(e)}")
     if n > 4:
@@ -649,11 +649,4 @@ def joint_eigen_density(evals, params: EnsembleParams) -> float:
         ssq += e[i] * e[i]
         for j in range(i + 1, n):
             vander *= abs(e[j] - e[i])
-    log_k = _joint_log_const(params)
-    if params.regime is Regime.GAUSSIAN:
-        return math.exp(log_k - a * ssq) * vander
-    lam = params.lam
-    u = (a / lam) * ssq
-    if 1.0 + u <= 0.0:
-        return 0.0
-    return math.exp(log_k - (lam + f / 2.0) * math.log1p(u)) * vander
+    return math.exp(_joint_log_const(params) + _log_weight(params, ssq)) * vander

@@ -22,14 +22,7 @@ import numpy as np
 from . import __version__
 from . import analytic as an
 from . import spectral as sp
-from .params import (
-    EnsembleParams,
-    MarginalTailError,
-    NumericalError,
-    ParameterError,
-    Regime,
-    RegimeError,
-)
+from .params import EnsembleParams, NumericalError, ParameterError, Regime
 # sample_goe is not called here, but it stays a name of this module: the
 # benchmark's tracer counts the draws made through qrmt.cli.sample_goe
 from .sampler import (  # noqa: F401
@@ -316,16 +309,14 @@ def cmd_curve(args) -> int:
 
 
 def _mass_quantiles(params: EnsembleParams, *one_sided: float) -> tuple[float, ...]:
-    """For each one_sided, x with (fraction of eigenvalue mass in [-x, x]) = 1 - 2*one_sided."""
-    if params.regime is Regime.LEVY_BRANCH:
-        base = math.sqrt(params.n / params.alpha)
-        grid = np.unique(
-            np.concatenate(
-                [np.linspace(0.0, 3.0 * base, 900), np.geomspace(3.0 * base, 3000.0 * base, 600)]
-            )
-        )
-    else:
-        grid = np.linspace(0.0, math.sqrt(params.n / params.alpha), 900)
+    """For each one_sided, x with (fraction of eigenvalue mass in [-x, x]) = 1 - 2*one_sided.
+
+    Heavy-tailed members only: the grid reaches 3000 semicircle radii.
+    """
+    base = math.sqrt(params.n / params.alpha)
+    grid = np.unique(
+        np.concatenate([np.linspace(0.0, 3.0 * base, 900), np.geomspace(3.0 * base, 3000.0 * base, 600)])
+    )
     rho = np.asarray(an.level_density(grid, params), dtype=float)
     cum = integrate.cumulative_trapezoid(rho, grid, initial=0.0) / params.n  # one-sided mass
     return tuple(float(np.interp(0.5 - tail, cum, grid)) for tail in one_sided)
@@ -808,7 +799,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ParameterError, RegimeError, MarginalTailError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -108,6 +108,17 @@ def test_matrix_pdf_outside_support_is_zero():
     assert matrix_pdf(big, p) == 0.0
 
 
+def test_matrix_pdf_gaussian_closed_form():
+    # (a/pi)^(f/2) exp(-a tr H^2)
+    g = RngStream(18, 0).generator()
+    for n, a in ((1, 1.0), (3, 0.7)):
+        p = EnsembleParams.gaussian(n, alpha=a)
+        h = g.normal(size=(n, n))
+        h = h + h.T
+        ref = (a / math.pi) ** (p.f / 2.0) * math.exp(-a * float(np.sum(h * h)))
+        assert matrix_pdf(h, p) == pytest.approx(ref, rel=1e-13)
+
+
 # ----------------------------------------------------------------- elements
 
 def test_element_pdf_mass_all_regimes():
@@ -159,6 +170,24 @@ def test_element_cdf_matches_pdf_derivative():
         h = 1e-6
         deriv = (element_cdf(x + h, p) - element_cdf(x - h, p)) / (2 * h)
         assert deriv == pytest.approx(element_pdf(x, p), rel=1e-6)
+
+
+def test_element_cdf_and_char_fn_gaussian_closed_forms():
+    # a = alpha on the diagonal, 2 alpha off it: 1/2 (1 + erf(sqrt(a) x)) and exp(-k^2/(4 a))
+    p = EnsembleParams.gaussian(3, alpha=0.8)
+    for entry, a in (("diag", 0.8), ("offdiag", 1.6)):
+        for x in (-2.0, -0.3, 0.0, 0.7, 3.1):
+            assert element_cdf(x, p, entry) == pytest.approx(0.5 * (1.0 + math.erf(math.sqrt(a) * x)),
+                                                             abs=1e-15)
+        for k in (0.0, 0.4, 1.0, 6.0):
+            assert element_char_fn(k, p, entry) == pytest.approx(math.exp(-k * k / (4.0 * a)), rel=1e-14)
+
+
+def test_element_laws_typed_errors():
+    with pytest.raises(RegimeError):
+        element_char_fn(1.0, rt_params(3, 8.0, 1.0))
+    with pytest.raises(ParameterError, match="entry"):
+        element_pdf(0.5, EnsembleParams.from_lambda(3, 1.5, alpha=0.8), entry="bogus")
 
 
 def test_element_char_fn_cauchy_exponential():
@@ -222,6 +251,19 @@ def test_semicircle_density():
     val, _ = integrate.quad(lambda e: semicircle_density(e, 4, 0.5), -np.sqrt(8), np.sqrt(8))
     assert val == pytest.approx(4.0, rel=1e-10)
     assert semicircle_density(10.0, 4, 0.5) == 0.0
+
+
+def test_semicircle_density_rejects_empty_dimension():
+    with pytest.raises(ParameterError):
+        semicircle_density(0.0, 0, 1.0)
+
+
+def test_mixture_and_gap_laws_reject_gaussian_params():
+    pg = EnsembleParams.gaussian(4, alpha=1.0)
+    with pytest.raises(RegimeError):
+        level_density_mixture(0.5, pg)
+    with pytest.raises(RegimeError):
+        gap_probability(0.5, pg)
 
 
 def test_level_density_peak_value():
@@ -695,6 +737,27 @@ def test_joint_density_matches_numpy_reference_bit_for_bit():
                 for _ in range(100):
                     evals = rng.standard_normal(n) * scale
                     assert joint_eigen_density(evals, p) == reference(evals, p)
+
+
+def test_joint_log_const_equals_per_regime_closed_forms():
+    # each regime's constant on its own: the Gaussian (2 a)^(f/2) / I_n and
+    # the Student-t and Beta normalisations of the two branches
+    def closed_form(p):
+        n, f, a = p.n, p.f, p.alpha
+        log_goe = -math.log(MEHTA_INTEGRALS[n])
+        if p.regime is Regime.GAUSSIAN:
+            return log_goe + 0.5 * f * math.log(2.0 * a)
+        if p.regime is Regime.LEVY_BRANCH:
+            lam = p.lam
+            return 0.5 * f * math.log(2.0 * a / lam) + gammaln(lam + f / 2.0) - gammaln(lam) + log_goe
+        al = -p.lam
+        return 0.5 * f * math.log(2.0 * a / al) + gammaln(1.0 + al) - gammaln(1.0 + al - f / 2.0) + log_goe
+
+    for n in (1, 2, 3, 4):
+        for p in (EnsembleParams.gaussian(n, alpha=0.7), EnsembleParams.from_lambda(n, 0.3, alpha=1.3),
+                  EnsembleParams.from_lambda(n, 40.0, alpha=0.5), EnsembleParams.from_q(n, 0.5, alpha=1.1),
+                  EnsembleParams.from_q(n, -math.inf, alpha=0.9)):
+            assert abs(_joint_log_const(p) - closed_form(p)) <= 5e-14, (n, p.regime, p.lam)
 
 
 def test_goe_joint_norm_n2_closed_form():

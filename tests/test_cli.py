@@ -193,6 +193,16 @@ def test_gaussian_density_via_q_flag(tmp_path, capsys):
     assert np.allclose(v, semicircle_density(x, 10, 0.5), atol=1e-12)
 
 
+def test_gaussian_density_default_grid_spans_the_semicircle(tmp_path, capsys):
+    # --alpha auto on the Gaussian member is n/2, so the grid is +-1.2 sqrt(2)
+    out = str(tmp_path / "d1")
+    code, _, _ = run(["density", "--n", "5", "--q", "1", "--out", out], capsys)
+    assert code == 0
+    x, _ = _read_curve_csv(os.path.join(out, "curve.csv"))
+    lim = 1.2 * math.sqrt(5 / 2.5)
+    assert len(x) == 201 and x[0] == -lim and x[-1] == lim
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_exit_2_on_q_above_qmax(tmp_path, capsys):
@@ -218,6 +228,15 @@ def test_exit_2_on_bad_grid(tmp_path, capsys):
          "--out", str(tmp_path)], capsys,
     )
     assert code == 2
+
+
+def test_exit_2_on_grid_without_a_count(tmp_path, capsys):
+    out = tmp_path / "d"
+    code, stdout, err = run(["density", "--n", "3", "--lambda", "1.0", "--grid=1:2", "--out", str(out)],
+                            capsys)
+    assert code == 2
+    assert err == "error: grid must be 'min:max:count', got '1:2'\n"
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("q", ["1.0", "0.5"])

@@ -247,6 +247,40 @@ def test_empirical_gap_analytic_pairing_needs_heavy_branch():
         empirical_gap(b, np.array([-0.1]))
 
 
+def _gap_counts_by_loop(batch, thetas):
+    """e and s counts of empirical_gap, one count_nonzero per theta."""
+    absvals = np.abs(batch.spectra)
+    smallest = absvals.min(axis=1)
+    m = batch.count
+    e = np.array([np.count_nonzero(smallest >= th) / m for th in thetas])
+    s = np.array([np.count_nonzero(absvals < th) / m for th in thetas])
+    return e, s
+
+
+@pytest.mark.parametrize("n", [2, 10, 40])
+def test_empirical_gap_counts_equal_per_theta_loop(n):
+    p = EnsembleParams.from_lambda(n, 1.5, alpha="auto")
+    b = _batch(p, 300, seed=47)
+    mags = np.sort(np.abs(b.spectra), axis=None)
+    # at magnitudes (ties with the window edge), between them, and beyond both ends
+    thetas = np.concatenate([[0.0], mags[::97], 0.5 * (mags[:-1:89] + mags[1::89]), [2.0 * mags[-1], np.inf]])
+    e_ref, s_ref = _gap_counts_by_loop(b, thetas)
+    ge = empirical_gap(b, thetas, s_source="empirical")
+    assert ge.e_hat.tobytes() == e_ref.tobytes()
+    assert ge.s_hat.tobytes() == s_ref.tobytes()
+    few = thetas[[0, 3, -3]]
+    ga = empirical_gap(b, few)
+    assert ga.e_hat.tobytes() == _gap_counts_by_loop(b, few)[0].tobytes()
+    assert ga.s_hat.tobytes() == np.array([an.mean_count(float(th), p) for th in few]).tobytes()
+
+
+@pytest.mark.parametrize("s_source", ["analytic", "empirical"])
+def test_empirical_gap_rejects_nan_theta(s_source):
+    b = _batch(EnsembleParams.from_lambda(4, 1.5, alpha=1.0), 20, seed=48)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        empirical_gap(b, np.array([0.1, np.nan]), s_source=s_source)
+
+
 # ---------------------------------------------------------------- spacings
 
 def test_nn_spacings_unit_mean_and_window():
