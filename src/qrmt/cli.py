@@ -60,13 +60,13 @@ __all__ = ["main", "RunManifest"]
 class RunManifest:
     """Run metadata with content digests; field order in the JSON is fixed.
 
-    Creates the run's output directory; every file of the run is written
-    through `add`, so each one is listed, in write order, with its sha256.
+    Every file of the run is written through `add`, so each one is listed, in
+    write order, with its sha256.  The output directory is created by the
+    first `add`, so a run that fails before writing anything leaves none.
     """
 
     def __init__(self, out_dir: str, command: str, params: EnsembleParams | None,
                  master_seed: int | None, sample_count: int | None):
-        os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.tool_version = __version__
         self.command = command
@@ -79,6 +79,7 @@ class RunManifest:
 
     def add(self, name: str, writer, *args, **kwargs) -> str:
         """Write `name` in the run directory by writer(path, *args, **kwargs); record its sha256."""
+        os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         writer(path, *args, **kwargs)
         self.outputs.append({"path": name, "sha256": _sha256(path)})

@@ -146,38 +146,57 @@ def alpha_scaling(n: int, sigma: float) -> float:
 class EnsembleParams:
     """Validated parameter bundle; immutable and safe to share across threads.
 
+    A member is fixed by (n, q, lam, alpha): those are the only constructor
+    inputs, and equality and hashing use them alone.  The derived fields are
+    set from them on construction, so `dataclasses.replace` re-derives them.
     Build instances through :meth:`from_q`, :meth:`from_lambda` or
-    :meth:`gaussian`; the raw constructor performs only consistency checks.
-    A member is fixed by (n, q, lam, alpha), so equality and hashing use those
-    four fields and skip the derived ones.
+    :meth:`gaussian`, which also check that q and lam agree.
     """
 
     n: int
-    # independent element count, n(n+1)/2
-    f: int = field(compare=False)
     # entropic index; 1 for the Gaussian regime, may be -inf (bounded trace)
     q: float
     # shape parameter 1/(q-1) - f/2; +inf in the Gaussian regime
     lam: float
-    # confinement scale, > 0
+    # confinement scale, > 0; a number, or "auto"/None for alpha_scaling
     alpha: float
+    # independent element count, n(n+1)/2
+    f: int = field(init=False, compare=False)
     # norm target f/(2 alpha), derived metadata only
-    mu: float = field(compare=False)
-    regime: Regime = field(compare=False)
+    mu: float = field(init=False, compare=False)
+    regime: Regime = field(init=False, compare=False)
     # tail exponent; None on the restricted-trace branch where no tail exists
-    sigma: float | None = field(compare=False)
+    sigma: float | None = field(init=False, compare=False)
     # tail coefficient; None unless 0 < lambda < 1 or lambda > 1
-    big_lambda: float | None = field(compare=False)
+    big_lambda: float | None = field(init=False, compare=False)
     # characteristic energy sqrt(n lam / alpha); heavy-tailed branch only
-    e_char: float | None = field(compare=False)
+    e_char: float | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"matrix dimension must be >= 1, got {self.n}")
-        if self.f != self.n * (self.n + 1) // 2:
-            raise ParameterError(f"f = {self.f} does not match n(n+1)/2 for n = {self.n}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
+        """Derive every other field from (n, q, lam, alpha).
+
+        The regime follows from lam alone: +inf at q = 1, negative below it,
+        positive on the heavy-tailed branch (where q itself may round to 1).
+        """
+        f, lam = dof(self.n), self.lam
+        sigma = big_lambda = e_char = None
+        if lam == math.inf:
+            regime, sigma = Regime.GAUSSIAN, 2.0
+        elif lam < 0:
+            regime = Regime.RESTRICTED_TRACE
+        else:
+            regime = Regime.LEVY_BRANCH
+            try:
+                sigma, big_lambda = tail_params(lam)
+            except MarginalTailError:
+                sigma = 2.0  # lambda = 1: scaling convention only
+        alpha = self._resolve_alpha(self.n, self.alpha, sigma)
+        if regime is Regime.LEVY_BRANCH:
+            e_char = math.sqrt(self.n * lam / alpha)
+        for name, value in (("f", f), ("alpha", alpha), ("mu", f / (2.0 * alpha)),
+                            ("regime", regime), ("sigma", sigma),
+                            ("big_lambda", big_lambda), ("e_char", e_char)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_q(cls, n: int, q: float, alpha: float | str | None = None) -> "EnsembleParams":
@@ -191,7 +210,7 @@ class EnsembleParams:
                     f"q = {q} is not below q_max = {q_max(f)} for n = {n} (f = {f})"
                 )
         lam = math.inf if q == 1 else lambda_from_q(q, f)
-        return cls._build(n, f, q, lam, alpha)
+        return cls(n, q, lam, alpha)
 
     @classmethod
     def from_lambda(cls, n: int, lam: float, alpha: float | str | None = None) -> "EnsembleParams":
@@ -204,9 +223,8 @@ class EnsembleParams:
             raise ParameterError(
                 f"from_lambda requires lambda > 0 (heavy-tailed branch), got {lam}"
             )
-        f = dof(n)
         # lam is stored exactly (no q round-trip noise)
-        return cls._build(n, f, q_from_lambda(lam, f), lam, alpha)
+        return cls(n, q_from_lambda(lam, dof(n)), lam, alpha)
 
     @classmethod
     def gaussian(cls, n: int, alpha: float | str | None = None) -> "EnsembleParams":
@@ -225,29 +243,6 @@ class EnsembleParams:
         if not (alpha > 0.0 and math.isfinite(alpha)):
             raise ParameterError(f"alpha must be positive and finite, got {alpha}")
         return alpha
-
-    @classmethod
-    def _build(cls, n: int, f: int, q: float, lam: float, alpha) -> "EnsembleParams":
-        """The member (n, q, lam, alpha) with every derived field, from validated inputs.
-
-        The regime follows from lam alone: +inf at q = 1, negative below it,
-        positive on the heavy-tailed branch (where q itself may round to 1).
-        """
-        sigma = big_lambda = e_char = None
-        if lam == math.inf:
-            regime, sigma = Regime.GAUSSIAN, 2.0
-        elif lam < 0:
-            regime = Regime.RESTRICTED_TRACE
-        else:
-            regime = Regime.LEVY_BRANCH
-            try:
-                sigma, big_lambda = tail_params(lam)
-            except MarginalTailError:
-                sigma = 2.0  # lambda = 1: scaling convention only
-        alpha = cls._resolve_alpha(n, alpha, sigma)
-        if regime is Regime.LEVY_BRANCH:
-            e_char = math.sqrt(n * lam / alpha)
-        return cls(n, f, q, lam, alpha, f / (2.0 * alpha), regime, sigma, big_lambda, e_char)
 
     def as_dict(self) -> dict:
         """JSON-safe field dump (non-finite floats become strings)."""

@@ -171,10 +171,13 @@ class MatrixSample:
     params: EnsembleParams
     # Gamma mixing variable; None outside the heavy-tailed branch
     xi: float | None
-    # the stream id; 0 when drawn from a bare Generator
-    sample_index: int
     # (master_seed, stream_id) when drawn from an RngStream, else None
     seed_path: tuple[int, int] | None
+
+    @property
+    def sample_index(self) -> int:
+        """The stream id; 0 when drawn from a bare Generator."""
+        return 0 if self.seed_path is None else self.seed_path[1]
 
     def trace_sq(self) -> float:
         return float(np.sum(self.h * self.h))
@@ -208,47 +211,10 @@ def _draw_packed(params: EnsembleParams, gens, count: int) -> tuple[np.ndarray, 
     The order of variates within a draw is part of the determinism contract.
     Each draw fills its row with f standard normals; on the heavy branch the
     Gamma variate xi comes first (redrawn while it underflows to 0), and on
-    the restricted branch the row is redrawn while it is all zero and the
+    the restricted branch the row v is redrawn while it is all zero and the
     Beta radius u follows it.  xi is None outside the heavy branch.
-    """
-    core = np.empty((count, params.f))
-    regime = params.regime
-    if regime is Regime.GAUSSIAN:
-        for row, g in zip(core, gens):
-            g.standard_normal(out=row)
-        _scale(params, core, None, None)
-        return core, None
-    if regime is Regime.LEVY_BRANCH:
-        lam = params.lam
-        xis = []
-        for row, g in zip(core, gens):
-            xi = g.gamma(lam)
-            while xi == 0.0:  # underflow guard for very small shapes
-                xi = g.gamma(lam)
-            g.standard_normal(out=row)
-            xis.append(xi)
-        xi = np.array(xis, dtype=float)
-        _scale(params, core, xi, None)
-        return core, xi
-    # second Beta parameter is 1/(1-q) + 1 = -(lambda + f/2) + 1, written in
-    # lambda form so the q = -inf (bounded trace) limit lands on exactly 1
-    shape_a, shape_b = params.f / 2.0, 1.0 - (params.lam + params.f / 2.0)
-    sqs, us = [], []
-    for row, g in zip(core, gens):
-        g.standard_normal(out=row)
-        sq = row.dot(row)
-        while sq == 0.0:
-            g.standard_normal(out=row)
-            sq = row.dot(row)
-        sqs.append(sq)
-        us.append(_beta(shape_a, shape_b, g))
-    _scale(params, core, np.array(sqs, dtype=float), np.array(us, dtype=float))
-    return core, None
 
-
-def _scale(params: EnsembleParams, core: np.ndarray, a: np.ndarray | None, b: np.ndarray | None) -> None:
-    """Turn the cores (count, f) into packed matrix entries, in place, for all draws at once.
-
+    Each branch then scales the rows it drew, for all draws at once.
     Gaussian and heavy rows hold the upper off-diagonal block, then the
     diagonal: density exp(-alpha tr H^2) fixes the element variances at
     1/(4 alpha) and 1/(2 alpha), with alpha * xi / lambda on the heavy branch.
@@ -259,23 +225,49 @@ def _scale(params: EnsembleParams, core: np.ndarray, a: np.ndarray | None, b: np
     the entries are byte-identical to per-draw assembly.
     """
     n, m = params.n, params.f - params.n
-    # extreme mixing variables at tiny lambda overflow to inf here; the
-    # spectral layer reports such draws as a typed error
+    core = np.empty((count, params.f))
+    xi = None
+    # extreme mixing variables at tiny lambda overflow to inf while scaling;
+    # the spectral layer reports such draws as a typed error
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if params.regime is Regime.RESTRICTED_TRACE:
-            radius = np.sqrt(b * (-params.lam) / params.alpha)
+        if params.regime is Regime.GAUSSIAN:
+            for row, g in zip(core, gens):
+                g.standard_normal(out=row)
+            alpha = np.full(count, params.alpha)
+        elif params.regime is Regime.LEVY_BRANCH:
+            lam = params.lam
+            xis = []
+            for row, g in zip(core, gens):
+                xi = g.gamma(lam)
+                while xi == 0.0:  # underflow guard for very small shapes
+                    xi = g.gamma(lam)
+                g.standard_normal(out=row)
+                xis.append(xi)
+            xi = np.array(xis, dtype=float)
+            alpha = params.alpha * xi / lam
+        else:
+            # second Beta parameter is 1/(1-q) + 1 = -(lambda + f/2) + 1, written
+            # in lambda form so the q = -inf (bounded trace) limit lands on exactly 1
+            shape_a, shape_b = params.f / 2.0, 1.0 - (params.lam + params.f / 2.0)
+            sqs, us = [], []
+            for row, g in zip(core, gens):
+                g.standard_normal(out=row)
+                sq = row.dot(row)
+                while sq == 0.0:
+                    g.standard_normal(out=row)
+                    sq = row.dot(row)
+                sqs.append(sq)
+                us.append(_beta(shape_a, shape_b, g))
+            radius = np.sqrt(np.array(us, dtype=float) * (-params.lam) / params.alpha)
             core += 0.0
-            core *= (radius / np.sqrt(a))[:, None]
+            core *= (radius / np.sqrt(np.array(sqs, dtype=float)))[:, None]
             core[:, n:] /= math.sqrt(2.0)
             core[:, n:] += 0.0
-            return
-        if params.regime is Regime.GAUSSIAN:
-            alpha = np.full(len(core), params.alpha)
-        else:
-            alpha = params.alpha * a / params.lam
+            return core, None
         core[:, :m] *= np.sqrt(0.25 / alpha)[:, None]
         core[:, m:] *= np.sqrt(0.5 / alpha)[:, None]
         core += 0.0
+    return core, xi
 
 
 @functools.lru_cache(maxsize=64)
@@ -337,8 +329,7 @@ class SampleBatch(Sequence):
 
     def _sample(self, i: int, h: np.ndarray) -> MatrixSample:
         xi = None if self.xi is None else float(self.xi[i])
-        return MatrixSample(h=h, params=self.params, xi=xi, sample_index=i,
-                            seed_path=(self.master_seed, i))
+        return MatrixSample(h=h, params=self.params, xi=xi, seed_path=(self.master_seed, i))
 
     @property
     def h(self) -> np.ndarray:
@@ -391,8 +382,7 @@ def sample_ensemble(params: EnsembleParams, rng) -> MatrixSample:
     g, path = _resolve_rng(rng)
     packed, xi = _draw_packed(params, [g], 1)
     return MatrixSample(h=_dense(params, packed)[0], params=params,
-                        xi=None if xi is None else float(xi[0]),
-                        sample_index=0 if path is None else path[1], seed_path=path)
+                        xi=None if xi is None else float(xi[0]), seed_path=path)
 
 
 def sample_batch(

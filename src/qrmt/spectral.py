@@ -45,6 +45,8 @@ class SpectrumBatch:
         s = np.asarray(self.spectra)
         if s.ndim != 2 or s.shape[1] != self.params.n or len(s) < 1:
             raise ParameterError(f"spectra must have shape (count >= 1, n), got {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise ParameterError("spectra must be finite")
         if np.any(np.diff(s, axis=1) < 0):
             raise ParameterError("each spectrum must be sorted ascending")
 

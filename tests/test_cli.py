@@ -726,10 +726,11 @@ def test_exit_2_on_nonfinite_draws_at_tiny_lambda(tmp_path, capsys):
     # at lambda = 0.001, 72 of these 3000 draws overflow to inf
     code, _, err = run(
         ["sample", "--n", "10", "--lambda", "0.001", "--alpha", "1", "--count", "3000",
-         "--out", str(tmp_path)], capsys,
+         "--out", str(tmp_path / "d")], capsys,
     )
     assert code == 2
     assert err.startswith("error: 72 of 3000 draws have non-finite entries")
+    assert not (tmp_path / "d").exists()  # a failed run writes no directory
 
 
 # ---------------------------------------------------------------- reproduce

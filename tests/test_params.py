@@ -257,9 +257,35 @@ def test_as_dict_bits_frozen_for_every_constructor():
 def test_equality_and_hash_use_the_defining_fields_only():
     # a member is fixed by (n, q, lam, alpha); the derived fields follow from them
     p = EnsembleParams.from_lambda(3, 2.0, alpha=1.0)
-    other = dataclasses.replace(p, mu=0.0, regime=Regime.GAUSSIAN, sigma=None, e_char=None)
+    other = EnsembleParams(3, p.q, 2.0, 1.0)
     assert other == p and hash(other) == hash(p) == hash((3, p.q, 2.0, 1.0))
     assert p != EnsembleParams.from_lambda(3, 2.0, alpha=1.5)
+    fields = dataclasses.fields(EnsembleParams)
+    assert [f.name for f in fields if f.init] == ["n", "q", "lam", "alpha"]
+    assert [f.name for f in fields if f.compare] == ["n", "q", "lam", "alpha"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda alpha: EnsembleParams.from_lambda(10, 1.5, alpha=alpha),
+    lambda alpha: EnsembleParams.from_q(3, 0.5, alpha=alpha),
+    lambda alpha: EnsembleParams.gaussian(4, alpha=alpha),
+], ids=["heavy", "restricted", "gaussian"])
+def test_raw_constructor_and_replace_derive_the_same_member(build):
+    p = build(1.0)
+    assert EnsembleParams(p.n, p.q, p.lam, p.alpha).as_dict() == p.as_dict()
+    assert EnsembleParams(p.n, p.q, p.lam, "auto").as_dict() == build("auto").as_dict()
+    # replace re-derives mu, e_char and the rest from the new alpha
+    assert dataclasses.replace(p, alpha=4.0).as_dict() == build(4.0).as_dict()
+
+
+def test_raw_constructor_classifies_the_gaussian_member_by_lambda():
+    assert EnsembleParams(3, 1.0, math.inf, "auto").regime is Regime.GAUSSIAN
+
+
+def test_replace_rejects_a_derived_field():
+    p = EnsembleParams.from_lambda(3, 2.0, alpha=1.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(p, mu=0.0)
 
 
 def test_characteristic_energy_regime_guard():

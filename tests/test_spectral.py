@@ -93,6 +93,16 @@ def test_spectrum_batch_validation():
     assert b.pooled().shape == (6,)
 
 
+def test_spectrum_batch_rejects_non_finite_spectra():
+    # a NaN row fails no sortedness comparison, so it must be caught first
+    p = EnsembleParams.from_lambda(2, 1.5, alpha=1.0)
+    for bad in ([[np.nan, 1.0], [-0.5, 0.2]], [[-np.inf, 1.0], [-0.5, 0.2]]):
+        with pytest.raises(ParameterError, match="^spectra must be finite$"):
+            SpectrumBatch(spectra=np.array(bad), params=p)
+    with pytest.raises(ParameterError, match="^spectra must be finite$"):
+        SpectrumBatch(spectra=np.array([[np.nan]]), params=EnsembleParams.gaussian(1, alpha=1.0))
+
+
 def test_spectrum_batch_count_is_the_row_count():
     p = EnsembleParams.gaussian(3, alpha=1.0)
     spectra = np.tile([-1.0, 0.0, 1.0], (5, 1))
