@@ -191,10 +191,6 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
 
 def _build_params(args) -> EnsembleParams:
     if args.lam is not None:
-        if args.lam <= 0:
-            # negative lambda is reachable through --q; the flag itself is the
-            # heavy-tailed parametrization
-            raise ParameterError(f"--lambda must be positive, got {args.lam} (use --q below 1)")
         return EnsembleParams.from_lambda(args.n, args.lam, alpha=args.alpha)
     return EnsembleParams.from_q(args.n, args.q, alpha=args.alpha)
 
@@ -713,12 +709,17 @@ def _verify_manifest(path: str) -> int:
             doc = json.load(fh)
         except ValueError as exc:  # malformed JSON or not UTF-8 text
             raise ParameterError(f"{path} is not a JSON manifest: {exc}") from None
-    outputs = doc.get("outputs", []) if isinstance(doc, dict) else None
-    if not isinstance(outputs, list) or not all(
+    # a run writes bare file names into its own directory: nothing else is hashed
+    outputs = doc.get("outputs") if isinstance(doc, dict) else None
+    if not (isinstance(outputs, list) and outputs) or not all(
         isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("sha256"), str)
+        and e["path"] not in ("", ".", "..") and os.path.basename(e["path"]) == e["path"]
         for e in outputs
     ):
-        raise ParameterError(f"{path}: 'outputs' must be a list of {{path, sha256}} entries")
+        raise ParameterError(
+            f"{path}: 'outputs' must be a non-empty list of {{path, sha256}} entries "
+            "whose path is a bare file name"
+        )
     base = os.path.dirname(os.path.abspath(path))
     print(f"1..{len(outputs)}")
     failures = 0

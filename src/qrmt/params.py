@@ -120,7 +120,10 @@ def tail_params(lam: float) -> tuple[float, float]:
         return 2.0, 1.0 / (4.0 * (lam - 1.0))
     # Gamma(1+lam) = lam*Gamma(lam): lets the shared factor cancel so the
     # half-integer anchor Gamma(1/2)/Gamma(3/2) = 2 comes out exact
-    return 2.0 * lam, math.gamma(1.0 - lam) / (lam * math.gamma(lam))
+    try:
+        return 2.0 * lam, math.gamma(1.0 - lam) / (lam * math.gamma(lam))
+    except OverflowError:  # Gamma(lam) ~ 1/lam leaves float64 below lam ~ 5.6e-309
+        raise ParameterError(f"lambda = {lam} is too small for float64: Gamma(lambda) overflows") from None
 
 
 def alpha_scaling(n: int, sigma: float) -> float:
@@ -149,8 +152,8 @@ class EnsembleParams:
     A member is fixed by (n, q, lam, alpha): those are the only constructor
     inputs, and equality and hashing use them alone.  The derived fields are
     set from them on construction, so `dataclasses.replace` re-derives them.
-    Build instances through :meth:`from_q`, :meth:`from_lambda` or
-    :meth:`gaussian`, which also check that q and lam agree.
+    Construction checks that q and lam agree at this n, however it is reached:
+    :meth:`from_q`, :meth:`from_lambda`, the raw constructor or `replace`.
     """
 
     n: int
@@ -173,12 +176,21 @@ class EnsembleParams:
     e_char: float | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        """Derive every other field from (n, q, lam, alpha).
+        """Check that (n, q, lam, alpha) names one member, then derive the rest.
 
+        lam < 0 exactly when q < 1, and q and lam agree exactly under one map,
+        q's first (a tiny lam gives q = q_max, where lambda_from_q raises).
         The regime follows from lam alone: +inf at q = 1, negative below it,
         positive on the heavy-tailed branch (where q itself may round to 1).
         """
-        f, lam = dof(self.n), self.lam
+        f, q, lam = dof(self.n), self.q, self.lam
+        if not (math.isfinite(q) or q == -math.inf):
+            raise ParameterError(f"q must be finite or -inf, got {q}")
+        if (lam < 0) != (q < 1) or not (
+            q == q_from_lambda(lam, f) or lam == (math.inf if q == 1 else lambda_from_q(q, f))
+        ):
+            raise ParameterError(f"q = {q} and lambda = {lam} do not name one member at "
+                                 f"n = {self.n}; build it with from_q or from_lambda")
         sigma = big_lambda = e_char = None
         if lam == math.inf:
             regime, sigma = Regime.GAUSSIAN, 2.0
@@ -202,15 +214,9 @@ class EnsembleParams:
     def from_q(cls, n: int, q: float, alpha: float | str | None = None) -> "EnsembleParams":
         """Construct from (n, q, alpha); alpha=None or "auto" applies alpha_scaling."""
         f = dof(n)
-        if q != 1 and not (math.isinf(q) and q < 0):
-            if not math.isfinite(q):
-                raise ParameterError(f"q must be finite or -inf, got {q}")
-            if q > 1 and q >= q_max(f):
-                raise ParameterError(
-                    f"q = {q} is not below q_max = {q_max(f)} for n = {n} (f = {f})"
-                )
-        lam = math.inf if q == 1 else lambda_from_q(q, f)
-        return cls(n, q, lam, alpha)
+        if q_max(f) <= q < math.inf:
+            raise ParameterError(f"q = {q} is not below q_max = {q_max(f)} for n = {n} (f = {f})")
+        return cls(n, q, math.inf if q == 1 else lambda_from_q(q, f), alpha)
 
     @classmethod
     def from_lambda(cls, n: int, lam: float, alpha: float | str | None = None) -> "EnsembleParams":
@@ -221,7 +227,8 @@ class EnsembleParams:
         """
         if not (lam > 0.0 and math.isfinite(lam)):
             raise ParameterError(
-                f"from_lambda requires lambda > 0 (heavy-tailed branch), got {lam}"
+                f"from_lambda requires lambda > 0 (heavy-tailed branch), got {lam}; "
+                "give q below 1 for the restricted branch"
             )
         # lam is stored exactly (no q round-trip noise)
         return cls(n, q_from_lambda(lam, dof(n)), lam, alpha)
@@ -270,5 +277,4 @@ def characteristic_energy(params: EnsembleParams) -> float:
     """E_c = sqrt(n lambda / alpha); defined on the heavy-tailed branch only."""
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("characteristic energy is defined on the heavy-tailed branch only")
-    assert params.e_char is not None
     return params.e_char

@@ -569,7 +569,18 @@ def test_verify_manifest_mode(tmp_path, capsys):
     assert "not ok" in tap
 
 
-@pytest.mark.parametrize("body", ["not json {", '{"outputs": [{"sha256": "00"}]}'])
+@pytest.mark.parametrize("body", [
+    "not json {",
+    '{"outputs": [{"sha256": "00"}]}',
+    '{"tool_version": "x"}',
+    '{"outputs": []}',
+    '{"outputs": [{"path": "../secret.txt", "sha256": "00"}]}',
+    '{"outputs": [{"path": "/etc/hostname", "sha256": "00"}]}',
+    '{"outputs": [{"path": "sub/spectra.csv", "sha256": "00"}]}',
+    '{"outputs": [{"path": "", "sha256": "00"}]}',
+    '{"outputs": [{"path": ".", "sha256": "00"}]}',
+    '{"outputs": [{"path": "..", "sha256": "00"}]}',
+])
 def test_verify_manifest_malformed_exits_2(body, tmp_path, capsys):
     man = tmp_path / "manifest.json"
     man.write_text(body)

@@ -5,11 +5,13 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qrmt.analytic import log_partition
 from qrmt.params import (
     EnsembleParams,
     MarginalTailError,
+    NumericalError,
     ParameterError,
     Regime,
     RegimeError,
@@ -286,6 +288,55 @@ def test_replace_rejects_a_derived_field():
     p = EnsembleParams.from_lambda(3, 2.0, alpha=1.0)
     with pytest.raises(ValueError):
         dataclasses.replace(p, mu=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EnsembleParams(3, 1.0, math.nan, 1.0),
+    lambda: EnsembleParams(3, 1.0, -math.inf, 1.0),
+    lambda: EnsembleParams(3, 0.5, 2.0, 1.0),
+    lambda: EnsembleParams(3, 0.5, -1.0, 1.0),
+    lambda: dataclasses.replace(EnsembleParams.from_lambda(3, 2.0, alpha=1.0), n=5),
+    lambda: dataclasses.replace(EnsembleParams.from_q(3, 0.5, alpha=1.0), n=5),
+], ids=["nan-lambda", "gaussian-q-inf-lambda", "heavy-lambda-q-below-1",
+        "restricted-lambda-off-map", "replace-n-heavy", "replace-n-restricted"])
+def test_constructor_rejects_q_and_lambda_that_name_no_member(build):
+    with pytest.raises(ParameterError, match="do not name one member"):
+        build()
+
+
+def test_gate_keeps_the_q_max_edges():
+    # a tiny lam maps to q_max itself; the gate tries q's map first, so it builds
+    p = EnsembleParams.from_lambda(1, 1e-300, alpha=1.0)
+    assert p.q == q_max(1) and p.regime is Regime.LEVY_BRANCH
+    # at q_max a lam that q_from_lambda does not send there names no member
+    with pytest.raises(ParameterError, match="q_max"):
+        EnsembleParams(1, q_max(1), 0.5, 1.0)
+
+
+def test_float64_edges_of_lambda_are_typed_errors():
+    # Gamma(lambda) overflows below lambda ~ 5.6e-309, ln Gamma(lambda) above ~ 2.5e305
+    with pytest.raises(ParameterError, match=r"Gamma\(lambda\) overflows"):
+        EnsembleParams.from_lambda(3, 1e-310, alpha=1.0)
+    with pytest.raises(NumericalError, match="log partition"):
+        log_partition(EnsembleParams.from_lambda(1, 1e306, alpha=1.0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=1, max_value=30), q=st.floats(), lam=st.floats())
+def test_every_member_the_gate_accepts_is_finite(n, q, lam):
+    # any float pair, NaN and +-inf included, through every construction path;
+    # above lam ~ 2.5e305 ln Gamma(lam) overflows and log_partition says so
+    for build in (lambda: EnsembleParams(n, q, lam, 1.0), lambda: EnsembleParams.from_q(n, q, 1.0),
+                  lambda: EnsembleParams.from_lambda(n, lam, 1.0)):
+        try:
+            p = build()
+        except ParameterError:
+            continue
+        assert EnsembleParams(p.n, p.q, p.lam, p.alpha).as_dict() == p.as_dict()
+        try:
+            assert math.isfinite(log_partition(p))
+        except NumericalError:
+            assert p.lam > 1e305
 
 
 def test_characteristic_energy_regime_guard():
