@@ -425,32 +425,42 @@ def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, si
     return res[0], res[1], int(res[2]["neval"])
 
 
-def _goe_integrand(theta: float, params: EnsembleParams, count: bool):
-    """xi -> e^-xi/Gamma(lam) * y (count) or * goe_gap(y), y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
+def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
+    """(E, s) integrands: xi -> e^-xi/Gamma(lam) * goe_gap(y), and * y, y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
 
-    goe_counting's and goe_gap's float arithmetic inline, in the same order and so with the same bits;
-    min and max are written as the comparisons the builtins make, which cost less than the calls, and
+    The E integrand records (scale e^-xi, y) at each node it evaluates, and the s integrand reads
+    a recorded node instead of evaluating y again: at one theta, QAWS visits mostly the same nodes
+    for both laws, so gap_curve runs E first.  goe_counting's and goe_gap's float arithmetic
+    inline, in the same order and so with the same bits, whichever integrand computes y; min and
+    max are written as the comparisons the builtins make, which cost less than the calls, and
     numpy's arcsin and scipy's erfc stay, since math.asin and math.erfc round differently.
     """
     n, lam, two_a, hsp = params.n, params.lam, 2.0 * params.alpha, _HALF_SQRT_PI
     scale, two_n, edge = math.exp(-ln_gamma(lam)), 2.0 * n, math.sqrt(2.0 * n)
     sqrt, exp, asin, erfc, pi = math.sqrt, math.exp, np.arcsin, _sp.erfc, math.pi
-
-    def s_integrand(xi: float) -> float:
-        xc = sqrt(two_a * xi / lam) * theta
-        xc = edge if edge < xc else xc
-        v = two_n - xc * xc
-        y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
-        return scale * exp(-xi) * y
+    record = {}
+    recorded = record.get
 
     def e_integrand(xi: float) -> float:
         xc = sqrt(two_a * xi / lam) * theta
         xc = edge if edge < xc else xc
         v = two_n - xc * xc
         y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
-        return scale * exp(-xi) * float(erfc(y * hsp))
+        w = scale * exp(-xi)
+        record[xi] = (w, y)
+        return w * float(erfc(y * hsp))
 
-    return s_integrand if count else e_integrand
+    def s_integrand(xi: float) -> float:
+        wy = recorded(xi)
+        if wy is not None:
+            return wy[0] * wy[1]
+        xc = sqrt(two_a * xi / lam) * theta
+        xc = edge if edge < xc else xc
+        v = two_n - xc * xc
+        y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
+        return scale * exp(-xi) * y
+
+    return e_integrand, s_integrand
 
 
 def _goe_weight(lam: float, site: str) -> tuple:
@@ -465,33 +475,39 @@ def _goe_weight(lam: float, site: str) -> tuple:
     return lam - 1.0, 0.0
 
 
-def _gamma_weighted_goe(theta: float, params: EnsembleParams, count: bool, site: str) -> tuple:
-    """(value, err) of the Gamma average of the count y (count=True) or of goe_gap(y), at theta >= 0.
+def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts: tuple) -> list:
+    """[(value, err)] of the Gamma average of the count y (count True) or of goe_gap(y), at theta >= 0.
 
-    The point evaluator of gap_probability, mean_count and gap_curve.  Past
-    xi_sat = n lam/(alpha theta^2), infinite when theta^2 underflows, y = n: that tail
-    is the constant n or goe_gap(n) times the regularized upper incomplete gamma.
+    One (value, err) per entry of `counts`, in that order, from one pair of integrands, so
+    gap_curve's s quadrature reads the nodes its E quadrature evaluated.  The point evaluator of
+    gap_probability, mean_count and gap_curve.  Past xi_sat = n lam/(alpha theta^2), infinite
+    when theta^2 underflows, y = n: that tail is the constant n or goe_gap(n) times the
+    regularized upper incomplete gamma.
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError(f"{site.replace('_', ' ')} needs the heavy-tailed branch")
     if not theta >= 0:
         raise ParameterError(f"theta must be nonnegative, got {theta}")
     if theta == 0.0:
-        return (0.0 if count else 1.0), 0.0
+        return [((0.0 if count else 1.0), 0.0) for count in counts]
     n, lam, a = params.n, params.lam, params.alpha
     theta = float(theta)
     d = a * theta * theta
     xi_sat = n * lam / d if d > 0.0 else math.inf
     hi = min(xi_sat, _xi_max(lam))
-    saturated = float(n) if count else goe_gap(float(n))
-    f = _goe_integrand(theta, params, count)
+    integrands = _goe_integrands(theta, params)
+    wvar = _goe_weight(lam, site)
     point = f"theta={theta!r}, n={n}"
-    val, err, _ = _gamma_average(f, lam, hi, _goe_weight(lam, site), _GOE_TOL, site, point, stacklevel=4)
-    tail = saturated * float(_sp.gammaincc(lam, xi_sat))
+    q_sat = float(_sp.gammaincc(lam, xi_sat))
     # the strip [xi_max, xi_sat) is dropped when xi_sat exceeds the truncation;
     # its mass is below saturated * Q(lam, xi_max) ~ 1e-20
-    dropped = saturated * float(_sp.gammaincc(lam, hi)) if xi_sat > hi else 0.0
-    return val + tail, err + dropped
+    q_dropped = float(_sp.gammaincc(lam, hi)) if xi_sat > hi else 0.0
+    out = []
+    for count in counts:
+        saturated = float(n) if count else goe_gap(float(n))
+        val, err, _ = _gamma_average(integrands[count], lam, hi, wvar, _GOE_TOL, site, point, stacklevel=4)
+        out.append((val + saturated * q_sat, err + saturated * q_dropped))
+    return out
 
 
 def gap_probability(theta: float, params: EnsembleParams) -> float:
@@ -501,7 +517,7 @@ def gap_probability(theta: float, params: EnsembleParams) -> float:
     rescaled counting function; equals 1 at theta = 0 and decays like
     1/(2 s^2) in scaled units when lambda = 1.
     """
-    return min(_gamma_weighted_goe(theta, params, False, "gap_probability")[0], 1.0)
+    return min(_gamma_weighted_goe(theta, params, "gap_probability", (False,))[0][0], 1.0)
 
 
 def mean_count(theta: float, params: EnsembleParams) -> float:
@@ -511,7 +527,7 @@ def mean_count(theta: float, params: EnsembleParams) -> float:
     (the integral of the mixture commutes with the energy integral); this is
     the scaled abscissa of the parametric gap curve.
     """
-    return _gamma_weighted_goe(theta, params, True, "mean_count")[0]
+    return _gamma_weighted_goe(theta, params, "mean_count", (True,))[0][0]
 
 
 def gap_probability_bulk(s, lam: float = 1.0):
@@ -561,8 +577,7 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     e = np.empty_like(thetas)
     worst = 0.0
     for i, th in enumerate(thetas):
-        ev, eerr = _gamma_weighted_goe(th, params, False, "gap_curve")
-        sv, serr = _gamma_weighted_goe(th, params, True, "gap_curve")
+        (ev, eerr), (sv, serr) = _gamma_weighted_goe(th, params, "gap_curve", (False, True))
         s[i], e[i] = sv, min(ev, 1.0)
         worst = max(worst, eerr, serr)
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import hashlib
 import itertools
 import json
@@ -242,8 +243,13 @@ def _grid(params: EnsembleParams, args, what: str) -> np.ndarray:
         return np.linspace(-10.0 * scale, 10.0 * scale, 201)
     if params.regime is Regime.LEVY_BRANCH:
         lim = 2.0 * math.sqrt(params.n / params.alpha) + 5.0 * params.e_char
+        span = f"2 sqrt(n/alpha) + 5 e_char with characteristic energy e_char = {params.e_char!r}"
     else:
         lim = 1.2 * math.sqrt(params.n / params.alpha)
+        span = "1.2 sqrt(n/alpha)"
+    if not math.isfinite(lim):
+        raise NumericalError(f"the default grid's half-width, {span}, is not finite at n={params.n}, "
+                             f"lambda={params.lam:g}, alpha={params.alpha!r}; give --grid")
     return np.linspace(-lim, lim, 201)
 
 
@@ -793,10 +799,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# main's parser, built on first use: parsing leaves no state in it, so one
+# parser serves every call in the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own diagnostics
         return int(exc.code) if exc.code else 0
     try:

@@ -23,10 +23,11 @@ from oracles import MEHTA_INTEGRALS, fourier_char_fn
 
 from qrmt.analytic import (
     AnalyticCurve,
-    _goe_integrand,
+    _goe_integrands,
     _joint_log_const,
     _level_density_consts,
     _mehta_integral,
+    _xi_max,
     density_curve,
     element_char_fn,
     element_cdf,
@@ -659,19 +660,44 @@ def _bits(values) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 5, 50])
 def test_goe_integrands_match_public_composition_bit_for_bit(n):
     # the inlined goe_counting / goe_gap arithmetic against the public
-    # functions, at xi on both sides of saturation, xi_sat = n lam/(alpha theta^2)
+    # functions, at xi on both sides of saturation, xi_sat = n lam/(alpha theta^2);
+    # the pair is called E then s (s reads the nodes E recorded), s then E
+    # (nothing recorded yet), and E, s, E, s at each xi in turn
     for lam, alpha, theta in ((0.5, 1.0, 0.3), (1.5, 0.9, 1.1), (10.0, 3.0, 2.5)):
         p = EnsembleParams.from_lambda(n, lam, alpha=alpha)
         xi_sat = n * lam / (alpha * theta * theta)
-        xis = np.concatenate([np.geomspace(1e-9, xi_sat, 150), np.linspace(0.5, 2.0, 150) * xi_sat])
+        xis = np.concatenate([np.geomspace(1e-9, xi_sat, 150), np.linspace(0.5, 2.0, 150) * xi_sat]).tolist()
         scale = math.exp(-gammaln(lam))
-        ys = [goe_counting(math.sqrt(2.0 * alpha * xi / lam) * theta, n) for xi in xis.tolist()]
-        count, gap = _goe_integrand(theta, p, True), _goe_integrand(theta, p, False)
-        ref_s = [scale * math.exp(-xi) * y for xi, y in zip(xis.tolist(), ys)]
-        ref_e = [scale * math.exp(-xi) * goe_gap(y) for xi, y in zip(xis.tolist(), ys)]
-        assert np.array_equal(_bits([count(xi) for xi in xis.tolist()]), _bits(ref_s))
-        assert np.array_equal(_bits([gap(xi) for xi in xis.tolist()]), _bits(ref_e))
+        ys = [goe_counting(math.sqrt(2.0 * alpha * xi / lam) * theta, n) for xi in xis]
+        ref_s = _bits([scale * math.exp(-xi) * y for xi, y in zip(xis, ys)])
+        ref_e = _bits([scale * math.exp(-xi) * goe_gap(y) for xi, y in zip(xis, ys)])
+        gap, count = _goe_integrands(theta, p)
+        assert np.array_equal(_bits([gap(xi) for xi in xis]), ref_e)
+        assert np.array_equal(_bits([count(xi) for xi in xis]), ref_s)
+        gap, count = _goe_integrands(theta, p)
+        assert np.array_equal(_bits([count(xi) for xi in xis]), ref_s)
+        assert np.array_equal(_bits([gap(xi) for xi in xis]), ref_e)
+        gap, count = _goe_integrands(theta, p)
+        twice = np.array([[gap(xi), count(xi), gap(xi), count(xi)] for xi in xis])
+        for col, ref in enumerate((ref_e, ref_s, ref_e, ref_s)):
+            assert np.array_equal(_bits(twice[:, col]), ref)
         assert ys[-1] == n  # the grid reaches saturation
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n", [5, 50])
+@pytest.mark.parametrize("lam", [0.5, 10.0])
+def test_gap_curve_equals_the_single_integral_laws_bit_for_bit(n, lam):
+    # gap_curve shares one pair of integrands between its E and s quadratures at
+    # each theta; mean_count and gap_probability each run one on its own
+    p = EnsembleParams.from_lambda(n, lam, alpha="auto")
+    thetas = _gap_theta_grid(3.0, 40)
+    c = gap_curve(p, thetas)
+    assert np.array_equal(_bits(c.abscissae), _bits([mean_count(float(t), p) for t in thetas]))
+    assert np.array_equal(_bits(c.values), _bits([gap_probability(float(t), p) for t in thetas]))
+    # theta = 0, and xi_sat = n lam/(alpha theta^2) on both sides of the truncation xi_max
+    xi_sat = n * lam / (p.alpha * thetas[1:] ** 2)
+    assert thetas[0] == 0.0 and np.any(xi_sat < _xi_max(lam)) and np.any(xi_sat > _xi_max(lam))
 
 
 def test_goe_counting_and_goe_gap_same_bits_for_scalar_and_array():

@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, determinism, file formats, verify gate."""
+import argparse
 import hashlib
 import json
 import math
@@ -403,6 +404,65 @@ def test_version_subprocess():
     )
     assert out.returncode == 0
     assert out.stdout.startswith("qrmt ")
+
+
+def test_exit_5_when_the_default_grid_is_infinite(tmp_path):
+    # e_char = sqrt(n lambda/alpha) overflows: refused before any array work, so
+    # numpy never warns about an infinite linspace or an inf/inf divide
+    out = subprocess.run(
+        [sys.executable, "-m", "qrmt", "density", "--n", "2", "--lambda", "1e308", "--alpha", "1",
+         "--out", str(tmp_path / "d")], capture_output=True, text=True, env=_child_env(),
+    )
+    assert out.returncode == 5
+    assert out.stderr.startswith("error: the default grid's half-width") and out.stderr.count("\n") == 1
+    assert "characteristic energy e_char = inf" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert out.stdout == "" and not (tmp_path / "d").exists()
+
+
+def test_main_reuses_one_parser_and_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # each call of a sequence in one process against the same call made first,
+    # with a parser built for it alone
+    calls = [  # (argv, whether it writes an --out directory)
+        (["--bogus"], False),
+        (["--version"], False),
+        (["density", "--n", "5", "--lambda", "1.5"], True),
+        (["gap", "--n", "5", "--lambda", "1.5", "--points", "8"], True),
+        (["sample", "--n", "3", "--q", "0.5", "--count", "4", "--raw"], True),
+        (["verify", "--suite", "specfun"], False),
+    ]
+
+    def call(k, argv, writes, tag):
+        out = tmp_path / f"{tag}{k}"
+        code = main(argv + ["--out", str(out)] if writes else argv)
+        captured = capsys.readouterr()
+        # manifest.json holds the run's start and finish times
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"} if writes else {}
+        return code, captured.out.replace(str(out), "<out>"), captured.err, files
+
+    first = []
+    for k, (argv, writes) in enumerate(calls):
+        qrmt.cli._parser.cache_clear()
+        first.append(call(k, argv, writes, "first"))
+    assert [r[0] for r in first] == [2, 0, 0, 0, 0, 0]
+    assert first[0][2].startswith("usage: qrmt") and first[1][1].startswith("qrmt ")
+    assert list(first[3][3]) == ["curve.csv"] and list(first[4][3]) == ["matrices.csv", "spectra.csv"]
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    qrmt.cli._parser.cache_clear()
+    for k, (argv, writes) in enumerate(calls):
+        assert call(k, argv, writes, "again") == first[k]
+        if k == 0:
+            assert built and built[0] == "qrmt"  # the one parser, with its subparsers
+            del built[:]
+    assert built == []
 
 
 def test_import_and_sample_load_no_scipy(tmp_path):
