@@ -64,43 +64,67 @@ class RunManifest:
     Every file of the run is written through `add`, so each one is listed, in
     write order, with its sha256.  The output directory is created by the
     first `add`, so a run that fails before writing anything leaves none.
+    `check` re-hashes the files a written manifest lists.
     """
 
     def __init__(self, out_dir: str, command: str, params: EnsembleParams | None,
                  master_seed: int | None, sample_count: int | None):
         self.out_dir = out_dir
-        self.tool_version = __version__
-        self.command = command
-        self.params = params
-        self.master_seed = master_seed
-        self.sample_count = sample_count
-        self.started = _now()
-        self.finished: str | None = None
-        self.outputs: list[dict] = []
+        self.doc = {
+            "tool_version": __version__,
+            "command": command,
+            "params": params.as_dict() if params is not None else None,
+            "master_seed": master_seed,
+            "sample_count": sample_count,
+            "started": _now(),
+            "finished": None,
+            "outputs": [],
+        }
 
     def add(self, name: str, writer, *args, **kwargs) -> str:
         """Write `name` in the run directory by writer(path, *args, **kwargs); record its sha256."""
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         writer(path, *args, **kwargs)
-        self.outputs.append({"path": name, "sha256": _sha256(path)})
+        self.doc["outputs"].append({"path": name, "sha256": _sha256(path)})
         return path
 
     def write(self) -> str:
-        self.finished = _now()
-        doc = {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "params": self.params.as_dict() if self.params is not None else None,
-            "master_seed": self.master_seed,
-            "sample_count": self.sample_count,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": self.outputs,
-        }
+        self.doc["finished"] = _now()
         path = os.path.join(self.out_dir, "manifest.json")
-        _write_json(path, doc)
+        _write_json(path, self.doc)
         return path
+
+    @staticmethod
+    def check(path: str) -> list:
+        """One (ok, file name, note) row per output the manifest at `path` lists."""
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # malformed JSON or not UTF-8 text
+                raise ParameterError(f"{path} is not a JSON manifest: {exc}") from None
+        # a run writes bare file names into its own directory: nothing else is hashed
+        outputs = doc.get("outputs") if isinstance(doc, dict) else None
+        if not (isinstance(outputs, list) and outputs) or not all(
+            isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("sha256"), str)
+            and e["path"] not in ("", ".", "..") and os.path.basename(e["path"]) == e["path"]
+            for e in outputs
+        ):
+            raise ParameterError(
+                f"{path}: 'outputs' must be a non-empty list of {{path, sha256}} entries "
+                "whose path is a bare file name"
+            )
+        base = os.path.dirname(os.path.abspath(path))
+        rows = []
+        for entry in outputs:
+            fpath = os.path.join(base, entry["path"])
+            if not os.path.isfile(fpath):
+                rows.append((False, entry["path"], "missing"))
+            elif _sha256(fpath) == entry["sha256"]:
+                rows.append((True, entry["path"], "sha256 verified"))
+            else:
+                rows.append((False, entry["path"], "digest mismatch"))
+        return rows
 
 
 def _now() -> str:
@@ -202,8 +226,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, cnt = float(lo_s), float(hi_s), int(cnt_s)
     except ValueError:
         raise ParameterError(f"grid must be 'min:max:count', got {spec!r}") from None
-    if cnt < 2 or not -math.inf < lo < hi < math.inf:
-        raise ParameterError(f"grid needs finite max > min and count >= 2, got {spec!r}")
+    # a finite span hi - lo also rules out an infinite or nan end
+    if cnt < 2 or not (lo < hi and hi - lo < math.inf):
+        raise ParameterError(f"grid needs max > min with a finite span max - min, and count >= 2, "
+                             f"got {spec!r}")
     return np.linspace(lo, hi, cnt)
 
 
@@ -213,7 +239,6 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     params = _build_params(args)
-    RngStream(args.seed, 0)  # reject a bad seed or count before any output exists
     if not 1 <= args.count < 1 << 32:
         raise ParameterError(f"--count must be at least 1 and below 2**32, got {args.count}")
     manifest = RunManifest(args.out, "sample", params, args.seed, args.count)
@@ -254,9 +279,11 @@ def _grid(params: EnsembleParams, args, what: str) -> np.ndarray:
 
 
 def _gap_theta_grid(theta_max: float, points: int) -> np.ndarray:
-    if not (0 < theta_max < math.inf) or points < 2:
-        raise ParameterError(f"need a finite theta-max > 0 and points >= 2, got {theta_max}, {points}")
-    body = np.geomspace(theta_max / 300.0, theta_max, points - 1)
+    first = theta_max / 300.0
+    if not (0 < first and theta_max < math.inf) or points < 2:
+        raise ParameterError(f"need a finite theta-max whose theta-max/300 is > 0, and points >= 2, "
+                             f"got {theta_max}, {points}")
+    body = np.geomspace(first, theta_max, points - 1)
     return np.concatenate([[0.0], body])
 
 
@@ -693,55 +720,19 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    """Print TAP rows for the suites, or for the files a manifest lists; exit 4 on any failure."""
     if args.manifest:
-        return _verify_manifest(args.manifest)
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    results = []
-    for name in names:
-        results.extend(_SUITES[name](args.seed))
-    print(f"1..{len(results)}")
-    failures = 0
-    for i, (ok, name, note) in enumerate(results, start=1):
-        status = "ok" if ok else "not ok"
-        print(f"{status} {i} - {name} # {note}")
-        failures += 0 if ok else 1
-    print(f"# {len(results) - failures}/{len(results)} passed")
-    return 0 if failures == 0 else 4
-
-
-def _verify_manifest(path: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # malformed JSON or not UTF-8 text
-            raise ParameterError(f"{path} is not a JSON manifest: {exc}") from None
-    # a run writes bare file names into its own directory: nothing else is hashed
-    outputs = doc.get("outputs") if isinstance(doc, dict) else None
-    if not (isinstance(outputs, list) and outputs) or not all(
-        isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("sha256"), str)
-        and e["path"] not in ("", ".", "..") and os.path.basename(e["path"]) == e["path"]
-        for e in outputs
-    ):
-        raise ParameterError(
-            f"{path}: 'outputs' must be a non-empty list of {{path, sha256}} entries "
-            "whose path is a bare file name"
-        )
-    base = os.path.dirname(os.path.abspath(path))
-    print(f"1..{len(outputs)}")
-    failures = 0
-    for i, entry in enumerate(outputs, start=1):
-        fpath = os.path.join(base, entry["path"])
-        if not os.path.exists(fpath):
-            print(f"not ok {i} - {entry['path']} # missing")
-            failures += 1
-            continue
-        digest = _sha256(fpath)
-        if digest == entry["sha256"]:
-            print(f"ok {i} - {entry['path']} # sha256 verified")
-        else:
-            print(f"not ok {i} - {entry['path']} # digest mismatch")
-            failures += 1
-    return 0 if failures == 0 else 4
+        rows = RunManifest.check(args.manifest)
+    else:
+        names = list(_SUITES) if args.suite == "all" else [args.suite]
+        rows = [row for name in names for row in _SUITES[name](args.seed)]
+    print(f"1..{len(rows)}")
+    for i, (ok, name, note) in enumerate(rows, start=1):
+        print(f"{'ok' if ok else 'not ok'} {i} - {name} # {note}")
+    passed = sum(1 for ok, _, _ in rows if ok)
+    if not args.manifest:
+        print(f"# {passed}/{len(rows)} passed")
+    return 0 if passed == len(rows) else 4
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,18 @@ def test_semicircle_density_rejects_empty_dimension():
         semicircle_density(0.0, 0, 1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: semicircle_density(0.0, 3, 0.0), "alpha must be positive, got 0.0"),
+    (lambda: semicircle_density(0.0, 3, -1.0), "alpha must be positive, got -1.0"),
+    (lambda: semicircle_density(0.0, 3, math.nan), "alpha must be positive, got nan"),
+    (lambda: goe_counting(1.0, 0), "matrix dimension must be >= 1, got 0"),
+], ids=["semicircle-alpha-0", "semicircle-alpha-negative", "semicircle-alpha-nan", "goe-counting-n-0"])
+def test_goe_closed_forms_reject_bad_alpha_or_dimension(call, message):
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_mixture_and_gap_laws_reject_gaussian_params():
     pg = EnsembleParams.gaussian(4, alpha=1.0)
     with pytest.raises(RegimeError):

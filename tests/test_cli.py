@@ -270,12 +270,15 @@ def test_exit_5_on_level_density_overflow(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["gap", "--n", "5", "--lambda", "2", "--theta-max", "inf"],
     ["density", "--n", "5", "--lambda", "2", "--grid=0:inf:5"],
-], ids=["theta-max", "grid"])
+    # finite, but its first theta point theta-max/300 underflows to 0
+    ["gap", "--n", "5", "--lambda", "2", "--theta-max", "5e-324"],
+], ids=["theta-max", "grid", "theta-max-underflow"])
 def test_exit_2_on_nonfinite_numbers(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
     assert out == ""
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -417,6 +420,20 @@ def test_exit_5_when_the_default_grid_is_infinite(tmp_path):
     assert out.stderr.startswith("error: the default grid's half-width") and out.stderr.count("\n") == 1
     assert "characteristic energy e_char = inf" in out.stderr
     assert "RuntimeWarning" not in out.stderr
+    assert out.stdout == "" and not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("cmd", ["element", "density"])
+def test_exit_2_when_the_grid_span_overflows(cmd, tmp_path):
+    # both ends are finite but hi - lo is not: refused before linspace, so
+    # numpy never warns and no grid point is nan
+    out = subprocess.run(
+        [sys.executable, "-m", "qrmt", cmd, "--n", "5", "--lambda", "2", "--grid=-1e308:1e308:3",
+         "--out", str(tmp_path / "d")], capture_output=True, text=True, env=_child_env(),
+    )
+    assert out.returncode == 2
+    assert out.stderr == ("error: grid needs max > min with a finite span max - min, "
+                          "and count >= 2, got '-1e308:1e308:3'\n")
     assert out.stdout == "" and not (tmp_path / "d").exists()
 
 
@@ -619,6 +636,7 @@ def test_verify_manifest_mode(tmp_path, capsys):
     code, tap, _ = run(["verify", "--manifest", man], capsys)
     assert code == 0
     assert "not ok" not in tap
+    assert tap == "1..1\nok 1 - spectra.csv # sha256 verified\n"
 
     # tamper with one output: re-verification must fail
     spath = os.path.join(out, "spectra.csv")
@@ -627,6 +645,7 @@ def test_verify_manifest_mode(tmp_path, capsys):
     code, tap, _ = run(["verify", "--manifest", man], capsys)
     assert code == 4
     assert "not ok" in tap
+    assert tap == "1..1\nnot ok 1 - spectra.csv # digest mismatch\n"
 
 
 @pytest.mark.parametrize("body", [
@@ -655,6 +674,23 @@ def test_verify_manifest_missing_file(tmp_path, capsys):
     os.remove(os.path.join(out, "spectra.csv"))
     code, tap, _ = run(["verify", "--manifest", os.path.join(out, "manifest.json")], capsys)
     assert code == 4
+    assert tap == "1..1\nnot ok 1 - spectra.csv # missing\n"
+
+
+def test_verify_manifest_entry_that_is_a_directory(tmp_path, capsys):
+    # a listed name that is not a regular file is missing, and the TAP stream
+    # still has every line its plan announces
+    out = tmp_path / "vd"
+    run(["sample", "--n", "2", "--q", "1.0", "--count", "1", "--out", str(out)], capsys)
+    man = out / "manifest.json"
+    doc = json.loads(man.read_text(encoding="utf-8"))
+    doc["outputs"].append({"path": "sub", "sha256": "00"})
+    man.write_text(json.dumps(doc), encoding="utf-8")
+    (out / "sub").mkdir()
+    code, tap, err = run(["verify", "--manifest", str(man)], capsys)
+    assert code == 4
+    assert tap == "1..2\nok 1 - spectra.csv # sha256 verified\nnot ok 2 - sub # missing\n"
+    assert err == ""
 
 
 # sha256 of the files `qrmt sample --raw --threads 1` writes, frozen from

@@ -63,6 +63,14 @@ def test_lambda_from_q_boundary_raises_naming_qmax():
         lambda_from_q(q_max(4), 4)
 
 
+@pytest.mark.parametrize("call", [lambda: lambda_from_q(1.25, 0), lambda: q_from_lambda(2.5, 0)],
+                         ids=["lambda_from_q", "q_from_lambda"])
+def test_q_lambda_maps_reject_element_count_below_one(call):
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert str(exc.value) == "element count must be >= 1, got 0"
+
+
 def test_lambda_from_q_minus_inf_is_bounded_trace():
     assert lambda_from_q(-math.inf, 6) == -3.0
     assert lambda_from_q(-math.inf, 3) == -1.5

@@ -166,6 +166,10 @@ def test_histogram_modes_and_integral():
     with pytest.raises(ParameterError):
         Histogram(edges=edges[:2], counts=counts, heights=counts / 8.0,
                   mode="probability-density")
+    with pytest.raises(ParameterError) as exc:
+        Histogram(edges=edges, counts=np.array([2, -1]), heights=np.array([0.25, 0.0]),
+                  mode="probability-density")
+    assert str(exc.value) == "counts must be nonnegative"
 
 
 def test_empirical_density_level_normalization():
@@ -323,6 +327,14 @@ def test_nn_spacings_constant_grid():
     b = SpectrumBatch(spectra=grid, params=p)
     s = nn_spacings(b, window=1.0)
     assert np.allclose(s, 1.0, atol=0)
+
+
+def test_nn_spacings_on_identical_levels():
+    # every level at one point: no spacing to normalize by, a typed error, not a NaN
+    b = SpectrumBatch(spectra=np.ones((3, 6)), params=EnsembleParams.gaussian(6, alpha=1.0))
+    with pytest.raises(ParameterError) as exc:
+        nn_spacings(b)
+    assert str(exc.value) == "degenerate spectra: zero mean spacing"
 
 
 def test_goe_spacings_follow_wigner_surmise():
