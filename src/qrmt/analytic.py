@@ -136,6 +136,16 @@ def matrix_pdf(h: np.ndarray, params: EnsembleParams) -> float:
 # element laws
 
 
+def _scaled_square(a: float, x: np.ndarray) -> np.ndarray:
+    """a * x * x, evaluated left to right; inf without a warning where it overflows.
+
+    Every law that calls it is 0 (or its limit) there, so the overflow is the
+    right value: a huge grid point is far out in the tail.
+    """
+    with np.errstate(over="ignore"):
+        return a * x * x
+
+
 def element_pdf(x, params: EnsembleParams, entry: str = "diag"):
     """Marginal density of a single matrix element.
 
@@ -146,16 +156,17 @@ def element_pdf(x, params: EnsembleParams, entry: str = "diag"):
     """
     a = _entry_alpha(params, entry)
     xa = np.asarray(x, dtype=float)
+    ax2 = _scaled_square(a, xa)
     if params.regime is Regime.GAUSSIAN:
-        out = np.sqrt(a / math.pi) * np.exp(-a * xa * xa)
+        out = np.sqrt(a / math.pi) * np.exp(-ax2)
     elif params.regime is Regime.LEVY_BRANCH:
         lam = params.lam
         logc = 0.5 * math.log(a / (math.pi * lam)) + ln_gamma(lam + 0.5) - ln_gamma(lam)
-        out = np.exp(logc - (lam + 0.5) * np.log1p(a * xa * xa / lam))
+        out = np.exp(logc - (lam + 0.5) * np.log1p(ax2 / lam))
     else:
         al = -params.lam
         logc = 0.5 * math.log(a / (math.pi * al)) + ln_gamma(al + 1.0) - ln_gamma(al + 0.5)
-        u = a * xa * xa / al
+        u = ax2 / al
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(u < 1.0, np.exp(logc + (al - 0.5) * np.log1p(-np.minimum(u, 1.0))), 0.0)
     return float(out) if xa.ndim == 0 else out
@@ -168,11 +179,14 @@ def element_cdf(x, params: EnsembleParams, entry: str = "diag"):
     if params.regime is Regime.GAUSSIAN:
         out = 0.5 * (1.0 + _sp.erf(np.sqrt(a) * xa))
     elif params.regime is Regime.LEVY_BRANCH:
-        # exact Student-t reduction: t = x sqrt(2 a), 2 lambda degrees of freedom
-        out = _sp.stdtr(2.0 * params.lam, xa * math.sqrt(2.0 * a))
+        # exact Student-t reduction: t = x sqrt(2 a), 2 lambda degrees of freedom;
+        # t = +-inf where it overflows is the right limit
+        with np.errstate(over="ignore"):
+            t = xa * math.sqrt(2.0 * a)
+        out = _sp.stdtr(2.0 * params.lam, t)
     else:
         al = -params.lam
-        u = np.minimum(a * xa * xa / al, 1.0)
+        u = np.minimum(_scaled_square(a, xa) / al, 1.0)
         out = 0.5 + 0.5 * np.sign(xa) * _sp.betainc(0.5, al + 0.5, u)
     return float(out) if xa.ndim == 0 else out
 
@@ -238,7 +252,7 @@ def semicircle_density(e, n: int, alpha: float):
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     ea = np.asarray(e, dtype=float)
-    r2 = n / alpha - ea * ea
+    r2 = n / alpha - _scaled_square(1.0, ea)
     out = np.where(r2 > 0.0, (2.0 * alpha / math.pi) * np.sqrt(np.maximum(r2, 0.0)), 0.0)
     return float(out) if ea.ndim == 0 else out
 
@@ -287,7 +301,7 @@ def level_density(e, params: EnsembleParams):
     # (lambda + 1/2)/(2 t) < 3e-11; E = 0 (and E^2 underflowing to 0) is the plateau
     ea = np.asarray(e, dtype=float)
     with np.errstate(divide="ignore"):
-        t = n * lam / (a * ea * ea)
+        t = n * lam / _scaled_square(a, ea)
     out = np.full(ea.shape, rho0)
     idx = np.flatnonzero(~(t > 1e12))
     if idx.size:

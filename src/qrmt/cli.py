@@ -28,10 +28,12 @@ from .params import EnsembleParams, NumericalError, ParameterError, Regime
 # benchmark's tracer counts the draws made through qrmt.cli.sample_goe
 from .sampler import (  # noqa: F401
     RngStream,
+    SampleBatch,
     _dense,
     _draw_packed,
     _entry_columns,
     sample_batch,
+    sample_blocks,
     sample_goe,
     sample_levy_stable,
 )
@@ -242,16 +244,22 @@ def cmd_sample(args) -> int:
     if not 1 <= args.count < 1 << 32:
         raise ParameterError(f"--count must be at least 1 and below 2**32, got {args.count}")
     manifest = RunManifest(args.out, "sample", params, args.seed, args.count)
-    samples = sample_batch(params, args.count, master_seed=args.seed)
-    batch = sp.spectra_from_samples(samples)
+    # --raw writes the matrices after the spectra, so it keeps the whole batch;
+    # otherwise the draws stream through the eigensolve one block at a time
+    if args.raw:
+        samples = sample_batch(params, args.count, master_seed=args.seed)
+    else:
+        samples = sample_blocks(params, args.count, master_seed=args.seed)
+    spectra = sp.spectra_from_samples(samples).spectra
     meta = _meta_lines(params, master_seed=args.seed, count=args.count)
+    step = SampleBatch.chunk_rows(params.n)
+    starts = range(0, args.count, step)
     spath = manifest.add("spectra.csv", _write_csv, meta, [f"e{i + 1}" for i in range(params.n)],
-                         [batch.spectra])
+                         (spectra[lo : lo + step] for lo in starts))
     if args.raw:
         # one packed row per matrix; each entry's field is placed from its packed column
         header = [f"h{i + 1}{j + 1}" for i in range(params.n) for j in range(params.n)]
-        step = samples.chunk_rows(params.n)
-        blocks = (samples.packed[lo : lo + step] for lo in range(0, args.count, step))
+        blocks = (samples.packed[lo : lo + step] for lo in starts)
         layout = _entry_columns(params.n, params.regime is Regime.RESTRICTED_TRACE).tolist()
         manifest.add("matrices.csv", _write_csv, meta, header, blocks, layout)
     mpath = manifest.write()
@@ -408,7 +416,7 @@ def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
                              label=f"lambda={lam:g}", color=None))
 
         # Monte Carlo overlay, binomial band check on the central 80% of mass
-        batch = sp.spectra_from_samples(sample_batch(params, samples, master_seed=seed + i))
+        batch = sp.spectra_from_samples(sample_blocks(params, samples, master_seed=seed + i))
         bad, checked, worst = _overlay_violations(params, batch, x80)
         hist = sp.empirical_density(batch, np.linspace(-lim, lim, 49))
         manifest.add(
@@ -482,7 +490,7 @@ def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
 
     # simulation overlay: empirical gap fractions with the analytic s pairing
     thetas = np.concatenate([[0.0], np.geomspace(0.004, 0.30, 39)])
-    batch = sp.spectra_from_samples(sample_batch(params, samples, master_seed=seed))
+    batch = sp.spectra_from_samples(sample_blocks(params, samples, master_seed=seed))
     gap = sp.empirical_gap(batch, thetas)
     manifest.add(
         "fig2_sim.csv", _write_csv,
@@ -694,7 +702,7 @@ def _suite_spectral(seed: int) -> list:
     checks.append(_check("hill estimator on pareto(1)", abs(ti.index - 1.0), 0.05))
 
     pgoe = EnsembleParams.gaussian(50, 25.0)
-    bg = sp.spectra_from_samples(sample_batch(pgoe, 400, master_seed=seed + 5))
+    bg = sp.spectra_from_samples(sample_blocks(pgoe, 400, master_seed=seed + 5))
     ks = sp.ks_distance(sp.nn_spacings(bg, 0.6), an.wigner_surmise_cdf)
     checks.append(_check("goe spacings vs wigner surmise", ks, 0.03))
 
@@ -704,7 +712,7 @@ def _suite_spectral(seed: int) -> list:
         "ks statistic on own law", ksn, 1.95 / math.sqrt(100000.0), "asymptotic critical"))
 
     pl = EnsembleParams.from_lambda(20, 1.0, alpha=10.0)
-    bl = sp.spectra_from_samples(sample_batch(pl, 2000, master_seed=seed + 6))
+    bl = sp.spectra_from_samples(sample_blocks(pl, 2000, master_seed=seed + 6))
     gap = sp.empirical_gap(bl, np.array([0.1]))
     z = abs(gap.e_hat[0] - an.gap_probability(0.1, pl)) / gap.stderr[0]
     checks.append(_check("empirical gap near analytic", z, 4.0, "z score"))

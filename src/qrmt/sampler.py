@@ -21,7 +21,8 @@ an exact draw; rejection would be exponentially wasteful in f.
 A batch is columnar: the per-stream loop only draws the scalar and the core,
 and the scaling onto matrix entries is vectorised over the whole batch.  A
 `SampleBatch` stores the f free entries of each draw packed in one row;
-dense matrices are formed on demand, in chunks.
+dense matrices are formed on demand, in chunks.  A `SampleBlocks` run draws
+the same rows lazily, one block of consecutive stream ids at a time.
 """
 from __future__ import annotations
 
@@ -46,10 +47,16 @@ __all__ = [
     "sample_levy_stable",
     "sample_ensemble",
     "sample_batch",
+    "SampleBlocks",
+    "sample_blocks",
 ]
 
 # dense matrices are built in blocks of about this many floats (256 KiB)
 _CHUNK_FLOATS = 1 << 15
+# streamed draws come in batches of about this many packed floats (2 MiB):
+# larger blocks raise peak memory, smaller ones pay each batch's fixed cost
+# (stream-word setup) more often
+_BLOCK_FLOATS = 1 << 18
 # stream seed words are derived in blocks of this many ids, so that a large
 # batch never holds the words of all its draws at once
 _STATE_BLOCK = 1 << 10
@@ -110,13 +117,14 @@ def _mix_in(pool: list, word, hc: int) -> tuple[list, int]:
     return out, hc
 
 
-def _stream_words(master_seed: int, count: int) -> Iterator[np.ndarray]:
-    """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64) for i < count, in order.
+def _stream_words(master_seed: int, count: int, start: int = 0) -> Iterator[np.ndarray]:
+    """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64) for i in order.
 
-    Follows numpy's SeedSequence: the seed is split into little-endian uint32
-    words and padded to the 4-word pool, the stream id is one more word, the
-    pool is mixed, and generate_state hashes the pool into 8 uint32 words,
-    read as 4 little-endian uint64.  Every word before the id is shared by all
+    i runs over [start, start + count).  The derivation follows numpy's
+    SeedSequence: the seed is split into little-endian uint32 words and
+    padded to the 4-word pool, the stream id is one more word, the pool is
+    mixed, and generate_state hashes the pool into 8 uint32 words, read as
+    4 little-endian uint64.  Every word before the id is shared by all
     streams, so that part of the mixing runs once on Python ints; the id's
     part runs on uint32 arrays of a block of ids at a time.  Each row is a
     C-contiguous (4,) uint64 array, the words PCG64 seeds itself from.
@@ -135,8 +143,9 @@ def _stream_words(master_seed: int, count: int) -> Iterator[np.ndarray]:
                 pool[dst] = _mix(pool[dst], v)
     for w in words[4:]:
         pool, hc = _mix_in(pool, w, hc)
-    for lo in range(0, count, _STATE_BLOCK):
-        mixed, _ = _mix_in(pool, np.arange(lo, min(lo + _STATE_BLOCK, count), dtype=np.uint32), hc)
+    stop = start + count
+    for lo in range(start, stop, _STATE_BLOCK):
+        mixed, _ = _mix_in(pool, np.arange(lo, min(lo + _STATE_BLOCK, stop), dtype=np.uint32), hc)
         state = np.empty((len(mixed[0]), 8), dtype=np.uint32)
         h = _INIT_B
         for k in range(8):
@@ -299,10 +308,11 @@ def _dense(params: EnsembleParams, packed: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch(Sequence):
-    """Columnar batch of draws on per-index streams (master_seed, i).
+    """Columnar batch of draws on per-index streams (master_seed, start + i).
 
     `packed[i]` holds the f free entries of draw i in its regime's draw
-    order; `xi` the Gamma mixing variables on the heavy branch.  As a
+    order; `xi` the Gamma mixing variables on the heavy branch.  Row i is
+    stream start + i, so a batch may be one block of a longer run.  As a
     Sequence, indexing and iteration give `MatrixSample`s; a slice gives a
     list of them.  `h` is the dense (count, n, n) stack and `chunks()`
     yields it in blocks of about 32k floats.
@@ -312,6 +322,7 @@ class SampleBatch(Sequence):
     packed: np.ndarray
     xi: np.ndarray | None
     master_seed: int
+    start: int = 0
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -329,7 +340,8 @@ class SampleBatch(Sequence):
 
     def _sample(self, i: int, h: np.ndarray) -> MatrixSample:
         xi = None if self.xi is None else float(self.xi[i])
-        return MatrixSample(h=h, params=self.params, xi=xi, seed_path=(self.master_seed, i))
+        return MatrixSample(h=h, params=self.params, xi=xi,
+                            seed_path=(self.master_seed, self.start + i))
 
     @property
     def h(self) -> np.ndarray:
@@ -385,27 +397,80 @@ def sample_ensemble(params: EnsembleParams, rng) -> MatrixSample:
                         xi=None if xi is None else float(xi[0]), seed_path=path)
 
 
+def _stream_range(master_seed, count, start) -> tuple[int, int, int]:
+    """(master_seed, count, start) as ints; ParameterError unless every id is one SeedSequence word."""
+    master_seed = _nonnegative_int(master_seed, "master seed")
+    count = _nonnegative_int(count, "count")
+    start = _nonnegative_int(start, "start")
+    if count >= 1 << 32:
+        raise ParameterError(f"count must be below 2**32, got {count}")
+    if start + count > 1 << 32:
+        raise ParameterError(f"stream ids must be below 2**32, got start {start} + count {count}")
+    return master_seed, count, start
+
+
 def sample_batch(
     params: EnsembleParams,
     count: int,
     master_seed: int,
     threads: int = 1,
+    *,
+    start: int = 0,
 ) -> SampleBatch:
-    """Draw `count` samples on per-index streams, ordered by sample_index.
+    """Draw `count` samples on the per-index streams start, ..., start + count - 1.
 
     Draw i runs on PCG64(SeedSequence(master_seed, spawn_key=(i,))), the
     stream of `RngStream(master_seed, i)`, so it depends only on
-    (master_seed, i).  Each stream's SeedSequence words are computed in bulk
-    and PCG64 seeds itself from them.  The seed must be a nonnegative integer
-    and count below 2**32, so that every id is one SeedSequence word.
-    `threads` is accepted for compatibility and ignored: the draws run on one
-    thread, because the per-stream loop holds the interpreter lock and a
-    thread pool only slowed it down.
+    (master_seed, i), and the batches of consecutive ranges [start, start +
+    count) concatenate to the batch of their union, byte for byte.  Each
+    stream's SeedSequence words are computed in bulk and PCG64 seeds itself
+    from them.  The seed and start must be nonnegative integers, count below
+    2**32 and start + count at most 2**32, so that every id is one
+    SeedSequence word.  `threads` is accepted for compatibility and ignored:
+    the draws run on one thread, because the per-stream loop holds the
+    interpreter lock and a thread pool only slowed it down.
     """
-    master_seed = _nonnegative_int(master_seed, "master seed")
-    count = _nonnegative_int(count, "count")
-    if count >= 1 << 32:
-        raise ParameterError(f"count must be below 2**32, got {count}")
-    gens = map(Generator, map(PCG64, map(_SeedWords, _stream_words(master_seed, count))))
+    master_seed, count, start = _stream_range(master_seed, count, start)
+    gens = map(Generator, map(PCG64, map(_SeedWords, _stream_words(master_seed, count, start))))
     packed, xi = _draw_packed(params, gens, count)
-    return SampleBatch(params=params, packed=packed, xi=xi, master_seed=master_seed)
+    return SampleBatch(params=params, packed=packed, xi=xi, master_seed=master_seed, start=start)
+
+
+@dataclass(frozen=True)
+class SampleBlocks:
+    """`count` draws on streams (master_seed, i), drawn lazily as consecutive SampleBatch blocks.
+
+    Iteration calls `sample_batch(..., start=lo)` for one block of `rows`
+    draws (about 2 MiB of packed floats) at a time, so a consumer that
+    reduces each block before the next holds one block, not the whole run.
+    The blocks concatenate to `sample_batch(params, count, master_seed)`
+    byte for byte.
+    """
+
+    params: EnsembleParams
+    count: int
+    master_seed: int
+
+    def __post_init__(self) -> None:
+        master_seed, count, _ = _stream_range(self.master_seed, self.count, 0)
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "count", count)
+
+    def __len__(self) -> int:
+        return self.count
+
+    @property
+    def rows(self) -> int:
+        """Draws per block."""
+        return max(1, _BLOCK_FLOATS // self.params.f)
+
+    def __iter__(self) -> Iterator[SampleBatch]:
+        step = self.rows
+        for lo in range(0, self.count, step):
+            # looked up at call time, so a wrapper installed on this module sees every block
+            yield sample_batch(self.params, min(step, self.count - lo), self.master_seed, start=lo)
+
+
+def sample_blocks(params: EnsembleParams, count: int, master_seed: int) -> SampleBlocks:
+    """The draws of `sample_batch(params, count, master_seed)`, to be drawn block by block."""
+    return SampleBlocks(params=params, count=count, master_seed=master_seed)

@@ -1,10 +1,10 @@
 """Empirical spectral statistics: eigenvalues, histograms, gaps, spacings, tails.
 
 Everything here is measurement; the matching closed-form laws live in
-`analytic`.  Draws come in as one `SampleBatch` and leave as one
-`SpectrumBatch` of sorted rows.  Batch statistics are computed from pooled
-data, never from streaming order, so results are independent of how the
-batch was assembled.
+`analytic`.  Draws come in as one `SampleBatch`, or as `SampleBlocks` drawn
+block by block, and leave as one `SpectrumBatch` of sorted rows.  Batch
+statistics are computed from pooled data, never from streaming order, so
+results are independent of how the batch was assembled.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytic import mean_count
 from .params import EnsembleParams, ParameterError, Regime
-from .sampler import SampleBatch
+from .sampler import SampleBatch, SampleBlocks
 
 __all__ = [
     "SpectrumBatch",
@@ -47,7 +47,8 @@ class SpectrumBatch:
             raise ParameterError(f"spectra must have shape (count >= 1, n), got {s.shape}")
         if not np.all(np.isfinite(s)):
             raise ParameterError("spectra must be finite")
-        if np.any(np.diff(s, axis=1) < 0):
+        # adjacent columns compared in place: no float temporary as large as the spectra
+        if np.any(s[:, 1:] < s[:, :-1]):
             raise ParameterError("each spectrum must be sorted ascending")
 
     @property
@@ -129,27 +130,34 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def spectra_from_samples(samples: SampleBatch) -> SpectrumBatch:
-    """Diagonalize a SampleBatch into a SpectrumBatch.
+def spectra_from_samples(samples: SampleBatch | SampleBlocks) -> SpectrumBatch:
+    """Diagonalize a SampleBatch, or SampleBlocks block by block, into a SpectrumBatch.
 
-    Dense matrices are formed in chunks, one batched LAPACK call each.  Each
-    packed value is written to both triangles, so every finite chunk is
-    symmetric by construction.  Draws with non-finite entries (the mixing
-    variable overflows at tiny lambda) raise one ParameterError that counts
-    them.
+    Dense matrices are formed in chunks, one batched LAPACK call each, and
+    their spectra fill one preallocated (count, n) array; SampleBlocks are
+    drawn as they are consumed, so only one block of draws is held at a
+    time.  Each packed value is written to both triangles, so every finite
+    chunk is symmetric by construction.  Draws with non-finite entries (the
+    mixing variable overflows at tiny lambda) raise one ParameterError that
+    counts them over the whole batch.
     """
-    if not isinstance(samples, SampleBatch):
-        raise TypeError(f"samples must be a SampleBatch, got {type(samples)!r}")
-    if not samples:
+    if isinstance(samples, SampleBatch):
+        blocks = (samples,)
+    elif isinstance(samples, SampleBlocks):
+        blocks = samples
+    else:
+        raise TypeError(f"samples must be a SampleBatch or SampleBlocks, got {type(samples)!r}")
+    if not len(samples):
         raise ParameterError("empty sample list")
     spectra = np.empty((len(samples), samples.params.n))
     nonfinite = 0
     lo = 0
-    for h in samples.chunks():
-        nonfinite += int(np.count_nonzero(~np.isfinite(h).all(axis=(1, 2))))
-        if not nonfinite:
-            spectra[lo : lo + len(h)] = np.linalg.eigvalsh(h)
-        lo += len(h)
+    for block in blocks:
+        for h in block.chunks():
+            nonfinite += int(np.count_nonzero(~np.isfinite(h).all(axis=(1, 2))))
+            if not nonfinite:
+                spectra[lo : lo + len(h)] = np.linalg.eigvalsh(h)
+            lo += len(h)
     if nonfinite:
         raise ParameterError(
             f"{nonfinite} of {len(samples)} draws have non-finite entries; "

@@ -541,6 +541,25 @@ def test_level_density_overflow_raises_numerical_error():
     assert level_density(3.0, p) > 0.0  # the amplitude still fits here
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_grid_points_are_zero_without_overflow_warnings():
+    # x^2 overflows to inf at 5e307 and 1e308, far out in every tail
+    grid = np.array([0.0, 5e307, 1e308])
+    members = (EnsembleParams.gaussian(5, 1.0), EnsembleParams.from_lambda(5, 2.0, alpha=1.0),
+               EnsembleParams.from_q(5, 0.5, alpha=1.0))
+    for p in members:
+        for entry in ("diag", "offdiag"):
+            pdf = element_pdf(grid, p, entry)
+            assert pdf[0] > 0.0 and pdf[1:].tolist() == [0.0, 0.0]
+            cdf = element_cdf(grid, p, entry)
+            assert cdf.tolist() == [0.5, 1.0, 1.0]
+    for p in members[:2]:
+        rho = level_density(grid, p)
+        assert rho[0] > 0.0 and rho[1:].tolist() == [0.0, 0.0]
+    sc = semicircle_density(grid, 5, 1.0)
+    assert sc[0] > 0.0 and sc[1:].tolist() == [0.0, 0.0]
+
+
 def test_level_density_underflowing_energy_is_the_plateau():
     # E^2 underflows to 0 below ~1e-162: the E = 0 value, not a division by zero
     p = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)

@@ -20,10 +20,12 @@ from qrmt.sampler import (
     MatrixSample,
     RngStream,
     SampleBatch,
+    SampleBlocks,
     _SeedWords,
     _beta,
     _stream_words,
     sample_batch,
+    sample_blocks,
     sample_ensemble,
     sample_goe,
     sample_levy_stable,
@@ -242,6 +244,18 @@ def test_batch_count_validation():
         sample_batch(params, 2**32, master_seed=0)
     with pytest.raises(ParameterError, match="count must be a nonnegative integer"):
         sample_batch(params, 3.0, master_seed=0)
+    # a range [start, start + count) must stay below 2**32 as well
+    last = sample_batch(params, 1, master_seed=0, start=2**32 - 1)
+    assert last[0].seed_path == (0, 2**32 - 1)
+    assert last[0].h.tobytes() == sample_ensemble(params, RngStream(0, 2**32 - 1)).h.tobytes()
+    with pytest.raises(ParameterError, match="below 2\\*\\*32"):
+        sample_batch(params, 2, master_seed=0, start=2**32 - 1)
+    with pytest.raises(ParameterError, match="start must be a nonnegative integer"):
+        sample_batch(params, 1, master_seed=0, start=-1)
+    with pytest.raises(ParameterError, match="below 2\\*\\*32"):
+        sample_blocks(params, 2**32, master_seed=0)
+    with pytest.raises(ParameterError, match="master seed must be a nonnegative integer"):
+        sample_blocks(params, 1, master_seed=-1)
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "7", None, True])
@@ -394,6 +408,47 @@ def test_slice_equals_single_items(a, b):
     assert [s.sample_index for s in part] == [s.sample_index for s in single]
     assert [s.seed_path for s in part] == [s.seed_path for s in single]
     assert [s.h.tobytes() for s in part] == [s.h.tobytes() for s in single]
+
+
+_SPLIT_REGIMES = [
+    EnsembleParams.gaussian(3, alpha=1.5),
+    EnsembleParams.from_lambda(3, 0.7, alpha=1.0),
+    EnsembleParams.from_q(3, 0.5, alpha=1.0),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), regime=st.sampled_from(range(3)), total=st.integers(min_value=0, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**70))
+def test_consecutive_ranges_concatenate_to_the_batch(data, regime, total, seed):
+    params = _SPLIT_REGIMES[regime]
+    cuts = data.draw(st.lists(st.integers(min_value=0, max_value=total), max_size=5))
+    bounds = [0, *sorted(cuts), total]
+    whole = sample_batch(params, total, master_seed=seed)
+    parts = [sample_batch(params, hi - lo, master_seed=seed, start=lo)
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert [p.start for p in parts] == bounds[:-1]
+    assert np.concatenate([p.packed for p in parts]).tobytes() == whole.packed.tobytes()
+    if whole.xi is None:
+        assert all(p.xi is None for p in parts)
+    else:
+        assert np.concatenate([p.xi for p in parts]).tobytes() == whole.xi.tobytes()
+    assert [s.seed_path for p in parts for s in p] == [s.seed_path for s in whole]
+
+
+def test_sample_blocks_cover_the_batch():
+    params = EnsembleParams.from_lambda(50, 1.0, alpha="auto")
+    blocks = sample_blocks(params, 700, master_seed=np.int64(3))
+    assert isinstance(blocks, SampleBlocks) and len(blocks) == 700 and blocks.master_seed == 3
+    # 2 MiB of packed floats: 2**18 // 1275 draws per block at n = 50
+    assert blocks.rows == 205
+    parts = list(blocks)
+    assert [(p.start, len(p)) for p in parts] == [(0, 205), (205, 205), (410, 205), (615, 85)]
+    whole = sample_batch(params, 700, master_seed=3)
+    assert np.concatenate([p.packed for p in parts]).tobytes() == whole.packed.tobytes()
+    assert np.concatenate([p.xi for p in parts]).tobytes() == whole.xi.tobytes()
+    assert list(sample_blocks(params, 0, master_seed=3)) == []
+    assert sample_blocks(EnsembleParams.gaussian(2000, 1.0), 3, master_seed=0).rows == 1
 
 
 def test_sample_batch_chunks_cover_the_batch():

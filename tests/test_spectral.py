@@ -7,6 +7,7 @@ deviation observed there.
 """
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from oracles import sturm_eigenvalues
 
 import qrmt.analytic as an
 from qrmt.params import EnsembleParams, ParameterError
-from qrmt.sampler import RngStream, _dense, _draw_packed, sample_batch, sample_goe
+from qrmt.sampler import RngStream, _dense, _draw_packed, sample_batch, sample_blocks, sample_goe
 from qrmt.spectral import (
     GapEstimate,
     Histogram,
@@ -91,6 +92,10 @@ def test_spectrum_batch_validation():
         SpectrumBatch(spectra=np.zeros((2, 4)), params=p)
     b = SpectrumBatch(spectra=np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 4.0]]), params=p)
     assert b.pooled().shape == (6,)
+    # ties, signed zeros included, are sorted; one inversion anywhere is not
+    SpectrumBatch(spectra=np.array([[1.0, 1.0, 3.0], [-1.0, 0.0, -0.0]]), params=p)
+    with pytest.raises(ParameterError, match="sorted"):
+        SpectrumBatch(spectra=np.array([[1.0, 2.0, 3.0], [0.0, 4.0, 3.9]]), params=p)
 
 
 def test_spectrum_batch_rejects_non_finite_spectra():
@@ -149,6 +154,53 @@ def test_spectra_from_samples_counts_nonfinite_draws():
         spectra_from_samples(samples)
     with pytest.raises(ParameterError, match="non-finite"):
         eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_streamed_spectra_equal_the_whole_batch(n):
+    # block boundaries fall before, at and after one block, and inside a fourth;
+    # row i of the whole batch depends only on draw i, so one batch serves all counts
+    p = EnsembleParams.from_lambda(n, 1.5, alpha="auto")
+    rows = sample_blocks(p, 1, master_seed=12).rows
+    counts = (rows - 1, rows, rows + 1, 3 * rows + 2)
+    whole = spectra_from_samples(sample_batch(p, counts[-1], master_seed=12)).spectra
+    for count in counts:
+        streamed = spectra_from_samples(sample_blocks(p, count, master_seed=12))
+        assert streamed.count == count and streamed.params == p
+        assert streamed.spectra.tobytes() == whole[:count].tobytes()
+
+
+def test_streamed_nonfinite_draws_are_counted_over_all_blocks():
+    p = EnsembleParams.from_lambda(10, 0.001, alpha=1.0)
+    samples = sample_batch(p, 10000, master_seed=0)
+    bad = np.flatnonzero(~np.isfinite(samples.packed).all(axis=1))
+    rows = sample_blocks(p, 1, master_seed=0).rows
+    assert len(set(bad // rows)) >= 2  # the bad draws span several blocks
+    message = f"^{len(bad)} of 10000 draws have non-finite entries"
+    with pytest.raises(ParameterError, match=message):
+        spectra_from_samples(sample_blocks(p, 10000, master_seed=0))
+    with pytest.raises(ParameterError, match=message):
+        spectra_from_samples(samples)
+    with pytest.raises(ParameterError, match="^empty sample list$"):
+        spectra_from_samples(sample_blocks(p, 0, master_seed=0))
+
+
+def _peak_bytes(make) -> int:
+    tracemalloc.start()
+    try:
+        spectra_from_samples(make())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_spectra_hold_one_block_of_draws():
+    # 2000 draws at n = 50 are 20.4 MB of packed floats; the streamed route
+    # holds the 0.8 MB of spectra plus one 2 MiB block and its temporaries
+    p = EnsembleParams.from_lambda(50, 1.0, alpha="auto")
+    bound = 8 * 2**20
+    assert _peak_bytes(lambda: sample_blocks(p, 2000, master_seed=7)) < bound
+    assert _peak_bytes(lambda: sample_batch(p, 2000, master_seed=7)) > bound
 
 
 # --------------------------------------------------------------- histograms
