@@ -324,18 +324,16 @@ def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
     n, lam, a = params.n, params.lam, params.alpha
     e = abs(float(e))
     pref = (2.0 * a / (math.pi * lam)) * math.exp(-ln_gamma(lam))
-    hi = _xi_max(lam)
     d = a * e * e
     t = n * lam / d if d > 0.0 else math.inf  # E = 0, or E^2 underflowing to 0
-    if t <= hi:
+    if t <= _xi_max(lam):
         # integrand = pref e^-xi xi^(lam-1/2) |E| sqrt(t - xi) on [0, t]
-        f, hi, wvar = (lambda xi: pref * math.exp(-xi) * e), t, (lam - 0.5, 0.5)
+        f = lambda xi: pref * math.exp(-xi) * e
     else:
         f = lambda xi: pref * math.exp(-xi) * math.sqrt(max(n * lam / a - xi * e * e, 0.0))
-        wvar = (lam - 0.5, 0.0)
     point = f"E={e!r}, n={n}"
-    val, err, neval = _gamma_average(f, lam, hi, wvar, (1e-12, 1e-10), "level_density_mixture", point,
-                                     stacklevel=3)
+    val, err, neval = _gamma_average(f, lam, -0.5, "level_density_mixture", point, stacklevel=3,
+                                     kink=t, power=0.5, tol=(1e-12, 1e-10))
     # QUADPACK can hand back a negative error estimate with no message
     if err < 0.0:
         raise NumericalError(
@@ -405,21 +403,34 @@ _QUADPACK_IER = (
 _GOE_TOL = (1e-11, 1e-9)
 
 
-def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, site: str, point: str,
-                   stacklevel: int):
-    """(value, err, neval) of Int_0^hi xi^wvar[0] (hi - xi)^wvar[1] integrand(xi) dxi by QAWS.
+def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, stacklevel: int, *,
+                   kink: float = math.inf, power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL):
+    """(value, err, neval) of the Gamma average Int_0^inf xi^(lam + shift) kernel(xi) dxi, by QAWS.
 
-    The one QUADPACK call in this module.  A value or error estimate that is
-    not finite is a NumericalError.  A call that does not converge keeps its
-    value and emits one IntegrationWarning naming `site`, `point`, lambda and
+    The one QUADPACK call in this module.  `kernel` carries e^-xi and the law's constants.  The law
+    is kernel(xi) (kink - xi)^power below `kink` (inf: no kink) and the constant `beyond` past it,
+    so QAWS covers [0, min(kink, _xi_max(lam))], without the power when the truncation comes
+    first, and the tail adds beyond Q(lam, kink), Q the regularized upper incomplete gamma; a
+    dropped strip [_xi_max, kink) adds its bound beyond Q(lam, _xi_max) ~ 1e-20 to err.
+
+    NumericalError when the float lam + shift drops lam's digits (the weight's mass near 0 is
+    xi^(lam + shift + 1)/(lam + shift + 1); at shift -1, below lam ~ 1e-7, that moves the average
+    past the tolerance) and when the value or error estimate is not finite.  A call that does not
+    converge keeps its value and emits one IntegrationWarning naming `site`, `point`, lambda and
     QUADPACK's ier, at `stacklevel`: the caller of the public function.
     """
+    exponent = lam + shift
+    if abs(exponent - shift - lam) > 1e-9 * (lam + (shift + 1.0)):
+        raise NumericalError(f"{site}: lambda={lam!r} is too small for float64: the Gamma weight's "
+                             f"exponent lambda - {-shift:g} rounds to {exponent!r}")
+    xi_max = _xi_max(lam)
+    hi = min(kink, xi_max)
     res = integrate.quad(
-        integrand,
+        kernel,
         0.0,
         hi,
         weight="alg",
-        wvar=wvar,
+        wvar=(exponent, power if kink <= xi_max else 0.0),
         epsabs=tol[0],
         epsrel=tol[1],
         full_output=True,
@@ -436,7 +447,12 @@ def _gamma_average(integrand, lam: float, hi: float, wvar: tuple, tol: tuple, si
             integrate.IntegrationWarning,
             stacklevel=stacklevel,
         )
-    return res[0], res[1], int(res[2]["neval"])
+    val, err = res[0], res[1]
+    if beyond:
+        val += beyond * float(_sp.gammaincc(lam, kink))
+        if kink > hi:
+            err += beyond * float(_sp.gammaincc(lam, hi))
+    return val, err, int(res[2]["neval"])
 
 
 def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
@@ -477,26 +493,13 @@ def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
     return e_integrand, s_integrand
 
 
-def _goe_weight(lam: float, site: str) -> tuple:
-    """QAWS's wvar for the Gamma weight xi^(lam - 1); NumericalError when lam - 1 drops lam's digits.
-
-    The weight's mass near 0 is ((lam - 1) + 1)^-1 xi^((lam - 1) + 1), so below lam ~ 1e-7 the
-    float lam - 1.0 alone moves the average by more than the 1e-9 tolerance.
-    """
-    if abs((lam - 1.0) + 1.0 - lam) > 1e-9 * lam:
-        raise NumericalError(f"{site}: lambda={lam!r} is too small for float64: the Gamma weight's "
-                             f"exponent lambda - 1 rounds to {lam - 1.0!r}")
-    return lam - 1.0, 0.0
-
-
 def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts: tuple) -> list:
     """[(value, err)] of the Gamma average of the count y (count True) or of goe_gap(y), at theta >= 0.
 
     One (value, err) per entry of `counts`, in that order, from one pair of integrands, so
     gap_curve's s quadrature reads the nodes its E quadrature evaluated.  The point evaluator of
     gap_probability, mean_count and gap_curve.  Past xi_sat = n lam/(alpha theta^2), infinite
-    when theta^2 underflows, y = n: that tail is the constant n or goe_gap(n) times the
-    regularized upper incomplete gamma.
+    when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError(f"{site.replace('_', ' ')} needs the heavy-tailed branch")
@@ -508,19 +511,12 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts:
     theta = float(theta)
     d = a * theta * theta
     xi_sat = n * lam / d if d > 0.0 else math.inf
-    hi = min(xi_sat, _xi_max(lam))
     integrands = _goe_integrands(theta, params)
-    wvar = _goe_weight(lam, site)
     point = f"theta={theta!r}, n={n}"
-    q_sat = float(_sp.gammaincc(lam, xi_sat))
-    # the strip [xi_max, xi_sat) is dropped when xi_sat exceeds the truncation;
-    # its mass is below saturated * Q(lam, xi_max) ~ 1e-20
-    q_dropped = float(_sp.gammaincc(lam, hi)) if xi_sat > hi else 0.0
-    out = []
+    out = []  # a loop, not a comprehension: stacklevel counts a comprehension's frame on Python 3.11
     for count in counts:
-        saturated = float(n) if count else goe_gap(float(n))
-        val, err, _ = _gamma_average(integrands[count], lam, hi, wvar, _GOE_TOL, site, point, stacklevel=4)
-        out.append((val + saturated * q_sat, err + saturated * q_dropped))
+        out.append(_gamma_average(integrands[count], lam, -1.0, site, point, stacklevel=4, kink=xi_sat,
+                                  beyond=float(n) if count else goe_gap(float(n)))[:2])
     return out
 
 
@@ -563,7 +559,7 @@ def gap_probability_bulk(s, lam: float = 1.0):
         return float(out) if sa.ndim == 0 else out
     # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
     slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
-    scale, hi, hsp = math.exp(-ln_gamma(lam)), _xi_max(lam), _HALF_SQRT_PI
+    scale, hsp = math.exp(-ln_gamma(lam)), _HALF_SQRT_PI
     sqrt, exp, erfc = math.sqrt, math.exp, _sp.erfc
 
     def one(sv: float) -> float:
@@ -571,13 +567,11 @@ def gap_probability_bulk(s, lam: float = 1.0):
             return 1.0
         # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order
         f = lambda xi: scale * exp(-xi) * float(erfc(sv * sqrt(xi) * slope * hsp))
-        wvar = _goe_weight(lam, "gap_probability_bulk")
-        val = _gamma_average(f, lam, hi, wvar, _GOE_TOL, "gap_probability_bulk", f"s={sv!r}", stacklevel=4)[0]
-        return min(val, 1.0)
+        return min(_gamma_average(f, lam, -1.0, "gap_probability_bulk", f"s={sv!r}", stacklevel=4)[0], 1.0)
 
     if sa.ndim == 0:
         return one(float(sa))
-    return np.array([one(float(v)) for v in sa])
+    return np.array([*map(one, map(float, sa))])  # no comprehension frame for stacklevel to count
 
 
 def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:

@@ -729,6 +729,7 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     """Print TAP rows for the suites, or for the files a manifest lists; exit 4 on any failure."""
+    RngStream(args.seed, 0)  # reject a bad seed in every mode, before any TAP line
     if args.manifest:
         rows = RunManifest.check(args.manifest)
     else:

@@ -594,6 +594,8 @@ def test_level_density_constants_are_cached_per_params():
 
 @pytest.mark.parametrize("call,match", [
     (lambda: gap_probability_bulk(3.7, 10.0), r"gap_probability_bulk: QUADPACK ier=2 at s=3\.7, lambda=10\.0"),
+    (lambda: gap_probability_bulk(np.array([3.7]), 10.0)[0],
+     r"gap_probability_bulk: QUADPACK ier=2 at s=3\.7, lambda=10\.0: The occurrence of roundoff"),
     (lambda: gap_probability(0.2717207669088468, EnsembleParams.from_lambda(20, 10.0, alpha="auto")),
      r"gap_probability: QUADPACK ier=2 at theta=0\.2717207669088468, n=20, lambda=10\.0"),
 ])
@@ -673,6 +675,13 @@ def test_gap_laws_at_lambda_that_lambda_minus_one_drops_raise_numerical_error(ca
     # (lam - 1.0) + 1.0 is not lam here, so the QAWS weight xi^(lam - 1) has the wrong mass
     with pytest.raises(NumericalError, match=f"lambda={lam!r} is too small for float64"):
         call(lam)
+
+
+def test_mixture_weight_at_lambda_that_lambda_minus_one_drops_is_not_rejected():
+    # the mixture's weight xi^(lam - 1/2) keeps lam's digits down to lam = 1e-300,
+    # so the exponent gate that stops the gap laws there lets it through
+    p = EnsembleParams.from_lambda(5, 1e-300, alpha=1.0)
+    assert level_density_mixture(0.0, p).value == pytest.approx(level_density(0.0, p), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1e-300])

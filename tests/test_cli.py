@@ -286,9 +286,15 @@ def test_exit_2_on_nonfinite_numbers(argv, tmp_path, capsys):
     ["reproduce", "fig2", "--samples", "50", "--seed", "-1"],
     ["reproduce", "fig1", "--samples", "50", "--seed", "-1"],
     ["verify", "--suite", "samplers", "--seed", "-1"],
-], ids=["sample", "reproduce", "reproduce-fig1", "verify"])
+    # these suites draw nothing, and the manifest mode reads no seed
+    ["verify", "--suite", "specfun", "--seed", "-1"],
+    ["verify", "--suite", "analytic", "--seed", "-1"],
+    ["verify", "--manifest", "manifest.json", "--seed", "-1"],
+], ids=["sample", "reproduce", "reproduce-fig1", "verify", "verify-specfun", "verify-analytic",
+        "verify-manifest"])
 def test_exit_2_on_negative_seed(argv, tmp_path, capsys):
-    # sample and reproduce reject the seed before they create --out or write a file
+    # sample and reproduce reject the seed before they create --out or write a file,
+    # verify before it prints a TAP line
     out_dir = tmp_path / "d"
     if argv[0] != "verify":
         argv = argv + ["--out", str(out_dir)]
@@ -296,6 +302,7 @@ def test_exit_2_on_negative_seed(argv, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: master seed must be a nonnegative integer, got -")
     assert err.count("\n") == 1
+    assert out == ""
     assert not out_dir.exists()
 
 
@@ -500,28 +507,62 @@ def test_import_and_sample_load_no_scipy(tmp_path):
     assert os.path.isfile(tmp_path / "run" / "matrices.csv")
 
 
-def test_gap_curve_quadratures_go_through_analytic_integrate(monkeypatch):
-    # a stand-in for qrmt.analytic.integrate sees every QUADPACK call of the
-    # analytic layer, and none of the CLI's own
+def _count_analytic_quads(monkeypatch) -> list:
+    """Put a stand-in for qrmt.analytic.integrate in place; the list collects one entry per quad call."""
     real = qrmt.analytic.integrate
-    assert qrmt.cli.integrate is not real
-    calls = 0
+    calls = []
 
     class Counting:
         @staticmethod
         def quad(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+            calls.append(kwargs.get("wvar"))
             return real.quad(*args, **kwargs)
 
         def __getattr__(self, attr):
             return getattr(real, attr)
 
     monkeypatch.setattr(qrmt.analytic, "integrate", Counting())
+    return calls
+
+
+def test_gap_curve_quadratures_go_through_analytic_integrate(monkeypatch):
+    # a stand-in for qrmt.analytic.integrate sees every QUADPACK call of the
+    # analytic layer, and none of the CLI's own
+    assert qrmt.cli.integrate is not qrmt.analytic.integrate
+    calls = _count_analytic_quads(monkeypatch)
     p = qrmt.EnsembleParams.from_lambda(5, 1.5, alpha="auto")
     curve = qrmt.analytic.gap_curve(p, np.array([0.0, 0.2, 0.5]))
-    assert calls == 4  # E and s at each theta > 0; theta = 0 needs no quadrature
+    assert len(calls) == 4  # E and s at each theta > 0; theta = 0 needs no quadrature
     assert curve.values[0] == 1.0
+
+
+_P15 = qrmt.EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
+
+
+# QAWS's wvar at lambda = 1.5: the Gamma weight's exponent, lambda - 1/2 for the mixture and
+# lambda - 1 for the GOE laws, and the power of the kernel's zero at its kink
+_MIX, _MIX_KINK, _GOE = (1.0, 0.0), (1.0, 0.5), (0.5, 0.0)
+
+
+@pytest.mark.parametrize("call,wvars", [
+    (lambda: qrmt.analytic.level_density_mixture(0.0, _P15), [_MIX]),
+    (lambda: qrmt.analytic.level_density_mixture(0.7, _P15), [_MIX_KINK]),  # kink below the truncation
+    (lambda: qrmt.analytic.level_density_mixture(0.1, _P15), [_MIX]),  # kink past it
+    (lambda: qrmt.analytic.mean_count(0.5, _P15), [_GOE]),
+    (lambda: qrmt.analytic.mean_count(0.0, _P15), []),
+    (lambda: qrmt.analytic.gap_probability(0.5, _P15), [_GOE]),
+    (lambda: qrmt.analytic.gap_probability(0.0, _P15), []),
+    (lambda: qrmt.analytic.gap_probability_bulk(np.array([0.0, 0.5, 2.0]), 1.5), [_GOE, _GOE]),
+    (lambda: qrmt.analytic.gap_probability_bulk(0.0, 1.5), []),
+    (lambda: qrmt.analytic.gap_probability_bulk(np.array([0.5, 2.0]), 1.0), []),  # closed form
+], ids=["mixture-E0", "mixture-kink", "mixture-truncated", "count", "count-theta0", "gap", "gap-theta0",
+        "bulk", "bulk-s0", "bulk-lambda1"])
+def test_each_gamma_average_is_one_quadpack_call(monkeypatch, call, wvars):
+    # what the bench tracer counts as analytic.quad_calls: one call per average, none where
+    # the law is exact without one
+    calls = _count_analytic_quads(monkeypatch)
+    call()
+    assert calls == wvars
 
 
 # ------------------------------------------------------------------- verify
