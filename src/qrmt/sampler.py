@@ -22,7 +22,8 @@ A batch is columnar: the per-stream loop only draws the scalar and the core,
 and the scaling onto matrix entries is vectorised over the whole batch.  A
 `SampleBatch` stores the f free entries of each draw packed in one row;
 dense matrices are formed on demand, in chunks.  A `SampleBlocks` run draws
-the same rows lazily, one block of consecutive stream ids at a time.
+the same rows lazily, one block of consecutive stream ids (about 1 MiB of
+packed floats) at a time.
 """
 from __future__ import annotations
 
@@ -53,10 +54,10 @@ __all__ = [
 
 # dense matrices are built in blocks of about this many floats (256 KiB)
 _CHUNK_FLOATS = 1 << 15
-# streamed draws come in batches of about this many packed floats (2 MiB):
+# streamed draws come in batches of about this many packed floats (1 MiB):
 # larger blocks raise peak memory, smaller ones pay each batch's fixed cost
 # (stream-word setup) more often
-_BLOCK_FLOATS = 1 << 18
+_BLOCK_FLOATS = 1 << 17
 # stream seed words are derived in blocks of this many ids, so that a large
 # batch never holds the words of all its draws at once
 _STATE_BLOCK = 1 << 10
@@ -441,8 +442,9 @@ class SampleBlocks:
     """`count` draws on streams (master_seed, i), drawn lazily as consecutive SampleBatch blocks.
 
     Iteration calls `sample_batch(..., start=lo)` for one block of `rows`
-    draws (about 2 MiB of packed floats) at a time, so a consumer that
-    reduces each block before the next holds one block, not the whole run.
+    draws (about 1 MiB of packed floats) at a time, so a consumer that
+    reduces each block and drops it before asking for the next holds one
+    block, not the whole run.
     The blocks concatenate to `sample_batch(params, count, master_seed)`
     byte for byte.
     """

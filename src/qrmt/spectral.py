@@ -2,9 +2,10 @@
 
 Everything here is measurement; the matching closed-form laws live in
 `analytic`.  Draws come in as one `SampleBatch`, or as `SampleBlocks` drawn
-block by block, and leave as one `SpectrumBatch` of sorted rows.  Batch
-statistics are computed from pooled data, never from streaming order, so
-results are independent of how the batch was assembled.
+block by block with one block held at a time, and leave as one
+`SpectrumBatch` of sorted rows.  Batch statistics are computed from pooled
+data, never from streaming order, so results are independent of how the
+batch was assembled.
 """
 from __future__ import annotations
 
@@ -32,6 +33,9 @@ __all__ = [
     "ks_distance",
     "ks_distance_two",
 ]
+
+# ks_distance evaluates the CDF on slices of this many sorted values (128 KiB)
+_KS_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,10 @@ def spectra_from_samples(samples: SampleBatch | SampleBlocks) -> SpectrumBatch:
 
     Dense matrices are formed in chunks, one batched LAPACK call each, and
     their spectra fill one preallocated (count, n) array; SampleBlocks are
-    drawn as they are consumed, so only one block of draws is held at a
-    time.  Each packed value is written to both triangles, so every finite
-    chunk is symmetric by construction.  Draws with non-finite entries (the
+    drawn as they are consumed, and each block and its last chunk are
+    dropped before the next is drawn, so only one block of draws is held
+    at a time.  Each packed value is written to both triangles, so every
+    finite chunk is symmetric by construction.  Draws with non-finite entries (the
     mixing variable overflows at tiny lambda) raise one ParameterError that
     counts them over the whole batch.
     """
@@ -158,6 +163,8 @@ def spectra_from_samples(samples: SampleBatch | SampleBlocks) -> SpectrumBatch:
             if not nonfinite:
                 spectra[lo : lo + len(h)] = np.linalg.eigvalsh(h)
             lo += len(h)
+        # the loop variables would keep this block alive while the next one is drawn
+        del block, h
     if nonfinite:
         raise ParameterError(
             f"{nonfinite} of {len(samples)} draws have non-finite entries; "
@@ -250,8 +257,10 @@ def tail_index(values, k: int | None = None) -> TailIndexEstimate:
     For a density decaying like |x|^-(gamma+1) (survival exponent gamma) the
     estimate converges to gamma; stderr is the asymptotic gamma/sqrt(k).
     """
+    # a fresh array, partitioned in place; zeros and NaN cost one more copy
     x = np.abs(np.asarray(values, dtype=float).ravel())
-    x = x[x > 0.0]
+    if not (x > 0.0).all():
+        x = x[x > 0.0]
     n = len(x)
     if n < 2:
         raise ParameterError("need at least two nonzero values")
@@ -260,7 +269,8 @@ def tail_index(values, k: int | None = None) -> TailIndexEstimate:
     if not 0 < k < n:
         raise ParameterError(f"need 0 < k < {n}, got k={k}")
     # k largest plus the threshold order statistic, ascending, as in a full sort
-    top = np.sort(np.partition(x, n - k - 1)[n - k - 1 :])
+    x.partition(n - k - 1)
+    top = np.sort(x[n - k - 1 :])
     logs = np.log(top)
     hill = float(np.mean(logs[1:] - logs[0]))
     if hill <= 0.0:
@@ -270,14 +280,24 @@ def tail_index(values, k: int | None = None) -> TailIndexEstimate:
 
 
 def ks_distance(sample, cdf) -> float:
-    """Kolmogorov-Smirnov sup |F_hat - F| against a callable CDF."""
+    """Kolmogorov-Smirnov sup |F_hat - F| against a callable CDF.
+
+    The CDF and both one-sided gaps are evaluated on fixed slices of the
+    sorted sample, so no temporary is as large as the sample; np.maximum
+    keeps a NaN from any slice, as one whole-sample max would.
+    """
     x = np.sort(np.asarray(sample, dtype=float).ravel())
     n = len(x)
     if n == 0:
         raise ParameterError("empty sample")
-    f = np.asarray(cdf(x), dtype=float)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
+    above = below = -math.inf
+    for lo in range(0, n, _KS_SLICE):
+        hi = min(lo + _KS_SLICE, n)
+        f = np.asarray(cdf(x[lo:hi]), dtype=float)
+        grid = np.arange(lo + 1, hi + 1) / n
+        above = np.maximum(above, np.max(grid - f))
+        below = np.maximum(below, np.max(f - (grid - 1.0 / n)))
+    return float(max(above, below))
 
 
 def ks_distance_two(a, b) -> float:

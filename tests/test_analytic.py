@@ -21,6 +21,7 @@ from scipy.special import betainc, erfc, gammaln, stdtr
 
 from oracles import MEHTA_INTEGRALS, fourier_char_fn
 
+import qrmt.analytic
 from qrmt.analytic import (
     AnalyticCurve,
     _goe_integrands,
@@ -454,6 +455,45 @@ def test_gap_probability_bulk_against_oracle(lam):
         assert gap_probability_bulk(s, lam) == pytest.approx(_bulk_beta(s, lam), abs=1e-9)
 
 
+# E(s) at lambda above 10: I_x(lambda, 1/2) in 40-digit mpmath (betainc, with Gamma(lambda) /
+# Gamma(lambda + 1/2) as a rising factorial), which agrees with mpmath's quadrature of the
+# Gamma average of erfc to 1e-14 at lambda = 20, 50 and 300
+BULK_S = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0)
+BULK_MPMATH = {
+    20.0: (0.90027102396091633, 0.53189803363718296, 0.21455333595935854, 0.015739184484663669,
+           0.00050727798753906789, 1.7561797960603899e-7, 1.4932956678889844e-12,
+           1.607206151120122e-15),
+    50.0: (0.90026509587559441, 0.53128831142756219, 0.21187960855268073, 0.013572345578900981,
+           0.00027703414029712558, 8.7345515298700034e-9, 7.6307303753573497e-17,
+           2.7224640825931628e-22),
+    300.0: (0.90026183350929956, 0.53095130328240135, 0.21038975365909381, 0.012415881615522728,
+            0.00018544731181831174, 6.9399874564349631e-10, 5.388637329730159e-22,
+            3.4018226950843317e-32),
+    1e4: (0.90026120317101519, 0.53088606790892874, 0.21010035771184976, 0.012195670872315541,
+          0.00017040426041537131, 3.7643648272657053e-10, 1.3236344048314098e-23,
+          6.6964012662879738e-36),
+    1e6: (0.90026118388408556, 0.53088407123810769, 0.21009149496717369, 0.01218895006513308,
+          0.00016995698906384643, 3.6915876682724108e-10, 1.1670916269198799e-23,
+          4.9328394248786157e-36),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(BULK_MPMATH))
+def test_gap_probability_bulk_above_lambda_10_against_mpmath(lam):
+    # worst relative error 3e-10, at lambda = 1e4 and s = 10
+    values = gap_probability_bulk(np.array(BULK_S), lam)
+    assert values == pytest.approx(BULK_MPMATH[lam], rel=1e-9, abs=0.0)
+    assert [gap_probability_bulk(s, lam) for s in BULK_S] == values.tolist()
+
+
+@pytest.mark.parametrize("lam", sorted(BULK_MPMATH))
+def test_gap_probability_bulk_above_lambda_10_is_monotone(lam):
+    s = np.concatenate([np.linspace(0.0, 10.0, 201), np.geomspace(10.0, 1e300, 50)])
+    e = gap_probability_bulk(s, lam)
+    assert e[0] == 1.0 and e[-1] == 0.0
+    assert np.all((e >= 0.0) & (e <= 1.0)) and np.all(np.diff(e) <= 0.0)
+
+
 def test_gap_probability_bulk_lam1_branch_is_the_beta_identity():
     s = np.linspace(0.0, 10.0, 201)
     assert np.max(np.abs(gap_probability_bulk(s, 1.0) - _bulk_beta(s, 1.0))) < 1e-15
@@ -658,11 +698,16 @@ def test_gap_probability_bulk_rejects_nonfinite_lambda(lam):
         gap_probability_bulk(1.0, lam)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_gap_probability_bulk_nonfinite_result_raises_numerical_error():
-    # QAWS returns NaN for the weight xi^(1e6 - 1)
-    with pytest.raises(NumericalError, match=r"s=1\.0, lambda=1000000\.0: nan"):
-        gap_probability_bulk(1.0, 1e6)
+def test_gap_probability_bulk_nonfinite_result_raises_numerical_error(monkeypatch):
+    # a stand-in QUADPACK that returns NaN; lambda <= 10 is the quadrature route
+    class NanQuadpack:
+        @staticmethod
+        def quad(*args, **kwargs):
+            return math.nan, math.nan, {"neval": 21}
+
+    monkeypatch.setattr(qrmt.analytic, "integrate", NanQuadpack)
+    with pytest.raises(NumericalError, match=r"s=1\.0, lambda=3\.0: nan"):
+        gap_probability_bulk(1.0, 3.0)
 
 
 @pytest.mark.parametrize("lam", [1e-16, 5e-17, 1e-300])
@@ -975,6 +1020,19 @@ GOLDEN_BULK = {
     10.0: "b3986adc05f832311f60e838bb3686e4b93db522e2559152266499ce530f1454",
     1.0000000000001: "77c09ac284637bd835976ce924cb925459fe89c83d8c9c53a487b5e601385a7a",
 }
+MIXTURE_CASES = [(n, lam) for n in (3, 20, 50) for lam in (0.5, 1.5, 10.0)]
+# level_density_mixture, the oracle of density_curve's cross-check: value, error estimate and neval
+GOLDEN_MIXTURE = {
+    (3, 0.5): "cabec60599a2b4008d2c19eb1375fc0ff26352b9d572f5a0276eeb512b4db0f4",
+    (3, 1.5): "4316bf40bcd70b4f8624458c2b2821d86fb053a36961b43a321bb5199fdfeae3",
+    (3, 10.0): "4bdfb324500a009a3597dc80105e4c4aaef42159699197b9e56a90b32384c111",
+    (20, 0.5): "67ad5e3f4eafed019d445a5d52cbeace9bbe20f8c9b90ae9605d4c8d4417caf2",
+    (20, 1.5): "f0f45f926c14cf0609bb43c34d6e79f1a035f979a026ddebbf112320c3a348ac",
+    (20, 10.0): "59c14286f2bf37cc9b3cbc90a52f49d3ce9b24ef8a9c213114f7327793b775cd",
+    (50, 0.5): "6b61c50ce58f068536925589a7a51fa507fee09fc4f39884985e67d7968b295c",
+    (50, 1.5): "9a7e9d8b8322ae0c834193d1c9ab9f794838ab9c8ce87d46477fc6ca5e70c087",
+    (50, 10.0): "7f20d415d1d0f7754e2afe3d8f423a8b89da60516857176f0a589709c232f9b7",
+}
 LEVEL_DENSITY_PARAMS = [(5, 1.5, 1.0), (20, 0.5, "auto"), (50, 10.0, "auto"), (3, 3.0, 2.5)]
 GOLDEN_LEVEL_DENSITY = {
     (5, 1.5): "a0812e3a0b44e40dd22af0c5f2be2a8c5aa9c94350e5687196cc952ccbd79162",
@@ -990,6 +1048,28 @@ def _level_density_grid() -> np.ndarray:
     body = np.linspace(-30.0, 30.0, 121)
     tail = np.geomspace(30.0, 1e4, 25)
     return np.concatenate([[0.0, -0.0], tiny, -tiny, body, tail, -tail])
+
+
+def _mixture_grid(n: int, lam: float) -> np.ndarray:
+    # at alpha = 1, t = n lam/E^2: 0 and E^2 underflowing, t across 1e12 (level_density's
+    # plateau cut) and across _xi_max (where the mixture's kink enters QAWS), the bulk and the tail
+    scale = math.sqrt(n * lam)
+    return np.concatenate([
+        [0.0, 1e-200], scale * np.array([1e-6, 1e-4]),
+        scale / math.sqrt(1e12) * np.array([0.5, 1.0, 2.0]),
+        scale / math.sqrt(_xi_max(lam)) * np.array([0.5, 0.999, 1.0, 1.001, 2.0]),
+        scale * np.array([0.1, 0.3, 1.0, 3.0]), scale * np.geomspace(10.0, 1e3, 5),
+    ])
+
+
+def _mixture_digest(n: int, lam: float) -> str:
+    p = EnsembleParams.from_lambda(n, lam, alpha=1.0)
+    h = hashlib.sha256()
+    for e in _mixture_grid(n, lam):
+        r = level_density_mixture(float(e), p)
+        h.update(np.array([r.value, r.abs_error_estimate], dtype="<f8").tobytes())
+        h.update(np.array([r.evaluations], dtype="<i8").tobytes())
+    return h.hexdigest()
 
 
 def _gap_curve_digest(n: int, lam: float) -> str:
@@ -1036,3 +1116,8 @@ def test_gap_probability_bulk_bits_frozen(lam):
 @pytest.mark.parametrize("n,lam,alpha", LEVEL_DENSITY_PARAMS)
 def test_level_density_bits_frozen(n, lam, alpha):
     assert _level_density_digest(n, lam, alpha) == GOLDEN_LEVEL_DENSITY[(n, lam)]
+
+
+@pytest.mark.parametrize("n,lam", MIXTURE_CASES)
+def test_level_density_mixture_bits_frozen(n, lam):
+    assert _mixture_digest(n, lam) == GOLDEN_MIXTURE[(n, lam)]

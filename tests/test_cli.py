@@ -627,6 +627,33 @@ def test_verify_all_passes_every_check_in_order(capsys):
     ]
 
 
+# sha256 of the whole `verify --suite all` stdout, metrics included, per seed
+GOLDEN_VERIFY_ALL = {
+    7: "1a70fc46b016d5d205975ed7a5ea30021f3d2c935ec0881b51f087f8f22a50f2",
+    42: "81b4c9a69a88e74554d3d10a4a58bf16fae1c65cf04d12893ab4dba53e2491e3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY_ALL))
+def test_verify_all_stdout_frozen(seed, capsys):
+    code, out, _ = run(["verify", "--suite", "all", "--seed", str(seed)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_ALL[seed]
+
+
+@pytest.mark.parametrize("params", [
+    qrmt.EnsembleParams.from_lambda(5, 3.0, alpha=0.5),
+    qrmt.EnsembleParams.from_q(3, -math.inf, alpha=1.0),
+    qrmt.EnsembleParams.gaussian(30, 1.0),
+], ids=["heavy", "bounded", "gaussian-n30"])
+def test_verify_trace_sq_by_chunks_equals_per_sample(params):
+    # 4000 draws span several dense chunks at every size here
+    batch = qrmt.sample_batch(params, 4000, master_seed=8)
+    assert len(list(batch.chunks())) > 1
+    per_sample = np.array([s.trace_sq() for s in batch])
+    assert qrmt.cli._trace_sq(batch).tobytes() == per_sample.tobytes()
+
+
 def test_verify_analytic_joint_density_call_budget(monkeypatch, capsys):
     # the n = 2 mass check integrates on the rotated half-plane (about 11.5k
     # calls); one dblquad over the whole plane bisects along the |x - y| kink

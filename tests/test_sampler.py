@@ -440,10 +440,10 @@ def test_sample_blocks_cover_the_batch():
     params = EnsembleParams.from_lambda(50, 1.0, alpha="auto")
     blocks = sample_blocks(params, 700, master_seed=np.int64(3))
     assert isinstance(blocks, SampleBlocks) and len(blocks) == 700 and blocks.master_seed == 3
-    # 2 MiB of packed floats: 2**18 // 1275 draws per block at n = 50
-    assert blocks.rows == 205
+    # 1 MiB of packed floats: 2**17 // 1275 draws per block at n = 50
+    assert blocks.rows == 102
     parts = list(blocks)
-    assert [(p.start, len(p)) for p in parts] == [(0, 205), (205, 205), (410, 205), (615, 85)]
+    assert [(p.start, len(p)) for p in parts] == [(lo, 102) for lo in range(0, 612, 102)] + [(612, 88)]
     whole = sample_batch(params, 700, master_seed=3)
     assert np.concatenate([p.packed for p in parts]).tobytes() == whole.packed.tobytes()
     assert np.concatenate([p.xi for p in parts]).tobytes() == whole.xi.tobytes()

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from oracles import sturm_eigenvalues
 
@@ -19,6 +19,7 @@ import qrmt.analytic as an
 from qrmt.params import EnsembleParams, ParameterError
 from qrmt.sampler import RngStream, _dense, _draw_packed, sample_batch, sample_blocks, sample_goe
 from qrmt.spectral import (
+    _KS_SLICE,
     GapEstimate,
     Histogram,
     SpectrumBatch,
@@ -196,11 +197,15 @@ def _peak_bytes(make) -> int:
 
 def test_streamed_spectra_hold_one_block_of_draws():
     # 2000 draws at n = 50 are 20.4 MB of packed floats; the streamed route
-    # holds the 0.8 MB of spectra plus one 2 MiB block and its temporaries
+    # holds the 0.8 MB of spectra plus one block and its temporaries
     p = EnsembleParams.from_lambda(50, 1.0, alpha="auto")
     bound = 8 * 2**20
-    assert _peak_bytes(lambda: sample_blocks(p, 2000, master_seed=7)) < bound
+    streamed = _peak_bytes(lambda: sample_blocks(p, 2000, master_seed=7))
+    assert streamed < bound
     assert _peak_bytes(lambda: sample_batch(p, 2000, master_seed=7)) > bound
+    # one 1 MiB block and a 256 KiB dense chunk beside the spectra peak at 2.3 MiB;
+    # a previous block kept alive while the next is drawn, or 2 MiB blocks, pass 3 MiB
+    assert streamed < 3 * 2**20
 
 
 # --------------------------------------------------------------- histograms
@@ -460,6 +465,20 @@ def test_tail_index_largest_eigenvalue_matches_two_lambda():
     assert est.index == pytest.approx(1.5, abs=0.2)  # 1.412 at this seed
 
 
+def test_tail_index_drops_zeros_and_nan_and_leaves_its_input_alone():
+    g = RngStream(2027, 1).generator()
+    x = 1.0 / g.uniform(size=5000)
+    x[::3] *= -1.0
+    dirty = x.copy()
+    dirty[::7] = 0.0
+    dirty[5], dirty[11] = -0.0, math.nan
+    before = dirty.copy()
+    est = tail_index(dirty, k=200)
+    assert est.index == tail_index(dirty[np.abs(dirty) > 0.0], k=200).index
+    assert np.array_equal(dirty, before, equal_nan=True)
+    assert tail_index(x, k=200).index == tail_index(list(x), k=200).index
+
+
 def test_tail_index_validation():
     with pytest.raises(ParameterError):
         tail_index(np.array([1.0]))
@@ -484,6 +503,32 @@ def test_ks_distance_detects_shift():
 
     assert ks_distance(x, lambda v: stats.norm.cdf(v - 0.3)) > 0.1
     assert ks_distance(np.zeros(100), lambda v: stats.norm.cdf(v)) >= 0.5
+
+
+def _ks_whole_sample(sample, cdf) -> float:
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
+    n = len(x)
+    f = np.asarray(cdf(x), dtype=float)
+    grid = np.arange(1, n + 1) / n
+    return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, _KS_SLICE - 1, _KS_SLICE, _KS_SLICE + 1, 3 * _KS_SLICE + 5])
+def test_ks_distance_slices_match_the_whole_sample_formula(n):
+    g = RngStream(2033, n).generator()
+    x = g.normal(size=n)
+    for sample, cdf in (
+        (x, special.ndtr),
+        (np.abs(x), an.wigner_surmise_cdf),
+        (g.uniform(size=n), lambda u: np.clip(u, 0.0, 1.0) ** 3.0),
+    ):
+        assert ks_distance(sample, cdf) == _ks_whole_sample(sample, cdf)
+    if n > 2:
+        # a NaN in any slice makes the statistic NaN, as in one whole-sample max
+        x[n // 3] = math.nan
+        assert math.isnan(ks_distance(x, special.ndtr))
+        assert ks_distance(x, lambda v: np.nan_to_num(special.ndtr(v))) == _ks_whole_sample(
+            x, lambda v: np.nan_to_num(special.ndtr(v)))
 
 
 def test_ks_distance_two_sample():
