@@ -259,8 +259,7 @@ def cmd_sample(args) -> int:
         # one packed row per matrix; each entry's field is placed from its packed column
         header = [f"h{i + 1}{j + 1}" for i in range(params.n) for j in range(params.n)]
         blocks = (samples.packed[lo : lo + step] for lo in starts)
-        layout = _entry_columns(params.n, params.regime is Regime.RESTRICTED_TRACE).tolist()
-        manifest.add("matrices.csv", _write_csv, meta, header, blocks, layout)
+        manifest.add("matrices.csv", _write_csv, meta, header, blocks, _entry_columns(params.n).tolist())
     mpath = manifest.write()
     print(f"wrote {spath} ({args.count} x {params.n}) and {mpath}")
     return 0

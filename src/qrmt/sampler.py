@@ -20,10 +20,10 @@ an exact draw; rejection would be exponentially wasteful in f.
 
 A batch is columnar: the per-stream loop only draws the scalar and the core,
 and the scaling onto matrix entries is vectorised over the whole batch.  A
-`SampleBatch` stores the f free entries of each draw packed in one row;
-dense matrices are formed on demand, in chunks.  A `SampleBlocks` run draws
-the same rows lazily, one block of consecutive stream ids (about 1 MiB of
-packed floats) at a time.
+`SampleBatch` stores the f free entries of each draw packed in one row, in
+one column order for every regime; dense matrices are formed on demand, in
+chunks.  A `SampleBlocks` run draws the same rows lazily, one block of
+consecutive stream ids (about 1 MiB of packed floats) at a time.
 """
 from __future__ import annotations
 
@@ -224,15 +224,15 @@ def _draw_packed(params: EnsembleParams, gens, count: int) -> tuple[np.ndarray, 
     the restricted branch the row v is redrawn while it is all zero and the
     Beta radius u follows it.  xi is None outside the heavy branch.
 
-    Each branch then scales the rows it drew, for all draws at once.
-    Gaussian and heavy rows hold the upper off-diagonal block, then the
-    diagonal: density exp(-alpha tr H^2) fixes the element variances at
+    Each branch then scales the rows it drew, for all draws at once.  Every
+    regime's rows hold the upper off-diagonals (row-major), then the
+    diagonal.  Density exp(-alpha tr H^2) fixes the element variances at
     1/(4 alpha) and 1/(2 alpha), with alpha * xi / lambda on the heavy branch.
-    Restricted rows hold the diagonal, then the upper off-diagonals: the
-    weighted vector x = v |x| / |v| with |x|^2 = u |lambda| / alpha, whose
-    off-diagonal coordinates are sqrt(2) H_ij.  Each `+ 0.0` reproduces the
-    signed-zero handling of the scalar formulas (normal's loc, h + h.T), so
-    the entries are byte-identical to per-draw assembly.
+    A restricted v, drawn diagonal first, is rotated to that order and scaled
+    to the weighted vector x = v |x| / |v| with |x|^2 = u |lambda| / alpha,
+    whose off-diagonal coordinates are sqrt(2) H_ij.  Each `+ 0.0` reproduces
+    the signed-zero handling of the scalar formulas (normal's loc, h + h.T),
+    so the entries are byte-identical to per-draw assembly.
     """
     n, m = params.n, params.f - params.n
     core = np.empty((count, params.f))
@@ -269,10 +269,11 @@ def _draw_packed(params: EnsembleParams, gens, count: int) -> tuple[np.ndarray, 
                 sqs.append(sq)
                 us.append(_beta(shape_a, shape_b, g))
             radius = np.sqrt(np.array(us, dtype=float) * (-params.lam) / params.alpha)
+            core = np.roll(core, -n, axis=1)  # the diagonal moves to the end, as on the other branches
             core += 0.0
             core *= (radius / np.sqrt(np.array(sqs, dtype=float)))[:, None]
-            core[:, n:] /= math.sqrt(2.0)
-            core[:, n:] += 0.0
+            core[:, :m] /= math.sqrt(2.0)
+            core[:, :m] += 0.0
             return core, None
         core[:, :m] *= np.sqrt(0.25 / alpha)[:, None]
         core[:, m:] *= np.sqrt(0.5 / alpha)[:, None]
@@ -281,20 +282,16 @@ def _draw_packed(params: EnsembleParams, gens, count: int) -> tuple[np.ndarray, 
 
 
 @functools.lru_cache(maxsize=64)
-def _entry_columns(n: int, restricted: bool) -> np.ndarray:
+def _entry_columns(n: int) -> np.ndarray:
     """Packed column of each entry of an n x n matrix, row-major (read-only).
 
-    Gaussian and heavy rows hold the upper off-diagonals (row-major), then
-    the diagonal; restricted rows hold the diagonal first.  Both triangles
-    of H read the same column.
+    Every regime's rows hold the upper off-diagonals (row-major), then the
+    diagonal.  Both triangles of H read the same column.
     """
-    iu, ju = np.triu_indices(n, 1)
-    m = len(iu)
-    off, diag = (n, 0) if restricted else (0, m)
-    where = np.empty((n, n), dtype=np.intp)
-    where[iu, ju] = where[ju, iu] = off + np.arange(m)
-    where[np.arange(n), np.arange(n)] = diag + np.arange(n)
-    where = where.ravel()
+    m = n * (n - 1) // 2
+    where = np.zeros((n, n), dtype=np.intp)
+    where[np.triu_indices(n, 1)] = np.arange(m)
+    where = (where + where.T + np.diag(m + np.arange(n))).ravel()
     where.setflags(write=False)
     return where
 
@@ -302,18 +299,17 @@ def _entry_columns(n: int, restricted: bool) -> np.ndarray:
 def _dense(params: EnsembleParams, packed: np.ndarray) -> np.ndarray:
     """Symmetric (k, n, n) matrices, C-ordered, from packed rows (k, f)."""
     n = params.n
-    where = _entry_columns(n, params.regime is Regime.RESTRICTED_TRACE)
     # np.take keeps the result C-ordered; packed[:, where] would not
-    return np.take(packed, where, axis=1).reshape(len(packed), n, n)
+    return np.take(packed, _entry_columns(n), axis=1).reshape(len(packed), n, n)
 
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch(Sequence):
     """Columnar batch of draws on per-index streams (master_seed, start + i).
 
-    `packed[i]` holds the f free entries of draw i in its regime's draw
-    order; `xi` the Gamma mixing variables on the heavy branch.  Row i is
-    stream start + i, so a batch may be one block of a longer run.  As a
+    `packed[i]` holds the f free entries of draw i in the one column order of
+    `_draw_packed`; `xi` the Gamma mixing variables on the heavy branch.  Row
+    i is stream start + i, so a batch may be one block of a longer run.  As a
     Sequence, indexing and iteration give `MatrixSample`s; a slice gives a
     list of them.  `h` is the dense (count, n, n) stack and `chunks()`
     yields it in blocks of about 32k floats.

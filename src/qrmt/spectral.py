@@ -137,14 +137,14 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
 def spectra_from_samples(samples: SampleBatch | SampleBlocks) -> SpectrumBatch:
     """Diagonalize a SampleBatch, or SampleBlocks block by block, into a SpectrumBatch.
 
-    Dense matrices are formed in chunks, one batched LAPACK call each, and
-    their spectra fill one preallocated (count, n) array; SampleBlocks are
-    drawn as they are consumed, and each block and its last chunk are
-    dropped before the next is drawn, so only one block of draws is held
-    at a time.  Each packed value is written to both triangles, so every
-    finite chunk is symmetric by construction.  Draws with non-finite entries (the
-    mixing variable overflows at tiny lambda) raise one ParameterError that
-    counts them over the whole batch.
+    Every regime packs its rows in one column order, and dense matrices are
+    formed only for LAPACK: one batched call per chunk, whose spectra fill one
+    preallocated (count, n) array.  SampleBlocks are drawn as consumed, and
+    each block and its last chunk are dropped before the next is drawn.  Each
+    packed value fills both triangles, so finite chunks are symmetric by
+    construction.  Draws with non-finite entries (the mixing variable
+    overflows at tiny lambda) are counted on the packed rows, once per block,
+    and raise one ParameterError that counts them over the whole batch.
     """
     if isinstance(samples, SampleBatch):
         blocks = (samples,)
@@ -158,13 +158,14 @@ def spectra_from_samples(samples: SampleBatch | SampleBlocks) -> SpectrumBatch:
     nonfinite = 0
     lo = 0
     for block in blocks:
-        for h in block.chunks():
-            nonfinite += int(np.count_nonzero(~np.isfinite(h).all(axis=(1, 2))))
-            if not nonfinite:
+        nonfinite += int(np.count_nonzero(~np.isfinite(block.packed).all(axis=1)))
+        if not nonfinite:
+            for h in block.chunks():
                 spectra[lo : lo + len(h)] = np.linalg.eigvalsh(h)
-            lo += len(h)
+                lo += len(h)
+            del h
         # the loop variables would keep this block alive while the next one is drawn
-        del block, h
+        del block
     if nonfinite:
         raise ParameterError(
             f"{nonfinite} of {len(samples)} draws have non-finite entries; "
@@ -198,12 +199,15 @@ def empirical_gap(batch: SpectrumBatch, theta_grid, s_source: str = "analytic") 
         raise ParameterError(f"s_source must be 'analytic' or 'empirical', got {s_source!r}")
     if s_source == "analytic" and batch.params.regime is not Regime.LEVY_BRANCH:
         raise ParameterError("analytic s pairing needs the heavy-tailed branch; use s_source='empirical'")
-    absvals = np.abs(batch.spectra)
     m = batch.count
-    # a spectrum has a gap iff its closest eigenvalue is at or beyond theta
-    e_hat = (m - np.searchsorted(np.sort(absvals.min(axis=1)), thetas, side="left")) / m
+    # a spectrum has a gap iff its closest |E|, next to its sorted row's sign change, is >= theta
+    k = np.count_nonzero(batch.spectra < 0.0, axis=1)[:, None]
+    around = np.take_along_axis(batch.spectra, np.clip(np.hstack([k - 1, k]), 0, batch.params.n - 1), axis=1)
+    e_hat = (m - np.searchsorted(np.sort(np.abs(around).min(axis=1)), thetas, side="left")) / m
     if s_source == "empirical":
-        s_hat = np.searchsorted(np.sort(absvals, axis=None), thetas, side="left") / m
+        pooled = np.abs(batch.spectra).ravel()
+        pooled.sort()
+        s_hat = np.searchsorted(pooled, thetas, side="left") / m
     else:
         s_hat = np.array([mean_count(float(th), batch.params) for th in thetas])
     stderr = np.sqrt(np.maximum(e_hat * (1.0 - e_hat), 0.0) / m)

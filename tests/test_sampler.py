@@ -14,7 +14,7 @@ from scipy.special import stdtr
 
 from numpy.random import PCG64, SeedSequence
 
-from qrmt.params import EnsembleParams, ParameterError, Regime
+from qrmt.params import EnsembleParams, ParameterError
 from qrmt.sampler import (
     _STATE_BLOCK,
     MatrixSample,
@@ -379,10 +379,7 @@ def test_sample_batch_sequence_behaviour():
 def _scatter_dense(params, packed):
     """Dense stack by zeros and three scatters, an independent construction to check the gather."""
     n = params.n
-    if params.regime is Regime.RESTRICTED_TRACE:
-        diag, off = packed[:, :n], packed[:, n:]
-    else:
-        off, diag = packed[:, : params.f - n], packed[:, params.f - n :]
+    off, diag = packed[:, : params.f - n], packed[:, params.f - n :]
     h = np.zeros((len(packed), n, n))
     iu, ju = np.triu_indices(n, 1)
     h[:, iu, ju] = off
@@ -466,7 +463,8 @@ def test_sample_batch_chunks_cover_the_batch():
     (EnsembleParams.from_q(3, -math.inf, alpha=1.0), 3000, 10),
 ], ids=["heavy", "restricted", "bounded"])
 def test_stacked_trace_sq_equals_per_sample(params, count, seed):
-    # the array route the verify suite takes over the draws of its default seed
+    # the whole stack summed at once, over the draws of the verify suite's default seed;
+    # verify itself sums one dense chunk at a time (`cli._trace_sq`)
     batch = sample_batch(params, count, master_seed=seed)
     h = batch.h
     per_sample = np.array([s.trace_sq() for s in batch])

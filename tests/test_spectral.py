@@ -157,11 +157,14 @@ def test_spectra_from_samples_counts_nonfinite_draws():
         eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("n", [2, 10, 50])
-def test_streamed_spectra_equal_the_whole_batch(n):
+@pytest.mark.parametrize("p", [
+    *(pytest.param(EnsembleParams.from_lambda(n, 1.5, alpha="auto"), id=str(n)) for n in (2, 10, 50)),
+    pytest.param(EnsembleParams.from_q(6, 0.5), id="restricted-n6"),
+    pytest.param(EnsembleParams.from_q(5, -math.inf), id="bounded-n5"),
+])
+def test_streamed_spectra_equal_the_whole_batch(p):
     # block boundaries fall before, at and after one block, and inside a fourth;
     # row i of the whole batch depends only on draw i, so one batch serves all counts
-    p = EnsembleParams.from_lambda(n, 1.5, alpha="auto")
     rows = sample_blocks(p, 1, master_seed=12).rows
     counts = (rows - 1, rows, rows + 1, 3 * rows + 2)
     whole = spectra_from_samples(sample_batch(p, counts[-1], master_seed=12)).spectra
@@ -343,6 +346,52 @@ def test_empirical_gap_counts_equal_per_theta_loop(n):
     ga = empirical_gap(b, few)
     assert ga.e_hat.tobytes() == _gap_counts_by_loop(b, few)[0].tobytes()
     assert ga.s_hat.tobytes() == np.array([an.mean_count(float(th), p) for th in few]).tobytes()
+
+
+def _signed_spectra(g, m, n):
+    """Sorted rows with exact zeros of both signs, all-negative and all-positive rows."""
+    s = np.round(g.normal(size=(m, n)), 1)  # round to make exact zeros and ties common
+    s[g.uniform(size=(m, n)) < 0.1] = -0.0
+    s[: m // 8] = -np.abs(s[: m // 8]) - 0.5
+    s[m // 8 : m // 4] = np.abs(s[m // 8 : m // 4])
+    s.sort(axis=1)  # -0.0 and 0.0 compare equal, so both signs stay mixed in a sorted row
+    return s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_empirical_gap_equals_the_whole_array_formula(n):
+    # e_hat from each row's sign change, s_hat from one in-place sort, against |spectra| in full
+    p = EnsembleParams.from_lambda(n, 1.5, alpha=1.0)
+    g = RngStream(2030, n).generator()
+    for _ in range(75):
+        m = int(g.integers(1, 60))
+        spectra = _signed_spectra(g, m, n)
+        b = SpectrumBatch(spectra=spectra, params=p)
+        absvals = np.abs(spectra)
+        thetas = np.concatenate([[0.0], np.unique(absvals)[:8], g.uniform(0.0, 3.0, size=8)])
+        e_ref = (m - np.searchsorted(np.sort(absvals.min(axis=1)), thetas, side="left")) / m
+        s_ref = np.searchsorted(np.sort(absvals, axis=None), thetas, side="left") / m
+        ge = empirical_gap(b, thetas, s_source="empirical")
+        assert ge.e_hat.tobytes() == e_ref.tobytes()
+        assert ge.s_hat.tobytes() == s_ref.tobytes()
+    ga = empirical_gap(b, thetas[:3])
+    assert ga.e_hat.tobytes() == e_ref[:3].tobytes()
+
+
+def test_empirical_gap_analytic_path_copies_no_spectra():
+    # 40 000 spectra at n = 20 are 6.4 MB; the analytic path holds a bool per
+    # eigenvalue (0.8 MB) and a few per-row arrays, not a float copy of them
+    p = EnsembleParams.from_lambda(20, 1.5, alpha="auto")
+    b = SpectrumBatch(spectra=_signed_spectra(RngStream(2031, 0).generator(), 40000, 20), params=p)
+    thetas = np.array([0.0, 0.1, 0.3])
+    empirical_gap(b, thetas)  # quadrature set-up outside the traced call
+    tracemalloc.start()
+    try:
+        empirical_gap(b, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < b.spectra.nbytes // 2
 
 
 @pytest.mark.parametrize("s_source", ["analytic", "empirical"])
