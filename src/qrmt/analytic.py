@@ -15,6 +15,7 @@ where the semicircle has radius sqrt(2 N).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -167,8 +168,8 @@ def element_pdf(x, params: EnsembleParams, entry: str = "diag"):
         al = -params.lam
         logc = 0.5 * math.log(a / (math.pi * al)) + ln_gamma(al + 1.0) - ln_gamma(al + 0.5)
         u = ax2 / al
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(u < 1.0, np.exp(logc + (al - 0.5) * np.log1p(-np.minimum(u, 1.0))), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # u >= 1, not u < 1: NaN stays NaN
+            out = np.where(u >= 1.0, 0.0, np.exp(logc + (al - 0.5) * np.log1p(-np.minimum(u, 1.0))))
     return float(out) if xa.ndim == 0 else out
 
 
@@ -201,14 +202,16 @@ def element_char_fn(k, params: EnsembleParams, entry: str = "diag"):
     a = _entry_alpha(params, entry)
     ka = np.abs(np.asarray(k, dtype=float))
     if params.regime is Regime.GAUSSIAN:
-        out = np.exp(-ka * ka / (4.0 * a))
+        with np.errstate(over="ignore"):  # k^2 = inf: the limit 0
+            out = np.exp(-ka * ka / (4.0 * a))
     elif params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("characteristic function in closed form needs lambda > 0")
     else:
         lam = params.lam
-        z = ka * math.sqrt(lam / a)
-        out = np.ones_like(z)
-        pos = z > 0.0
+        with np.errstate(over="ignore"):
+            z = ka * math.sqrt(lam / a)
+        out = np.where(z == math.inf, 0.0, 1.0)  # 1 at k = 0, the limit 0 at |k| = inf
+        pos = ~((z <= 0.0) | (z == math.inf))  # NaN goes through kv and stays NaN
         zp = z[pos]
         with np.errstate(over="ignore", divide="ignore"):
             kvz = _sp.kv(lam, zp)
@@ -253,7 +256,8 @@ def semicircle_density(e, n: int, alpha: float):
         raise ParameterError(f"alpha must be positive, got {alpha}")
     ea = np.asarray(e, dtype=float)
     r2 = n / alpha - _scaled_square(1.0, ea)
-    out = np.where(r2 > 0.0, (2.0 * alpha / math.pi) * np.sqrt(np.maximum(r2, 0.0)), 0.0)
+    # r2 <= 0, not r2 > 0: NaN stays NaN
+    out = np.where(r2 <= 0.0, 0.0, (2.0 * alpha / math.pi) * np.sqrt(np.maximum(r2, 0.0)))
     return float(out) if ea.ndim == 0 else out
 
 
@@ -332,8 +336,8 @@ def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
     else:
         f = lambda xi: pref * math.exp(-xi) * math.sqrt(max(n * lam / a - xi * e * e, 0.0))
     point = f"E={e!r}, n={n}"
-    val, err, neval = _gamma_average(f, lam, -0.5, "level_density_mixture", point, stacklevel=3,
-                                     kink=t, power=0.5, tol=(1e-12, 1e-10))
+    val, err, neval = _gamma_average(f, lam, -0.5, "level_density_mixture", point, kink=t, power=0.5,
+                                     tol=(1e-12, 1e-10))
     # QUADPACK can hand back a negative error estimate with no message
     if err < 0.0:
         raise NumericalError(
@@ -361,7 +365,9 @@ def goe_counting(x, n: int):
         raise ParameterError("goe_counting is defined for x >= 0")
     xc = np.minimum(xa, edge)
     out = (xc * np.sqrt(np.maximum(2.0 * n - xc * xc, 0.0)) + 2.0 * n * np.arcsin(xc / edge)) / math.pi
-    return out if isinstance(out, np.ndarray) else float(out)
+    # exactly n past the edge: edge^2 can round below 2 n, and the formula then exceeds n by ~3e-8
+    out = np.where(edge <= xa, float(n), out)
+    return float(out) if xa.ndim == 0 else out
 
 
 _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
@@ -376,14 +382,18 @@ def goe_gap(y):
 def wigner_surmise(s):
     """Nearest-neighbor spacing density (pi s/2) exp(-pi s^2/4), unit mean."""
     sa = np.asarray(s, dtype=float)
-    out = (math.pi * sa / 2.0) * np.exp(-math.pi * sa * sa / 4.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (math.pi * sa / 2.0) * np.exp(-math.pi * sa * sa / 4.0)
+    # past |s| ~ 1e154 the exponential is 0, so the density is its limit 0, but pi s/2 can be inf there
+    out = np.where(np.isnan(out) & ~np.isnan(sa), 0.0, out)
     return float(out) if sa.ndim == 0 else out
 
 
 def wigner_surmise_cdf(s):
     """CDF of the surmise: 1 - exp(-pi s^2/4)."""
     sa = np.asarray(s, dtype=float)
-    out = -np.expm1(-math.pi * sa * sa / 4.0)
+    with np.errstate(over="ignore"):  # s^2 = inf: the limit 1
+        out = -np.expm1(-math.pi * sa * sa / 4.0)
     return float(out) if sa.ndim == 0 else out
 
 
@@ -403,7 +413,7 @@ _QUADPACK_IER = (
 _GOE_TOL = (1e-11, 1e-9)
 
 
-def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, stacklevel: int, *,
+def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *,
                    kink: float = math.inf, power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL):
     """(value, err, neval) of the Gamma average Int_0^inf xi^(lam + shift) kernel(xi) dxi, by QAWS.
 
@@ -417,7 +427,7 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, stac
     xi^(lam + shift + 1)/(lam + shift + 1); at shift -1, below lam ~ 1e-7, that moves the average
     past the tolerance) and when the value or error estimate is not finite.  A call that does not
     converge keeps its value and emits one IntegrationWarning naming `site`, `point`, lambda and
-    QUADPACK's ier, at `stacklevel`: the caller of the public function.
+    QUADPACK's ier, at the first frame outside this module: the caller of the public function.
     """
     exponent = lam + shift
     if abs(exponent - shift - lam) > 1e-9 * (lam + (shift + 1.0)):
@@ -442,6 +452,9 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, stac
     if len(res) > 3:
         msg = str(res[3])
         ier = next((code for words, code in _QUADPACK_IER if words in msg), "?")
+        frame, stacklevel = sys._getframe(1), 2  # 2: this function's caller
+        while frame.f_globals is globals():
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             f"{site}: QUADPACK ier={ier} at {point}, lambda={lam!r}: {msg.splitlines()[0].strip()}",
             integrate.IntegrationWarning,
@@ -461,11 +474,12 @@ def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
     The E integrand records (scale e^-xi, y) at each node it evaluates, and the s integrand reads
     a recorded node instead of evaluating y again: at one theta, QAWS visits mostly the same nodes
     for both laws, so gap_curve runs E first.  goe_counting's and goe_gap's float arithmetic
-    inline, in the same order and so with the same bits, whichever integrand computes y; min and
-    max are written as the comparisons the builtins make, which cost less than the calls, and
-    numpy's arcsin and scipy's erfc stay, since math.asin and math.erfc round differently.
+    inline, in the same order and so with the same bits, whichever integrand computes y: y is n
+    from the band edge on, max is written as the comparison the builtin makes, which costs less
+    than the call, and numpy's arcsin and scipy's erfc stay, since math.asin and math.erfc round
+    differently.
     """
-    n, lam, two_a, hsp = params.n, params.lam, 2.0 * params.alpha, _HALF_SQRT_PI
+    n, lam, two_a, hsp = float(params.n), params.lam, 2.0 * params.alpha, _HALF_SQRT_PI
     scale, two_n, edge = math.exp(-ln_gamma(lam)), 2.0 * n, math.sqrt(2.0 * n)
     sqrt, exp, asin, erfc, pi = math.sqrt, math.exp, np.arcsin, _sp.erfc, math.pi
     record = {}
@@ -473,9 +487,11 @@ def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
 
     def e_integrand(xi: float) -> float:
         xc = sqrt(two_a * xi / lam) * theta
-        xc = edge if edge < xc else xc
-        v = two_n - xc * xc
-        y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
+        if edge <= xc:
+            y = n
+        else:
+            v = two_n - xc * xc
+            y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
         w = scale * exp(-xi)
         record[xi] = (w, y)
         return w * float(erfc(y * hsp))
@@ -485,9 +501,11 @@ def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
         if wy is not None:
             return wy[0] * wy[1]
         xc = sqrt(two_a * xi / lam) * theta
-        xc = edge if edge < xc else xc
-        v = two_n - xc * xc
-        y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
+        if edge <= xc:
+            y = n
+        else:
+            v = two_n - xc * xc
+            y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
         return scale * exp(-xi) * y
 
     return e_integrand, s_integrand
@@ -513,11 +531,8 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts:
     xi_sat = n * lam / d if d > 0.0 else math.inf
     integrands = _goe_integrands(theta, params)
     point = f"theta={theta!r}, n={n}"
-    out = []  # a loop, not a comprehension: stacklevel counts a comprehension's frame on Python 3.11
-    for count in counts:
-        out.append(_gamma_average(integrands[count], lam, -1.0, site, point, stacklevel=4, kink=xi_sat,
-                                  beyond=float(n) if count else goe_gap(float(n)))[:2])
-    return out
+    return [_gamma_average(integrands[count], lam, -1.0, site, point, kink=xi_sat,
+                           beyond=float(n) if count else goe_gap(float(n)))[:2] for count in counts]
 
 
 def gap_probability(theta: float, params: EnsembleParams) -> float:
@@ -562,27 +577,25 @@ def gap_probability_bulk(s, lam: float = 1.0):
         raise ParameterError("mean count s must be finite and nonnegative")
     if lam == 1.0:
         out = 1.0 - sa / np.sqrt(1.0 + sa * sa)
-        return float(out) if sa.ndim == 0 else out
-    if lam > 10.0:
+    elif lam > 10.0:
         b = sa * (_HALF_SQRT_PI / float(_sp.poch(lam, 0.5)))
         with np.errstate(over="ignore"):  # b^2 = inf is x = 0, E = 0
             out = _sp.betainc(lam, 0.5, 1.0 / (1.0 + b * b))
-        return float(out) if sa.ndim == 0 else out
-    # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
-    slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
-    scale, hsp = math.exp(-ln_gamma(lam)), _HALF_SQRT_PI
-    sqrt, exp, erfc = math.sqrt, math.exp, _sp.erfc
+    else:
+        # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
+        slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
+        scale, hsp = math.exp(-ln_gamma(lam)), _HALF_SQRT_PI
+        sqrt, exp, erfc = math.sqrt, math.exp, _sp.erfc
 
-    def one(sv: float) -> float:
-        if sv == 0.0:
-            return 1.0
-        # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order
-        f = lambda xi: scale * exp(-xi) * float(erfc(sv * sqrt(xi) * slope * hsp))
-        return min(_gamma_average(f, lam, -1.0, "gap_probability_bulk", f"s={sv!r}", stacklevel=4)[0], 1.0)
+        def one(sv: float) -> float:
+            if sv == 0.0:
+                return 1.0
+            # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order
+            f = lambda xi: scale * exp(-xi) * float(erfc(sv * sqrt(xi) * slope * hsp))
+            return min(_gamma_average(f, lam, -1.0, "gap_probability_bulk", f"s={sv!r}")[0], 1.0)
 
-    if sa.ndim == 0:
-        return one(float(sa))
-    return np.array([*map(one, map(float, sa))])  # no comprehension frame for stacklevel to count
+        out = np.array([one(sv) for sv in sa.ravel().tolist()]).reshape(sa.shape)
+    return float(out) if sa.ndim == 0 else out
 
 
 def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:

@@ -12,6 +12,7 @@ Oracles used here:
 import hashlib
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,45 @@ def test_element_correlation_domain():
         element_correlation(EnsembleParams.from_lambda(2, 1.5, alpha=0.5))
     with pytest.raises(RegimeError):
         element_correlation(EnsembleParams.gaussian(2, alpha=0.5))
+
+
+_ONE_PER_REGIME = {
+    "gaussian": EnsembleParams.gaussian(5, alpha=1.0),
+    "heavy": EnsembleParams.from_lambda(5, 1.5, alpha=1.0),
+    "restricted": EnsembleParams.from_q(5, 0.5, alpha=1.0),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e308, 0.3], ids=["nan", "inf", "-inf", "1e308", "0.3"])
+@pytest.mark.parametrize("regime", list(_ONE_PER_REGIME))
+def test_closed_form_laws_at_nonfinite_points(regime, x):
+    # NaN in is NaN out, and +-inf (or a point so far out that its square overflows) gives the
+    # law's limit, with no RuntimeWarning on the way; entries: (law, limit at -inf, limit at +inf)
+    p = _ONE_PER_REGIME[regime]
+    laws = [
+        (lambda v: element_pdf(v, p), 0.0, 0.0),
+        (lambda v: element_pdf(v, p, "offdiag"), 0.0, 0.0),
+        (lambda v: element_cdf(v, p), 0.0, 1.0),
+        (lambda v: semicircle_density(v, p.n, p.alpha), 0.0, 0.0),
+        (wigner_surmise, 0.0, 0.0),
+        (wigner_surmise_cdf, 1.0, 1.0),
+    ]
+    if p.regime is not Regime.RESTRICTED_TRACE:
+        laws += [(lambda v: element_char_fn(v, p), 0.0, 0.0), (lambda v: level_density(v, p), 0.0, 0.0)]
+    for law, at_minus, at_plus in laws:
+        scalar, array = law(x), law(np.array([x, x]))
+        assert type(scalar) is float and array.shape == (2,)
+        if math.isnan(x):
+            assert math.isnan(scalar) and np.all(np.isnan(array))
+        elif abs(x) > 1e154:
+            limit = at_plus if x > 0 else at_minus
+            assert scalar == limit and array.tolist() == [limit, limit]
+        else:
+            assert math.isfinite(scalar) and _bits(array).tolist() == [int(_bits(scalar))] * 2
+    if p.regime is not Regime.RESTRICTED_TRACE and math.isnan(x):
+        with pytest.raises(NumericalError, match="finite value"):  # the curve's check, or the mixture's
+            density_curve(p, np.array([x, 0.0]))
 
 
 # ------------------------------------------------------------ level density
@@ -656,6 +696,41 @@ def test_gap_curve_quadpack_warnings_point_at_the_caller():
     assert {w.filename for w in record} == {__file__}
 
 
+class _FailingQuadpack:
+    """A stand-in for qrmt.analytic.integrate: QUADPACK's value, with its roundoff message."""
+
+    @staticmethod
+    def quad(*args, **kwargs):
+        return (*integrate.quad(*args, **kwargs)[:3],
+                "The occurrence of roundoff error is detected, which prevents\n  the requested tolerance.")
+
+    def __getattr__(self, attr):
+        return getattr(integrate, attr)
+
+
+_P_WARN = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: density_curve(_P_WARN, np.linspace(-3.0, 3.0, 9)),
+    lambda: gap_curve(_P_WARN, np.array([0.0, 0.5, 1.0])),
+    lambda: gap_probability(0.5, _P_WARN),
+    lambda: mean_count(0.5, _P_WARN),
+    lambda: level_density_mixture(0.7, _P_WARN),
+    lambda: gap_probability_bulk(1.5, 2.0),
+    lambda: gap_probability_bulk(np.array([[0.5, 1.0], [1.5, 2.0]]), 2.0),
+], ids=["density_curve", "gap_curve", "gap_probability", "mean_count", "level_density_mixture",
+        "bulk-scalar", "bulk-array"])
+def test_every_quadpack_warning_points_at_the_caller(monkeypatch, call):
+    # however deep in the module the Gamma average runs, its warning names this file
+    monkeypatch.setattr(qrmt.analytic, "integrate", _FailingQuadpack())
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        call()
+    assert record and all(issubclass(w.category, IntegrationWarning) for w in record)
+    assert {w.filename for w in record} == {__file__}
+
+
 # ------------------------------------------------- gap law edges and inputs
 
 def test_gap_laws_at_theta_whose_square_underflows():
@@ -683,6 +758,28 @@ def test_gap_laws_at_infinite_theta_are_saturated():
     assert mean_count(math.inf, p) == 5.0
     c = gap_curve(p, np.array([0.0, 1.0, math.inf]))
     assert c.abscissae[-1] == 5.0 and c.values[-1] == goe_gap(5.0)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 10.0, 20.0])
+def test_gap_probability_bulk_keeps_the_shape_of_s(lam):
+    # each route, closed form, quadrature and incomplete beta, returns s's shape,
+    # with the bits of one scalar call per entry
+    s = np.array([[0.0, 0.5], [1.5, 3.7]])
+    out = gap_probability_bulk(s, lam)
+    assert out.shape == (2, 2)
+    assert np.array_equal(_bits(out), _bits([[gap_probability_bulk(v, lam) for v in row] for row in s.tolist()]))
+    assert gap_probability_bulk(np.empty((0, 3)), lam).shape == (0, 3)
+
+
+def test_goe_counting_saturates_at_exactly_n():
+    # edge^2 rounds below 2 n for some n, where the closed form overshoots n by ~3e-8
+    for n in range(1, 201):
+        edge = math.sqrt(2.0 * n)
+        xs = [edge, 2.0 * edge, math.inf]
+        assert [goe_counting(x, n) for x in xs] == [n, n, n]
+        assert goe_counting(np.array(xs), n).tolist() == [n, n, n]
+        assert type(goe_counting(edge, n)) is float
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, [1.0, math.nan]])

@@ -326,6 +326,18 @@ def test_exit_2_on_count_out_of_range(argv, flag, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exit_5_on_infinite_default_density_grid(tmp_path, capsys):
+    # e_char overflows at lambda = 1e308, so the default grid has no finite half-width
+    out_dir = tmp_path / "d"
+    code, out, err = run(["density", "--n", "2", "--lambda", "1e308", "--alpha", "1", "--out", str(out_dir)],
+                         capsys)
+    assert code == 5
+    assert err.startswith("error: the default grid's half-width, 2 sqrt(n/alpha) + 5 e_char")
+    assert "is not finite at n=2, lambda=1e+308" in err and err.endswith("; give --grid\n")
+    assert out == "" and not out_dir.exists()
+
+
 def test_exit_2_on_auto_alpha_overflow(tmp_path, capsys):
     code, _, err = run(
         ["sample", "--n", "10", "--lambda", "0.001", "--count", "5", "--out", str(tmp_path)], capsys
