@@ -285,10 +285,11 @@ def _grid(params: EnsembleParams, args, what: str) -> np.ndarray:
 
 
 def _gap_theta_grid(theta_max: float, points: int) -> np.ndarray:
+    """theta = 0, then points - 1 geometric steps from theta-max/300 to theta-max itself."""
     first = theta_max / 300.0
-    if not (0 < first and theta_max < math.inf) or points < 2:
-        raise ParameterError(f"need a finite theta-max whose theta-max/300 is > 0, and points >= 2, "
-                             f"got {theta_max}, {points}")
+    if not (0 < first and theta_max < math.inf) or points < 3:
+        raise ParameterError(f"need a finite theta-max whose theta-max/300 is > 0, and points >= 3 "
+                             f"(0, theta-max/300 and theta-max), got {theta_max}, {points}")
     body = np.geomspace(first, theta_max, points - 1)
     return np.concatenate([[0.0], body])
 

@@ -260,6 +260,8 @@ def tail_index(values, k: int | None = None) -> TailIndexEstimate:
 
     For a density decaying like |x|^-(gamma+1) (survival exponent gamma) the
     estimate converges to gamma; stderr is the asymptotic gamma/sqrt(k).
+    Zeros and NaN are dropped; an infinite value is a ParameterError, since
+    its log would swamp the Hill mean.
     """
     # a fresh array, partitioned in place; zeros and NaN cost one more copy
     x = np.abs(np.asarray(values, dtype=float).ravel())
@@ -275,6 +277,8 @@ def tail_index(values, k: int | None = None) -> TailIndexEstimate:
     # k largest plus the threshold order statistic, ascending, as in a full sort
     x.partition(n - k - 1)
     top = np.sort(x[n - k - 1 :])
+    if top[-1] == math.inf:  # the largest value, so always in the top k + 1
+        raise ParameterError("tail index needs finite values, got an infinite one")
     logs = np.log(top)
     hill = float(np.mean(logs[1:] - logs[0]))
     if hill <= 0.0:
@@ -305,11 +309,13 @@ def ks_distance(sample, cdf) -> float:
 
 
 def ks_distance_two(a, b) -> float:
-    """Two-sample KS statistic."""
+    """Two-sample KS statistic; NaN if either sample holds a NaN, as in ks_distance."""
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if len(a) == 0 or len(b) == 0:
         raise ParameterError("empty sample")
+    if math.isnan(a[-1]) or math.isnan(b[-1]):  # np.sort puts NaN last
+        return math.nan
     allv = np.concatenate([a, b])
     fa = np.searchsorted(a, allv, side="right") / len(a)
     fb = np.searchsorted(b, allv, side="right") / len(b)

@@ -267,7 +267,7 @@ def test_closed_form_laws_at_nonfinite_points(regime, x):
         (lambda v: element_cdf(v, p), 0.0, 1.0),
         (lambda v: semicircle_density(v, p.n, p.alpha), 0.0, 0.0),
         (wigner_surmise, 0.0, 0.0),
-        (wigner_surmise_cdf, 1.0, 1.0),
+        (wigner_surmise_cdf, 0.0, 1.0),
     ]
     if p.regime is not Regime.RESTRICTED_TRACE:
         laws += [(lambda v: element_char_fn(v, p), 0.0, 0.0), (lambda v: level_density(v, p), 0.0, 0.0)]
@@ -404,6 +404,23 @@ def test_goe_gap_and_surmise():
     assert mass == pytest.approx(1.0, abs=1e-10)
     assert mean == pytest.approx(1.0, abs=1e-10)
     assert wigner_surmise_cdf(1.0) == pytest.approx(1 - math.exp(-math.pi / 4), rel=1e-12)
+
+
+def test_surmise_laws_below_zero():
+    # the density and the CDF are 0 outside the support, goe_gap rejects a negative count as
+    # goe_counting does; NaN stays NaN, and every value at s >= 0 keeps the formula's bits
+    neg = [-1.0, -1e-300, -3.0, -1e200, -math.inf]
+    assert wigner_surmise(np.array(neg)).tolist() == [0.0] * 5 == [wigner_surmise(v) for v in neg]
+    assert wigner_surmise_cdf(np.array(neg)).tolist() == [0.0] * 5 == [wigner_surmise_cdf(v) for v in neg]
+    for law in (wigner_surmise, wigner_surmise_cdf, goe_gap):
+        assert math.isnan(law(math.nan)) and np.isnan(law(np.array([math.nan, 1.0])))[0]
+    for y in (-1.0, -1e-300, -math.inf, np.array([0.5, -2.0])):
+        with pytest.raises(ParameterError, match="goe_gap is defined for y >= 0"):
+            goe_gap(y)
+    s = np.concatenate([[0.0, -0.0, 1e-300], np.geomspace(1e-6, 30.0, 200)])
+    assert np.array_equal(_bits(wigner_surmise(s)), _bits((math.pi * s / 2.0) * np.exp(-math.pi * s * s / 4.0)))
+    assert np.array_equal(_bits(wigner_surmise_cdf(s)), _bits(-np.expm1(-math.pi * s * s / 4.0)))
+    assert np.array_equal(_bits(goe_gap(s)), _bits(erfc(s * (math.sqrt(math.pi) / 2.0))))
 
 
 def _gap_route_b(theta: float, params) -> float:
@@ -853,17 +870,69 @@ def test_goe_integrands_match_public_composition_bit_for_bit(n):
         ys = [goe_counting(math.sqrt(2.0 * alpha * xi / lam) * theta, n) for xi in xis]
         ref_s = _bits([scale * math.exp(-xi) * y for xi, y in zip(xis, ys)])
         ref_e = _bits([scale * math.exp(-xi) * goe_gap(y) for xi, y in zip(xis, ys)])
-        gap, count = _goe_integrands(theta, p)
+        gap, count = _goe_integrands(theta, p, scale, math.exp)
         assert np.array_equal(_bits([gap(xi) for xi in xis]), ref_e)
         assert np.array_equal(_bits([count(xi) for xi in xis]), ref_s)
-        gap, count = _goe_integrands(theta, p)
+        gap, count = _goe_integrands(theta, p, scale, math.exp)
         assert np.array_equal(_bits([count(xi) for xi in xis]), ref_s)
         assert np.array_equal(_bits([gap(xi) for xi in xis]), ref_e)
-        gap, count = _goe_integrands(theta, p)
+        gap, count = _goe_integrands(theta, p, scale, math.exp)
         twice = np.array([[gap(xi), count(xi), gap(xi), count(xi)] for xi in xis])
         for col, ref in enumerate((ref_e, ref_s, ref_e, ref_s)):
             assert np.array_equal(_bits(twice[:, col]), ref)
         assert ys[-1] == n  # the grid reaches saturation
+
+
+def _makes(monkeypatch, call) -> list:
+    """The `make` of each Gamma average that call() hands the engine."""
+    makes, engine = [], qrmt.analytic._gamma_average
+
+    def spy(make, *args, **kwargs):
+        makes.append(make)
+        return engine(make, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(qrmt.analytic, "_gamma_average", spy)
+        call()
+    return makes
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n", [1, 5, 50])
+def test_each_law_hands_the_engine_its_bare_kernel(monkeypatch, n):
+    # make(1.0, lambda x: 1.0) is the bare kernel g(xi) bit for bit, against the public composition,
+    # and make(w, math.exp) is w * exp(-xi) * g(xi) left to right, w = c/Gamma(lam): the mixture on
+    # both sides of its kink, the GOE E and s kernels and the bulk kernel, at xi on both sides of
+    # saturation (for the bulk: where erfc is 0)
+    bare = lambda x: 1.0
+    for lam, alpha, theta in ((0.5, 1.0, 0.3), (1.5, 0.9, 1.1), (10.0, 3.0, 2.5)):
+        p = EnsembleParams.from_lambda(n, lam, alpha=alpha)
+        inv_gamma = math.exp(-gammaln(lam))
+        cases = []
+        xi_sat = n * lam / (alpha * theta * theta)
+        xis = np.concatenate([np.geomspace(1e-9, xi_sat, 60), np.linspace(0.5, 2.0, 60) * xi_sat]).tolist()
+        ys = [goe_counting(math.sqrt(2.0 * alpha * xi / lam) * theta, n) for xi in xis]
+        [make] = _makes(monkeypatch, lambda: gap_curve(p, [0.0, theta]))
+        cases.append((make, inv_gamma, xis, [[goe_gap(y) for y in ys], ys]))
+        assert ys[-1] == n
+        for e in (-1.5 * math.sqrt(n / alpha), 0.05):
+            t = n * lam / (alpha * e * e)
+            xis = np.linspace(1e-9, 2.0 * t, 120).tolist()
+            g = [abs(e)] * len(xis) if t <= _xi_max(lam) else [
+                math.sqrt(max(n * lam / alpha - xi * e * e, 0.0)) for xi in xis]
+            [make] = _makes(monkeypatch, lambda: level_density_mixture(e, p))
+            cases.append((make, (2.0 * alpha / (math.pi * lam)) * inv_gamma, xis, [g]))
+            assert (t <= _xi_max(lam)) is (e < 0.0) and g[-1] == (abs(e) if e < 0.0 else 0.0)
+        sv, slope = 2.5 * theta, math.exp(gammaln(lam) - gammaln(lam + 0.5))
+        xis = np.geomspace(1e-9, 1e4, 120).tolist()
+        [make] = _makes(monkeypatch, lambda: gap_probability_bulk(sv, lam))
+        cases.append((make, inv_gamma, xis, [[goe_gap(sv * math.sqrt(xi) * slope) for xi in xis]]))
+        assert cases[-1][3][0][-1] == 0.0
+        for make, w, xis, kernels in cases:
+            assert [_bits([f(xi) for xi in xis]).tolist() for f in make(1.0, bare)] == [
+                _bits(g).tolist() for g in kernels]
+            assert [_bits([f(xi) for xi in xis]).tolist() for f in make(w, math.exp)] == [
+                _bits([w * math.exp(-xi) * v for xi, v in zip(xis, g)]).tolist() for g in kernels]
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qrmt
-from qrmt.cli import main
+from qrmt.cli import _gap_theta_grid, main
 
 
 def run(argv, capsys):
@@ -279,6 +279,26 @@ def test_exit_2_on_nonfinite_numbers(argv, tmp_path, capsys):
     assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
     assert out == ""
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("points", ["2", "1", "0"])
+def test_exit_2_on_a_gap_grid_that_cannot_reach_theta_max(points, tmp_path, capsys):
+    # the grid is 0, theta-max/300, ..., theta-max: two points used to stop at theta-max/300
+    out_dir = tmp_path / "g"
+    code, out, err = run(["gap", "--n", "5", "--lambda", "2", "--theta-max", "3", "--points", points,
+                          "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err == ("error: need a finite theta-max whose theta-max/300 is > 0, and points >= 3 "
+                   f"(0, theta-max/300 and theta-max), got 3.0, {points}\n")
+    assert out == "" and not out_dir.exists()
+
+
+def test_gap_theta_grid_ends_at_theta_max():
+    for theta_max in (1e-300, 0.3, 1.5, 3.0, 7.123, 1e300):
+        for points in range(3, 200):
+            grid = _gap_theta_grid(theta_max, points)
+            assert len(grid) == points and grid[0] == 0.0 and grid[-1] == theta_max
+            assert grid[1] == theta_max / 300.0 and np.all(np.diff(grid) > 0.0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -528,6 +528,15 @@ def test_tail_index_drops_zeros_and_nan_and_leaves_its_input_alone():
     assert tail_index(x, k=200).index == tail_index(list(x), k=200).index
 
 
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+def test_tail_index_rejects_an_infinite_value(inf):
+    # log(inf) swamps the Hill mean: the index used to read 0.0 with stderr 0.0
+    with pytest.raises(ParameterError, match="infinite"):
+        tail_index([1.0, 2.0, inf, 3.0, 5.0, 7.0], k=2)
+    with pytest.raises(ParameterError, match="infinite"):
+        tail_index(np.concatenate([1.0 / np.arange(1.0, 500.0), [inf, 0.0, math.nan]]), k=10)
+
+
 def test_tail_index_validation():
     with pytest.raises(ParameterError):
         tail_index(np.array([1.0]))
@@ -590,3 +599,11 @@ def test_ks_distance_two_sample():
         ks_distance(np.array([]), lambda v: v)
     with pytest.raises(ParameterError):
         ks_distance_two(np.array([]), a)
+
+
+def test_ks_distance_two_is_nan_when_either_sample_holds_a_nan():
+    # the rule ks_distance keeps: [0, nan] against [0, 1] used to read 0.5
+    assert math.isnan(ks_distance_two([0.0, math.nan], [0.0, 1.0]))
+    assert math.isnan(ks_distance_two([0.0, 1.0], [math.nan, 0.5, -1.0]))
+    assert math.isnan(ks_distance(np.array([0.0, math.nan]), lambda v: np.clip(v, 0.0, 1.0)))
+    assert ks_distance_two([0.0, 1.0], [0.5, 2.0]) == 0.5
