@@ -327,16 +327,17 @@ def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
         raise RegimeError("mixture form needs the heavy-tailed branch")
     n, lam, a = params.n, params.lam, params.alpha
     e = abs(float(e))
+    pref = (2.0 * a / (math.pi * lam)) * _inv_gamma(lam)
     d = a * e * e
     t = n * lam / d if d > 0.0 else math.inf  # E = 0, or E^2 underflowing to 0
     if t <= _xi_max(lam):
-        # integrand = w e^-xi xi^(lam-1/2) |E| sqrt(t - xi) on [0, t]
-        make = lambda w, exp: [lambda xi: w * exp(-xi) * e]
+        # integrand = pref e^-xi xi^(lam-1/2) |E| sqrt(t - xi) on [0, t]
+        f = lambda xi: pref * math.exp(-xi) * e
     else:
-        make = lambda w, exp: [lambda xi: w * exp(-xi) * math.sqrt(max(n * lam / a - xi * e * e, 0.0))]
+        f = lambda xi: pref * math.exp(-xi) * math.sqrt(max(n * lam / a - xi * e * e, 0.0))
     point = f"E={e!r}, n={n}"
-    [(val, err, neval)] = _gamma_average(make, lam, -0.5, "level_density_mixture", point,
-                                         c=2.0 * a / (math.pi * lam), kink=t, power=0.5, tol=(1e-12, 1e-10))
+    val, err, neval = _gamma_average(f, lam, -0.5, "level_density_mixture", point, kink=t, power=0.5,
+                                     tol=(1e-12, 1e-10))
     # QUADPACK can hand back a negative error estimate with no message
     if err < 0.0:
         raise NumericalError(
@@ -415,21 +416,24 @@ _QUADPACK_IER = (
 _GOE_TOL = (1e-11, 1e-9)
 
 
-def _gamma_average(make, lam: float, shift: float, site: str, point: str, *, c: float = 1.0, kink: float = math.inf,
-                   power: float = 0.0, beyond: tuple = (0.0,), tol: tuple = _GOE_TOL) -> list:
-    """[(value, err, neval)] of each Gamma average Int_0^inf xi^(lam + shift) w e^-xi g(xi) dxi, w = c/Gamma(lam).
+def _inv_gamma(lam: float) -> float:
+    """1/Gamma(lam), the constant of every Gamma average's weight: each kernel takes it from here."""
+    return math.exp(-ln_gamma(lam))
 
-    The one QUADPACK call in this module, and the one place that forms the weight's w and e^-xi.
-    make(w, math.exp) returns the law's integrands, each written w * exp(-xi) * g(xi) left to right,
-    and QUADPACK calls each as it is (so make(1.0, lambda x: 1.0) gives g bit for bit).  Each law is
-    the integrand times (kink - xi)^power below `kink` (inf: no kink) and its constant in `beyond`
-    past it, so QAWS covers [0, min(kink, _xi_max(lam))], without the power when the truncation
-    comes first, and the tail adds beyond Q(lam, kink), Q the regularized upper incomplete gamma; a
+
+def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *,
+                   kink: float = math.inf, power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL):
+    """(value, err, neval) of the Gamma average Int_0^inf xi^(lam + shift) kernel(xi) dxi, by QAWS.
+
+    The one QUADPACK call in this module.  `kernel` carries e^-xi and the law's constants.  The law
+    is kernel(xi) (kink - xi)^power below `kink` (inf: no kink) and the constant `beyond` past it,
+    so QAWS covers [0, min(kink, _xi_max(lam))], without the power when the truncation comes
+    first, and the tail adds beyond Q(lam, kink), Q the regularized upper incomplete gamma; a
     dropped strip [_xi_max, kink) adds its bound beyond Q(lam, _xi_max) ~ 1e-20 to err.
 
     NumericalError when the float lam + shift drops lam's digits (the weight's mass near 0 is
     xi^(lam + shift + 1)/(lam + shift + 1); at shift -1, below lam ~ 1e-7, that moves the average
-    past the tolerance) and when a value or error estimate is not finite.  A call that does not
+    past the tolerance) and when the value or error estimate is not finite.  A call that does not
     converge keeps its value and emits one IntegrationWarning naming `site`, `point`, lambda and
     QUADPACK's ier, at the first frame outside this module: the caller of the public function.
     """
@@ -439,34 +443,43 @@ def _gamma_average(make, lam: float, shift: float, site: str, point: str, *, c: 
                              f"exponent lambda - {-shift:g} rounds to {exponent!r}")
     xi_max = _xi_max(lam)
     hi = min(kink, xi_max)
-    out = []
-    for integrand, past in zip(make(c * math.exp(-ln_gamma(lam)), math.exp), beyond, strict=True):
-        res = integrate.quad(integrand, 0.0, hi, weight="alg", wvar=(exponent, power if kink <= xi_max else 0.0),
-                             epsabs=tol[0], epsrel=tol[1], full_output=True, limit=200)
-        if not (math.isfinite(res[0]) and math.isfinite(res[1])):
-            raise NumericalError(f"{site} has no finite value at {point}, lambda={lam!r}: {res[0]!r} "
-                                 f"with error estimate {res[1]!r}")
-        if len(res) > 3:
-            msg = str(res[3])
-            ier = next((code for words, code in _QUADPACK_IER if words in msg), "?")
-            frame, stacklevel = sys._getframe(1), 2  # 2: this function's caller
-            while frame.f_globals is globals():
-                frame, stacklevel = frame.f_back, stacklevel + 1
-            warnings.warn(f"{site}: QUADPACK ier={ier} at {point}, lambda={lam!r}: {msg.splitlines()[0].strip()}",
-                          integrate.IntegrationWarning, stacklevel=stacklevel)
-        val, err = res[0], res[1]
-        if past:
-            val += past * float(_sp.gammaincc(lam, kink))
-            if kink > hi:
-                err += past * float(_sp.gammaincc(lam, hi))
-        out.append((val, err, int(res[2]["neval"])))
-    return out
+    res = integrate.quad(
+        kernel,
+        0.0,
+        hi,
+        weight="alg",
+        wvar=(exponent, power if kink <= xi_max else 0.0),
+        epsabs=tol[0],
+        epsrel=tol[1],
+        full_output=True,
+        limit=200,
+    )
+    if not (math.isfinite(res[0]) and math.isfinite(res[1])):
+        raise NumericalError(f"{site} has no finite value at {point}, lambda={lam!r}: {res[0]!r} "
+                             f"with error estimate {res[1]!r}")
+    if len(res) > 3:
+        msg = str(res[3])
+        ier = next((code for words, code in _QUADPACK_IER if words in msg), "?")
+        frame, stacklevel = sys._getframe(1), 2  # 2: this function's caller
+        while frame.f_globals is globals():
+            frame, stacklevel = frame.f_back, stacklevel + 1
+        warnings.warn(
+            f"{site}: QUADPACK ier={ier} at {point}, lambda={lam!r}: {msg.splitlines()[0].strip()}",
+            integrate.IntegrationWarning,
+            stacklevel=stacklevel,
+        )
+    val, err = res[0], res[1]
+    if beyond:
+        val += beyond * float(_sp.gammaincc(lam, kink))
+        if kink > hi:
+            err += beyond * float(_sp.gammaincc(lam, hi))
+    return val, err, int(res[2]["neval"])
 
 
-def _goe_integrands(theta: float, params: EnsembleParams, w: float, exp) -> tuple:
-    """(E, s) integrands: xi -> w * exp(-xi) * goe_gap(y), and * y, y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
+def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
+    """(E, s) integrands: xi -> e^-xi/Gamma(lam) * goe_gap(y), and * y, y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
 
-    The E integrand records (w exp(-xi), y) at each node it evaluates, and the s integrand reads
+    The E integrand records (scale e^-xi, y) at each node it evaluates, and the s integrand reads
     a recorded node instead of evaluating y again: at one theta, QAWS visits mostly the same nodes
     for both laws, so gap_curve runs E first.  goe_counting's and goe_gap's float arithmetic
     inline, in the same order and so with the same bits, whichever integrand computes y: y is n
@@ -475,8 +488,8 @@ def _goe_integrands(theta: float, params: EnsembleParams, w: float, exp) -> tupl
     differently.
     """
     n, lam, two_a, hsp = float(params.n), params.lam, 2.0 * params.alpha, _HALF_SQRT_PI
-    two_n, edge = 2.0 * n, math.sqrt(2.0 * n)
-    sqrt, asin, erfc, pi = math.sqrt, np.arcsin, _sp.erfc, math.pi
+    scale, two_n, edge = _inv_gamma(lam), 2.0 * n, math.sqrt(2.0 * n)
+    sqrt, exp, asin, erfc, pi = math.sqrt, math.exp, np.arcsin, _sp.erfc, math.pi
     record = {}
     recorded = record.get
 
@@ -487,9 +500,9 @@ def _goe_integrands(theta: float, params: EnsembleParams, w: float, exp) -> tupl
         else:
             v = two_n - xc * xc
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
-        we = w * exp(-xi)
-        record[xi] = (we, y)
-        return we * float(erfc(y * hsp))
+        w = scale * exp(-xi)
+        record[xi] = (w, y)
+        return w * float(erfc(y * hsp))
 
     def s_integrand(xi: float) -> float:
         wy = recorded(xi)
@@ -501,16 +514,16 @@ def _goe_integrands(theta: float, params: EnsembleParams, w: float, exp) -> tupl
         else:
             v = two_n - xc * xc
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
-        return w * exp(-xi) * y
+        return scale * exp(-xi) * y
 
     return e_integrand, s_integrand
 
 
 def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts: tuple) -> list:
-    """[(value, err, neval)] of the Gamma average of the count y (count True) or of goe_gap(y), at theta >= 0.
+    """[(value, err)] of the Gamma average of the count y (count True) or of goe_gap(y), at theta >= 0.
 
-    One entry per entry of `counts`, in that order, from one pair of integrands, so gap_curve's
-    s quadrature reads the nodes its E quadrature evaluated.  The point evaluator of
+    One (value, err) per entry of `counts`, in that order, from one pair of integrands, so
+    gap_curve's s quadrature reads the nodes its E quadrature evaluated.  The point evaluator of
     gap_probability, mean_count and gap_curve.  Past xi_sat = n lam/(alpha theta^2), infinite
     when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.
     """
@@ -519,18 +532,15 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts:
     if not theta >= 0:
         raise ParameterError(f"theta must be nonnegative, got {theta}")
     if theta == 0.0:
-        return [((0.0 if count else 1.0), 0.0, 0) for count in counts]
+        return [((0.0 if count else 1.0), 0.0) for count in counts]
     n, lam, a = params.n, params.lam, params.alpha
     theta = float(theta)
     d = a * theta * theta
     xi_sat = n * lam / d if d > 0.0 else math.inf
-
-    def make(w: float, exp) -> list:
-        integrands = _goe_integrands(theta, params, w, exp)
-        return [integrands[count] for count in counts]
-
-    return _gamma_average(make, lam, -1.0, site, f"theta={theta!r}, n={n}", kink=xi_sat,
-                          beyond=tuple(float(n) if count else goe_gap(float(n)) for count in counts))
+    integrands = _goe_integrands(theta, params)
+    point = f"theta={theta!r}, n={n}"
+    return [_gamma_average(integrands[count], lam, -1.0, site, point, kink=xi_sat,
+                           beyond=float(n) if count else goe_gap(float(n)))[:2] for count in counts]
 
 
 def gap_probability(theta: float, params: EnsembleParams) -> float:
@@ -581,15 +591,16 @@ def gap_probability_bulk(s, lam: float = 1.0):
             out = _sp.betainc(lam, 0.5, 1.0 / (1.0 + b * b))
     else:
         # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
-        slope, hsp = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5)), _HALF_SQRT_PI
-        sqrt, erfc = math.sqrt, _sp.erfc
+        slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
+        scale, hsp = _inv_gamma(lam), _HALF_SQRT_PI
+        sqrt, exp, erfc = math.sqrt, math.exp, _sp.erfc
 
         def one(sv: float) -> float:
             if sv == 0.0:
                 return 1.0
             # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order
-            make = lambda w, exp: [lambda xi: w * exp(-xi) * float(erfc(sv * sqrt(xi) * slope * hsp))]
-            return min(_gamma_average(make, lam, -1.0, "gap_probability_bulk", f"s={sv!r}")[0][0], 1.0)
+            f = lambda xi: scale * exp(-xi) * float(erfc(sv * sqrt(xi) * slope * hsp))
+            return min(_gamma_average(f, lam, -1.0, "gap_probability_bulk", f"s={sv!r}")[0], 1.0)
 
         out = np.array([one(sv) for sv in sa.ravel().tolist()]).reshape(sa.shape)
     return float(out) if sa.ndim == 0 else out
@@ -606,7 +617,7 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     e = np.empty_like(thetas)
     worst = 0.0
     for i, th in enumerate(thetas):
-        (ev, eerr, _), (sv, serr, _) = _gamma_weighted_goe(th, params, "gap_curve", (False, True))
+        (ev, eerr), (sv, serr) = _gamma_weighted_goe(th, params, "gap_curve", (False, True))
         s[i], e[i] = sv, min(ev, 1.0)
         worst = max(worst, eerr, serr)
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)

@@ -870,41 +870,39 @@ def test_goe_integrands_match_public_composition_bit_for_bit(n):
         ys = [goe_counting(math.sqrt(2.0 * alpha * xi / lam) * theta, n) for xi in xis]
         ref_s = _bits([scale * math.exp(-xi) * y for xi, y in zip(xis, ys)])
         ref_e = _bits([scale * math.exp(-xi) * goe_gap(y) for xi, y in zip(xis, ys)])
-        gap, count = _goe_integrands(theta, p, scale, math.exp)
+        gap, count = _goe_integrands(theta, p)
         assert np.array_equal(_bits([gap(xi) for xi in xis]), ref_e)
         assert np.array_equal(_bits([count(xi) for xi in xis]), ref_s)
-        gap, count = _goe_integrands(theta, p, scale, math.exp)
+        gap, count = _goe_integrands(theta, p)
         assert np.array_equal(_bits([count(xi) for xi in xis]), ref_s)
         assert np.array_equal(_bits([gap(xi) for xi in xis]), ref_e)
-        gap, count = _goe_integrands(theta, p, scale, math.exp)
+        gap, count = _goe_integrands(theta, p)
         twice = np.array([[gap(xi), count(xi), gap(xi), count(xi)] for xi in xis])
         for col, ref in enumerate((ref_e, ref_s, ref_e, ref_s)):
             assert np.array_equal(_bits(twice[:, col]), ref)
         assert ys[-1] == n  # the grid reaches saturation
 
 
-def _makes(monkeypatch, call) -> list:
-    """The `make` of each Gamma average that call() hands the engine."""
-    makes, engine = [], qrmt.analytic._gamma_average
+def _kernels(monkeypatch, call) -> list:
+    """The kernel of each Gamma average that call() hands the engine."""
+    kernels, engine = [], qrmt.analytic._gamma_average
 
-    def spy(make, *args, **kwargs):
-        makes.append(make)
-        return engine(make, *args, **kwargs)
+    def spy(kernel, *args, **kwargs):
+        kernels.append(kernel)
+        return engine(kernel, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(qrmt.analytic, "_gamma_average", spy)
         call()
-    return makes
+    return kernels
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("n", [1, 5, 50])
-def test_each_law_hands_the_engine_its_bare_kernel(monkeypatch, n):
-    # make(1.0, lambda x: 1.0) is the bare kernel g(xi) bit for bit, against the public composition,
-    # and make(w, math.exp) is w * exp(-xi) * g(xi) left to right, w = c/Gamma(lam): the mixture on
-    # both sides of its kink, the GOE E and s kernels and the bulk kernel, at xi on both sides of
-    # saturation (for the bulk: where erfc is 0)
-    bare = lambda x: 1.0
+def test_each_law_hands_the_engine_its_weighted_kernel(monkeypatch, n):
+    # each kernel QUADPACK calls is w * exp(-xi) * g(xi) left to right, w = c/Gamma(lam) and g the
+    # public composition, bit for bit: the mixture on both sides of its kink, the GOE E and s
+    # kernels and the bulk kernel, at xi on both sides of saturation (for the bulk: where erfc is 0)
     for lam, alpha, theta in ((0.5, 1.0, 0.3), (1.5, 0.9, 1.1), (10.0, 3.0, 2.5)):
         p = EnsembleParams.from_lambda(n, lam, alpha=alpha)
         inv_gamma = math.exp(-gammaln(lam))
@@ -912,27 +910,25 @@ def test_each_law_hands_the_engine_its_bare_kernel(monkeypatch, n):
         xi_sat = n * lam / (alpha * theta * theta)
         xis = np.concatenate([np.geomspace(1e-9, xi_sat, 60), np.linspace(0.5, 2.0, 60) * xi_sat]).tolist()
         ys = [goe_counting(math.sqrt(2.0 * alpha * xi / lam) * theta, n) for xi in xis]
-        [make] = _makes(monkeypatch, lambda: gap_curve(p, [0.0, theta]))
-        cases.append((make, inv_gamma, xis, [[goe_gap(y) for y in ys], ys]))
+        kernels = _kernels(monkeypatch, lambda: gap_curve(p, [0.0, theta]))
+        cases.append((kernels, inv_gamma, xis, [[goe_gap(y) for y in ys], ys]))
         assert ys[-1] == n
         for e in (-1.5 * math.sqrt(n / alpha), 0.05):
             t = n * lam / (alpha * e * e)
             xis = np.linspace(1e-9, 2.0 * t, 120).tolist()
             g = [abs(e)] * len(xis) if t <= _xi_max(lam) else [
                 math.sqrt(max(n * lam / alpha - xi * e * e, 0.0)) for xi in xis]
-            [make] = _makes(monkeypatch, lambda: level_density_mixture(e, p))
-            cases.append((make, (2.0 * alpha / (math.pi * lam)) * inv_gamma, xis, [g]))
+            kernels = _kernels(monkeypatch, lambda: level_density_mixture(e, p))
+            cases.append((kernels, (2.0 * alpha / (math.pi * lam)) * inv_gamma, xis, [g]))
             assert (t <= _xi_max(lam)) is (e < 0.0) and g[-1] == (abs(e) if e < 0.0 else 0.0)
         sv, slope = 2.5 * theta, math.exp(gammaln(lam) - gammaln(lam + 0.5))
         xis = np.geomspace(1e-9, 1e4, 120).tolist()
-        [make] = _makes(monkeypatch, lambda: gap_probability_bulk(sv, lam))
-        cases.append((make, inv_gamma, xis, [[goe_gap(sv * math.sqrt(xi) * slope) for xi in xis]]))
+        kernels = _kernels(monkeypatch, lambda: gap_probability_bulk(sv, lam))
+        cases.append((kernels, inv_gamma, xis, [[goe_gap(sv * math.sqrt(xi) * slope) for xi in xis]]))
         assert cases[-1][3][0][-1] == 0.0
-        for make, w, xis, kernels in cases:
-            assert [_bits([f(xi) for xi in xis]).tolist() for f in make(1.0, bare)] == [
-                _bits(g).tolist() for g in kernels]
-            assert [_bits([f(xi) for xi in xis]).tolist() for f in make(w, math.exp)] == [
-                _bits([w * math.exp(-xi) * v for xi, v in zip(xis, g)]).tolist() for g in kernels]
+        for kernels, w, xis, gs in cases:
+            assert [_bits([f(xi) for xi in xis]).tolist() for f in kernels] == [
+                _bits([w * math.exp(-xi) * v for xi, v in zip(xis, g)]).tolist() for g in gs]
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
