@@ -130,7 +130,9 @@ def _log_weight(params: EnsembleParams, t: float) -> float:
 def matrix_pdf(h: np.ndarray, params: EnsembleParams) -> float:
     """Matrix density at h; depends on h only through tr h^2 (rotation invariant)."""
     h = np.asarray(h, dtype=float)
-    return math.exp(_log_weight(params, float(np.sum(h * h))) - log_partition(params))
+    with np.errstate(over="ignore"):  # tr h^2 = inf is far out in the tail, where the density is 0
+        tr_sq = float(np.sum(h * h))
+    return math.exp(_log_weight(params, tr_sq) - log_partition(params))
 
 
 # ---------------------------------------------------------------------------
@@ -707,4 +709,13 @@ def joint_eigen_density(evals, params: EnsembleParams) -> float:
         ssq += e[i] * e[i]
         for j in range(i + 1, n):
             vander *= abs(e[j] - e[i])
-    return math.exp(_joint_log_const(params) + _log_weight(params, ssq)) * vander
+    log_w = _joint_log_const(params) + _log_weight(params, ssq)
+    if math.isfinite(vander):
+        return math.exp(log_w) * vander
+    # |Vandermonde(E)| overflowed, where the weight may have underflowed: take
+    # the product in log space.  The weight is 0 at an infinite eigenvalue or
+    # one whose square overflows, since it falls faster than |Vandermonde| grows
+    gaps = [abs(e[j] - e[i]) for i in range(n) for j in range(i + 1, n)]
+    if log_w == -math.inf or 0.0 in gaps:
+        return 0.0
+    return math.exp(log_w + math.fsum(map(math.log, gaps)))

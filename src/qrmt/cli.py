@@ -133,11 +133,8 @@ def _now() -> str:
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _meta_lines(params: EnsembleParams | None, **extra) -> list[str]:
@@ -290,7 +287,9 @@ def _gap_theta_grid(theta_max: float, points: int) -> np.ndarray:
     if not (0 < first and theta_max < math.inf) or points < 3:
         raise ParameterError(f"need a finite theta-max whose theta-max/300 is > 0, and points >= 3 "
                              f"(0, theta-max/300 and theta-max), got {theta_max}, {points}")
-    body = np.geomspace(first, theta_max, points - 1)
+    # geomspace's 10**log10(theta-max) can overflow; it sets its endpoint to theta-max itself
+    with np.errstate(over="ignore"):
+        body = np.geomspace(first, theta_max, points - 1)
     return np.concatenate([[0.0], body])
 
 

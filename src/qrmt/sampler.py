@@ -3,9 +3,9 @@
 Every draw is a pure function of (params, stream): draw i of a batch runs on
 PCG64(SeedSequence(master_seed, spawn_key=(i,))), so a batch is bit-for-bit
 reproducible no matter how it is split or in which order its draws are made.
-`sample_batch` does not build the SeedSequences: it computes their
-generate_state words for all ids at once (`_stream_words`) and lets each
-draw's PCG64 seed itself from them.  Scalar primitives come from numpy's
+`sample_batch` does not build a SeedSequence per draw: it computes their
+generate_state words for a block of ids at once (`_stream_words`) and lets
+each draw's PCG64 seed itself from them.  Scalar primitives come from numpy's
 Generator (normal: ziggurat; gamma: Marsaglia-Tsang with the shape < 1
 boost); Beta is built explicitly as a Gamma ratio.
 
@@ -109,45 +109,30 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _mix_in(pool: list, word, hc: int) -> tuple[list, int]:
-    """Mix one more entropy word into each pool word, as SeedSequence does past the fourth."""
-    out = []
-    for p in pool:
-        v, hc = _hashmix(word, hc, _MULT_A)
-        out.append(_mix(p, v))
-    return out, hc
-
-
 def _stream_words(master_seed: int, count: int, start: int = 0) -> Iterator[np.ndarray]:
     """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64) for i in order.
 
-    i runs over [start, start + count).  The derivation follows numpy's
-    SeedSequence: the seed is split into little-endian uint32 words and
-    padded to the 4-word pool, the stream id is one more word, the pool is
-    mixed, and generate_state hashes the pool into 8 uint32 words, read as
-    4 little-endian uint64.  Every word before the id is shared by all
-    streams, so that part of the mixing runs once on Python ints; the id's
-    part runs on uint32 arrays of a block of ids at a time.  Each row is a
-    C-contiguous (4,) uint64 array, the words PCG64 seeds itself from.
+    i runs over [start, start + count).  numpy builds the master seed's
+    pool, which every stream shares; each stream id is one more entropy
+    word mixed into that pool, and generate_state hashes the pool into 8
+    uint32 words, read as 4 little-endian uint64.  Those two steps run on
+    uint32 arrays of a block of ids at a time.  Each row is a C-contiguous
+    (4,) uint64 array, the words PCG64 seeds itself from.
     """
-    words = [master_seed >> k & _MASK32 for k in range(0, max(master_seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    hc = _INIT_A
-    pool = []
-    for w in words[:4]:
-        v, hc = _hashmix(w, hc, _MULT_A)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, hc = _hashmix(pool[src], hc, _MULT_A)
-                pool[dst] = _mix(pool[dst], v)
-    for w in words[4:]:
-        pool, hc = _mix_in(pool, w, hc)
+    pool = SeedSequence(master_seed).pool.tolist()
+    # numpy does not expose the hash constant its seed mixing ends on: it is
+    # _INIT_A times _MULT_A once per hashmix it ran, 4 to fill the pool, 12 to
+    # cross-mix it and 4 per seed word past the fourth
+    n_words = max(1, -(-master_seed.bit_length() // 32))
+    hc_pool = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, n_words - 4), 1 << 32) & _MASK32
     stop = start + count
     for lo in range(start, stop, _STATE_BLOCK):
-        mixed, _ = _mix_in(pool, np.arange(lo, min(lo + _STATE_BLOCK, stop), dtype=np.uint32), hc)
-        state = np.empty((len(mixed[0]), 8), dtype=np.uint32)
+        ids = np.arange(lo, min(lo + _STATE_BLOCK, stop), dtype=np.uint32)
+        hc, mixed = hc_pool, []
+        for p in pool:
+            v, hc = _hashmix(ids, hc, _MULT_A)
+            mixed.append(_mix(p, v))
+        state = np.empty((len(ids), 8), dtype=np.uint32)
         h = _INIT_B
         for k in range(8):
             state[:, k], h = _hashmix(mixed[k % 4], h, _MULT_B)

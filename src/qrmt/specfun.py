@@ -182,9 +182,11 @@ def levy_density(x: float, sigma: float, big_lambda: float) -> float:
     """
     if not 0.0 < sigma <= 2.0:
         raise ValueError(f"levy_density requires sigma in (0, 2], got {sigma}")
-    if not big_lambda > 0.0:
-        raise ValueError(f"levy_density requires Lambda > 0, got {big_lambda}")
+    if not 0.0 < big_lambda < math.inf:
+        raise ValueError(f"levy_density requires a finite Lambda > 0, got {big_lambda}")
     x = abs(float(x))
+    if x == math.inf:  # the density's limit; the generic branch's half-period would be 0
+        return 0.0
     if sigma == 2.0:
         return math.exp(-x * x / (4.0 * big_lambda)) / (2.0 * math.sqrt(math.pi * big_lambda))
     if sigma == 1.0:

@@ -10,6 +10,7 @@ batch was assembled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,8 +273,8 @@ def tail_index(values, k: int | None = None) -> TailIndexEstimate:
         raise ParameterError("need at least two nonzero values")
     if k is None:
         k = default_hill_k(n)
-    if not 0 < k < n:
-        raise ParameterError(f"need 0 < k < {n}, got k={k}")
+    if not (isinstance(k, numbers.Integral) and 0 < k < n):
+        raise ParameterError(f"need an integer k with 0 < k < {n}, got k={k!r}")
     # k largest plus the threshold order statistic, ascending, as in a full sort
     x.partition(n - k - 1)
     top = np.sort(x[n - k - 1 :])

@@ -1012,6 +1012,34 @@ def test_joint_density_matches_numpy_reference_bit_for_bit():
                     assert joint_eigen_density(evals, p) == reference(evals, p)
 
 
+# n = 4, lambda = 0.1, alpha = 1 at E = (-1e60, -1e59, 1e59, 1e60), 40-digit mpmath: the
+# constant (Mehta's integral and the Student-t normalisation), the weight and |Vandermonde(E)|
+_JOINT_FAR_OUT = 5.37718272889253573e-255
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [
+    lambda n: EnsembleParams.gaussian(n, alpha=1.0),
+    lambda n: EnsembleParams.from_lambda(n, 0.1, alpha=1.0),
+    lambda n: EnsembleParams.from_q(n, 0.5, alpha=1.0),
+], ids=["gaussian", "heavy", "restricted"])
+def test_joint_and_matrix_density_far_out(make):
+    # |Vandermonde(E)| overflows where the weight underflows: the product is taken in log space,
+    # and an infinite eigenvalue, or one whose square overflows, gives the limit 0
+    p3, p4 = make(3), make(4)
+    for e in ([1e160, 0.0, 1.0], [math.inf, 0.0, 1.0], [-math.inf, 0.0, 1.0], [math.inf, math.inf, 0.0]):
+        assert joint_eigen_density(e, p3) == 0.0
+        assert matrix_pdf(np.diag(e), p3) == 0.0
+    assert matrix_pdf(1e200 * np.eye(3), p3) == 0.0
+    far = joint_eigen_density([-1e60, -1e59, 1e59, 1e60], p4)
+    if p4.regime is Regime.LEVY_BRANCH:
+        assert far == pytest.approx(_JOINT_FAR_OUT, rel=1e-12)
+    else:
+        assert far == 0.0
+    # a tie after the product has overflowed: inf * 0
+    assert joint_eigen_density([-1e100, -1e99, 1e100, 1e100], p4) == 0.0
+
+
 def test_joint_log_const_equals_per_regime_closed_forms():
     # each regime's constant on its own: the Gaussian (2 a)^(f/2) / I_n and
     # the Student-t and Beta normalisations of the two branches

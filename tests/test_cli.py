@@ -293,8 +293,9 @@ def test_exit_2_on_a_gap_grid_that_cannot_reach_theta_max(points, tmp_path, caps
     assert out == "" and not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gap_theta_grid_ends_at_theta_max():
-    for theta_max in (1e-300, 0.3, 1.5, 3.0, 7.123, 1e300):
+    for theta_max in (1e-300, 0.3, 1.5, 3.0, 7.123, 1e300, 1.7976931348623157e308):
         for points in range(3, 200):
             grid = _gap_theta_grid(theta_max, points)
             assert len(grid) == points and grid[0] == 0.0 and grid[-1] == theta_max

@@ -175,6 +175,15 @@ def test_levy_density_domain():
         levy_density(1.0, 2.5, 1.0)
     with pytest.raises(ValueError):
         levy_density(1.0, 1.5, 0.0)
+    with pytest.raises(ValueError):
+        levy_density(1.0, 1.5, math.inf)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.0])
+def test_levy_density_at_infinite_x(sigma):
+    assert levy_density(math.inf, sigma, 1.0) == 0.0
+    assert levy_density(-math.inf, sigma, 1.0) == 0.0
 
 
 def test_quadrature_result_validation():

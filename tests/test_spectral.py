@@ -544,6 +544,9 @@ def test_tail_index_validation():
         tail_index(np.arange(1.0, 100.0), k=99)
     with pytest.raises(ParameterError):
         tail_index(np.ones(100), k=10)  # degenerate upper tail
+    for k in (5.5, 5.0):  # not an integer
+        with pytest.raises(ParameterError):
+            tail_index(np.arange(1.0, 100.0), k=k)
 
 
 # ----------------------------------------------------------------- KS tools
