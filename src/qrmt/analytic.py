@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import EnsembleParams, NumericalError, ParameterError, Regime, RegimeError
-from .specfun import QuadratureResult, _Deferred, _sp, bessel_k, kummer_m, ln_gamma
+from .specfun import QuadratureResult, _Deferred, _erfc_double, _sp, bessel_k, kummer_m, ln_gamma
 
 integrate = _Deferred("scipy.integrate")
 
@@ -116,23 +116,37 @@ def log_partition(params: EnsembleParams) -> float:
     return 0.5 * f * math.log(math.pi * al / a) + ln_gamma(1.0 + al - f / 2.0) - ln_gamma(1.0 + al)
 
 
-def _log_weight(params: EnsembleParams, t: float) -> float:
-    """log of the unnormalised matrix density at tr H^2 = t; -inf outside the restricted-trace ball."""
+def _log_weight(params: EnsembleParams, t: float, entries) -> float:
+    """log of the unnormalised matrix density at tr H^2 = t; -inf outside the restricted-trace ball.
+
+    `entries` are the floats whose squares sum to t.  On the heavy branch the weight can be a normal
+    float where t or u = (alpha/lambda) t overflows: there log t comes from their scaled sum of
+    squares, and log1p(u) = log(alpha/lambda) + log t + log1p(1/u), whose last term, below 2^-1024,
+    is under half an ulp of the rest.
+    """
     if params.regime is Regime.GAUSSIAN:
         return -params.alpha * t
     u = (params.alpha / params.lam) * t
     if 1.0 + u <= 0.0:
         return -math.inf
     # exponent 1/(1-q) equals -(lambda + f/2) on both branches
-    return -(params.lam + params.f / 2.0) * math.log1p(u)
+    power = -(params.lam + params.f / 2.0)
+    if u != math.inf:
+        return power * math.log1p(u)
+    x = np.abs(np.asarray(entries, dtype=float))
+    big = float(x.max())
+    if big == math.inf:  # an infinite entry: the density's limit 0
+        return -math.inf
+    log_t = 2.0 * math.log(big) + math.log(float(np.sum((x / big) ** 2)))
+    return power * (math.log(params.alpha) - math.log(params.lam) + log_t)
 
 
 def matrix_pdf(h: np.ndarray, params: EnsembleParams) -> float:
     """Matrix density at h; depends on h only through tr h^2 (rotation invariant)."""
     h = np.asarray(h, dtype=float)
-    with np.errstate(over="ignore"):  # tr h^2 = inf is far out in the tail, where the density is 0
+    with np.errstate(over="ignore"):  # tr h^2 = inf: _log_weight takes log tr h^2 from h itself
         tr_sq = float(np.sum(h * h))
-    return math.exp(_log_weight(params, tr_sq) - log_partition(params))
+    return math.exp(_log_weight(params, tr_sq, h) - log_partition(params))
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +500,13 @@ def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
     for both laws, so gap_curve runs E first.  goe_counting's and goe_gap's float arithmetic
     inline, in the same order and so with the same bits, whichever integrand computes y: y is n
     from the band edge on, max is written as the comparison the builtin makes, which costs less
-    than the call, and numpy's arcsin and scipy's erfc stay, since math.asin and math.erfc round
-    differently.
+    than the call, and numpy's arcsin stays, since math.asin rounds differently.  erfc is scipy's
+    compiled double routine (`_erfc_double`): the one the ufunc goes through, so the same bits,
+    where math.erfc rounds differently.
     """
     n, lam, two_a, hsp = float(params.n), params.lam, 2.0 * params.alpha, _HALF_SQRT_PI
     scale, two_n, edge = _inv_gamma(lam), 2.0 * n, math.sqrt(2.0 * n)
-    sqrt, exp, asin, erfc, pi = math.sqrt, math.exp, np.arcsin, _sp.erfc, math.pi
+    sqrt, exp, asin, erfc, pi = math.sqrt, math.exp, np.arcsin, _erfc_double(), math.pi
     record = {}
     recorded = record.get
 
@@ -504,7 +519,7 @@ def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
         w = scale * exp(-xi)
         record[xi] = (w, y)
-        return w * float(erfc(y * hsp))
+        return w * erfc(y * hsp)
 
     def s_integrand(xi: float) -> float:
         wy = recorded(xi)
@@ -595,13 +610,14 @@ def gap_probability_bulk(s, lam: float = 1.0):
         # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
         slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
         scale, hsp = _inv_gamma(lam), _HALF_SQRT_PI
-        sqrt, exp, erfc = math.sqrt, math.exp, _sp.erfc
+        sqrt, exp, erfc = math.sqrt, math.exp, _erfc_double()
 
         def one(sv: float) -> float:
             if sv == 0.0:
                 return 1.0
-            # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order
-            f = lambda xi: scale * exp(-xi) * float(erfc(sv * sqrt(xi) * slope * hsp))
+            # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order, through the
+            # compiled erfc that goe_gap's ufunc calls
+            f = lambda xi: scale * exp(-xi) * erfc(sv * sqrt(xi) * slope * hsp)
             return min(_gamma_average(f, lam, -1.0, "gap_probability_bulk", f"s={sv!r}")[0], 1.0)
 
         out = np.array([one(sv) for sv in sa.ravel().tolist()]).reshape(sa.shape)
@@ -709,12 +725,12 @@ def joint_eigen_density(evals, params: EnsembleParams) -> float:
         ssq += e[i] * e[i]
         for j in range(i + 1, n):
             vander *= abs(e[j] - e[i])
-    log_w = _joint_log_const(params) + _log_weight(params, ssq)
+    log_w = _joint_log_const(params) + _log_weight(params, ssq, e)
     if math.isfinite(vander):
         return math.exp(log_w) * vander
     # |Vandermonde(E)| overflowed, where the weight may have underflowed: take
-    # the product in log space.  The weight is 0 at an infinite eigenvalue or
-    # one whose square overflows, since it falls faster than |Vandermonde| grows
+    # the product in log space.  The weight is 0 at an infinite eigenvalue, and
+    # at a tie the product is 0
     gaps = [abs(e[j] - e[i]) for i in range(n) for j in range(i + 1, n)]
     if log_w == -math.inf or 0.0 in gaps:
         return 0.0

@@ -1040,6 +1040,37 @@ def test_joint_and_matrix_density_far_out(make):
     assert joint_eigen_density([-1e100, -1e99, 1e100, 1e100], p4) == 0.0
 
 
+# n = 1, alpha = 1: the Student-t density (1 + E^2/lam)^-(lam + 1/2) / (sqrt(pi lam) Gamma(lam)/Gamma(lam + 1/2))
+# at the float lam and E, 40-digit mpmath.  At E = 1e154, lam <= 0.3, E^2 is finite but E^2/lam overflows;
+# from E = 1e155 on, E^2 overflows too.  (0.3, 1e200) is subnormal.
+_HEAVY_PAST_TRACE_OVERFLOW = {
+    (0.05, 1e154): 1.6050200476433114e-171,
+    (0.05, 1e155): 1.2749127411415937e-172,
+    (0.05, 1e160): 4.0316280799760934e-178,
+    (0.05, 1e200): 4.031628079976091e-222,
+    (0.1, 1e154): 1.1118217271930601e-186,
+    (0.1, 1e155): 7.015120845251151e-188,
+    (0.1, 1e160): 7.01512084525115e-194,
+    (0.1, 1e200): 7.0151208452511434e-242,
+    (0.3, 1e154): 6.091175278937297e-248,
+    (0.3, 1e155): 1.5300340535109178e-249,
+    (0.3, 1e160): 1.5300340535109183e-257,
+    (0.3, 1e200): 1.53e-321,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam, e", sorted(_HEAVY_PAST_TRACE_OVERFLOW))
+def test_heavy_density_past_trace_overflow_matches_mpmath(lam, e):
+    # the weight is taken in log space past the overflow; one subnormal step of slack below
+    # the smallest normal float, where 1e-12 relative is finer than the float grid
+    p = EnsembleParams.from_lambda(1, lam, alpha=1.0)
+    ref = _HEAVY_PAST_TRACE_OVERFLOW[(lam, e)]
+    for x in (e, -e):
+        for got in (matrix_pdf(np.array([[x]]), p), joint_eigen_density([x], p)):
+            assert abs(got - ref) <= 1e-12 * ref + 5e-324
+
+
 def test_joint_log_const_equals_per_regime_closed_forms():
     # each regime's constant on its own: the Gaussian (2 a)^(f/2) / I_n and
     # the Student-t and Beta normalisations of the two branches

@@ -11,9 +11,11 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import erfc
 
 from qrmt.specfun import (
     QuadratureResult,
+    _erfc_double,
     bessel_k,
     erf,
     kummer_m,
@@ -184,6 +186,19 @@ def test_levy_density_domain():
 def test_levy_density_at_infinite_x(sigma):
     assert levy_density(math.inf, sigma, 1.0) == 0.0
     assert levy_density(-math.inf, sigma, 1.0) == 0.0
+
+
+def test_compiled_erfc_equals_the_ufunc_bit_for_bit():
+    # the Gamma-average kernels call the compiled double erfc at every node; the golden hashes were
+    # made through the ufunc, so a scipy release that splits the two routines must fail here
+    erfc_double = _erfc_double()
+    # dense over [-30, 30], through the subnormal results from about 26.5 and the underflow to 0 near 27.2
+    grid = np.concatenate([np.linspace(-30.0, 30.0, 600_001), np.linspace(26.0, 27.5, 150_001)])
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    x = np.concatenate([grid, edges])
+    got = np.array([erfc_double(v) for v in x.tolist()])
+    assert all(type(erfc_double(v)) is float for v in edges)
+    assert np.array_equal(got.view(np.uint64), erfc(x).view(np.uint64))
 
 
 def test_quadrature_result_validation():
