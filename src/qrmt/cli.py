@@ -1,7 +1,8 @@
 """Command-line surface: sampling runs, analytic curves, figure reproduction,
 verification suites, and reproducible flat-file outputs.
 
-Exit codes are a stable contract: 0 success, 2 parameter error, 3 I/O error,
+Exit codes are a stable contract: 0 success, 2 parameter error (an array the
+parameters call for that does not fit in memory included), 3 I/O error,
 4 acceptance/verification failure, 5 numerical failure (valid parameters at
 which a closed-form law has no finite, checked value).
 """
@@ -11,6 +12,7 @@ import argparse
 import datetime as _dt
 import functools
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -21,8 +23,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import analytic as an
-from . import spectral as sp
 from .params import EnsembleParams, NumericalError, ParameterError, Regime
 # sample_goe is not called here, but it stays a name of this module: the
 # benchmark's tracer counts the draws made through qrmt.cli.sample_goe
@@ -47,6 +47,28 @@ from .specfun import (
     ln_gamma,
 )
 from .svg import Series, render_svg
+
+
+def _deferred_module(name: str):
+    """The module `name`, executed on its first attribute access.
+
+    It is the one module object in sys.modules, so a patch on `qrmt.analytic`
+    or `qrmt.spectral` reaches the commands here, and once executed an
+    attribute costs a plain module lookup.  A command that never touches it,
+    such as `--version` or `verify --manifest`, never runs its code.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+an = _deferred_module(f"{__package__}.analytic")
+sp = _deferred_module(f"{__package__}.spectral")
 
 # a name of its own, apart from analytic's, so verify's quadratures stay out of
 # what a stand-in for analytic.integrate sees
@@ -403,6 +425,8 @@ def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
     curves = {}
     for i, lam in enumerate(lams):
         params = EnsembleParams.from_lambda(n, lam, alpha="auto")
+        # the member's spectra before its first file, as in fig2
+        batch = sp.spectra_from_samples(sample_blocks(params, samples, master_seed=seed + i))
         lim, x80 = _mass_quantiles(params, 0.005, 0.10)  # x80: the central 80% of mass
         grid = np.linspace(-lim, lim, 241)
         curve = an.density_curve(params, grid)
@@ -414,7 +438,6 @@ def _reproduce_fig1(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
                              label=f"lambda={lam:g}", color=None))
 
         # Monte Carlo overlay, binomial band check on the central 80% of mass
-        batch = sp.spectra_from_samples(sample_blocks(params, samples, master_seed=seed + i))
         bad, checked, worst = _overlay_violations(params, batch, x80)
         hist = sp.empirical_density(batch, np.linspace(-lim, lim, 49))
         manifest.add(
@@ -471,6 +494,8 @@ def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
     n, lam = 20, 1.0
     params = EnsembleParams.from_lambda(n, lam, alpha="auto")
     manifest = RunManifest(out, "reproduce fig2", params, seed, samples)
+    # the simulation's spectra first: a sample count too large for memory fails before any file exists
+    batch = sp.spectra_from_samples(sample_blocks(params, samples, master_seed=seed))
 
     # analytic reference: scaling-limit curve, plus its power-law asymptote and
     # the GOE gap law; the asymptote column is exactly 1/(2 s^2)
@@ -488,7 +513,6 @@ def _reproduce_fig2(out: str, seed: int, samples: int) -> tuple[dict, RunManifes
 
     # simulation overlay: empirical gap fractions with the analytic s pairing
     thetas = np.concatenate([[0.0], np.geomspace(0.004, 0.30, 39)])
-    batch = sp.spectra_from_samples(sample_blocks(params, samples, master_seed=seed))
     gap = sp.empirical_gap(batch, thetas)
     manifest.add(
         "fig2_sim.csv", _write_csv,
@@ -818,6 +842,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ stock routine exposes the (sigma, Lambda) parametrization required.
 """
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 from dataclasses import dataclass
@@ -142,16 +143,21 @@ def kummer_m_transformed(a: float, b: float, z: float) -> float:
     return math.exp(z) * float(_sp.hyp1f1(b - a, b, -z))
 
 
-# 32-point Gauss-Legendre rule, plenty for one half-period of the cosine factor
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point Gauss-Legendre rule, plenty for one half-period of the
+    cosine factor; built on the first call, so numpy.polynomial loads only for `levy_density`."""
+    return np.polynomial.legendre.leggauss(32)
+
 
 # integrand mass beyond Lambda * t^sigma = 45 is below e^-45 ~ 3e-20
 _DECAY_CUTOFF = 45.0
 
 
 def _gl_segment(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    nodes, weights = _gauss_legendre()
     half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(0.5 * (a + b) + half * _GL_NODES)))
+    return half * float(np.dot(weights, f(0.5 * (a + b) + half * nodes)))
 
 
 def _gl_cusp_segment(f: Callable[[np.ndarray], np.ndarray], h: float) -> float:

@@ -273,8 +273,9 @@ def tail_index(values, k: int | None = None) -> TailIndexEstimate:
         raise ParameterError("need at least two nonzero values")
     if k is None:
         k = default_hill_k(n)
-    if not (isinstance(k, numbers.Integral) and 0 < k < n):
+    if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and 0 < k < n):
         raise ParameterError(f"need an integer k with 0 < k < {n}, got k={k!r}")
+    k = int(k)
     # k largest plus the threshold order statistic, ascending, as in a full sort
     x.partition(n - k - 1)
     top = np.sort(x[n - k - 1 :])

@@ -403,6 +403,48 @@ def test_exit_2_on_alpha_that_is_not_a_number(tmp_path, capsys):
     assert out == "" and not out_dir.exists()
 
 
+@pytest.fixture
+def no_memory_for_huge_arrays(monkeypatch):
+    """Stand-ins that raise MemoryError where these commands would allocate terabytes.
+
+    No test asks for such an array for real: under overcommit, a huge request
+    can succeed on paper and then exhaust the machine.
+    """
+    def refusing(real):
+        def stand_in(start, stop, num, *args, **kwargs):
+            if num > 2**32:  # numpy's own message for such a request
+                raise MemoryError(f"Unable to allocate {num * 8 / 2**40:.1f} TiB for an array "
+                                  f"with shape ({num},) and data type float64")
+            return real(start, stop, num, *args, **kwargs)
+        return stand_in
+
+    def spectra_from_samples(samples):
+        raise MemoryError()  # a bare one, as a failing allocation without numpy's message
+
+    monkeypatch.setattr(np, "linspace", refusing(np.linspace))
+    monkeypatch.setattr(np, "geomspace", refusing(np.geomspace))
+    monkeypatch.setattr(qrmt.spectral, "spectra_from_samples", spectra_from_samples)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["element", "--n", "5", "--lambda", "2", "--grid=0:1:10000000000000"],
+     "error: out of memory: Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"),
+    (["gap", "--n", "5", "--lambda", "2", "--points", "10000000000000"],
+     "error: out of memory: Unable to allocate 72.8 TiB for an array with shape (9999999999999,)"),
+    (["sample", "--n", "1000", "--lambda", "2", "--count", "4294967295"], "error: out of memory"),
+    (["reproduce", "fig1", "--samples", "4294967295"], "error: out of memory"),
+    (["reproduce", "fig2", "--samples", "4294967295"], "error: out of memory"),
+], ids=["element-grid", "gap-points", "sample-count", "fig1-samples", "fig2-samples"])
+def test_exit_2_when_an_array_does_not_fit_in_memory(argv, message, tmp_path, capsys,
+                                                     no_memory_for_huge_arrays):
+    # one error line and no traceback; the run fails before it writes any file
+    out_dir = tmp_path / "d"
+    code, out, err = run(argv + ["--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err.startswith(message) and err.count("\n") == 1
+    assert out == "" and not out_dir.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "3", "--q", "0.5", "--count", "4", "--raw"],
     ["density", "--n", "6", "--lambda", "1.5", "--grid=-3:3:21", "--svg", "--format", "json"],
@@ -538,6 +580,56 @@ def test_import_and_sample_load_no_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
     assert os.path.isfile(tmp_path / "run" / "matrices.csv")
+
+
+def test_parser_and_params_run_neither_analytic_nor_spectral(tmp_path):
+    # a module counts as run once it is a plain module in sys.modules: the CLI
+    # holds analytic and spectral as modules whose code runs on first use
+    code = (
+        "import sys, types\n"
+        "import qrmt.cli as cli\n"
+        "from qrmt.params import EnsembleParams\n"
+        "def ran(name):\n"
+        "    return type(sys.modules.get(name)) is types.ModuleType\n"
+        "def report():\n"
+        "    names = ['qrmt.analytic', 'qrmt.spectral', 'numpy.polynomial', 'scipy',\n"
+        "             *(m for m in sys.modules if m.startswith('scipy.'))]\n"
+        "    print([name for name in names if ran(name)])\n"
+        "cli.build_parser()\n"
+        "EnsembleParams.from_lambda(10, 1.5, alpha='auto')\n"
+        "report()\n"
+        "assert cli.main(['--version']) == 0 and cli.main(['density', '--n', '0']) == 2\n"
+        "report()\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['density', '--n', '3', '--lambda', '2', '--out', out]) == 0\n"
+        "assert cli.main(['verify', '--manifest', out + '/manifest.json']) == 0\n"
+        "print(ran('qrmt.analytic'), ran('qrmt.spectral'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "run")], capture_output=True, text=True,
+        env=_child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    lines = [line for line in out.stdout.splitlines() if line.startswith(("[", "True", "False"))]
+    assert lines == ["[]", "[]", "True False"]
+
+
+def test_a_patch_on_analytic_after_first_use_reaches_the_cli(tmp_path, monkeypatch, capsys):
+    # the CLI holds the one qrmt.analytic module, not a copy of its names
+    argv = ["gap", "--n", "5", "--lambda", "2", "--points", "6", "--out"]
+    assert main([*argv, str(tmp_path / "first")]) == 0
+    real = qrmt.analytic.gap_curve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qrmt.analytic, "gap_curve", counting)
+    assert main([*argv, str(tmp_path / "second")]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    assert _digest(tmp_path / "first" / "curve.csv") == _digest(tmp_path / "second" / "curve.csv")
 
 
 def _count_analytic_quads(monkeypatch) -> list:

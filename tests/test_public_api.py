@@ -32,3 +32,13 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_aliases_cannot_be_imported(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_dir_lists_every_exported_name_and_module():
+    assert set(qrmt.__all__) | set(MODULES) <= set(dir(qrmt))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qrmt.no_such_name
+    assert not hasattr(qrmt, "__wrapped__")

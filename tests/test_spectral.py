@@ -549,6 +549,19 @@ def test_tail_index_validation():
             tail_index(np.arange(1.0, 100.0), k=k)
 
 
+@pytest.mark.parametrize("k", [True, False, np.bool_(True)])
+def test_tail_index_rejects_a_bool_k(k):
+    with pytest.raises(ParameterError, match="integer k"):
+        tail_index(np.arange(1.0, 100.0), k=k)
+
+
+def test_tail_index_stores_k_as_an_int():
+    x = 1.0 / RngStream(2026, 0).generator().uniform(size=2000)
+    est = tail_index(x, k=np.int64(50))
+    assert type(est.k) is int and est.k == 50
+    assert est == tail_index(x, k=50)
+
+
 # ----------------------------------------------------------------- KS tools
 
 def test_ks_distance_against_own_law():
