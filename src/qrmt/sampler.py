@@ -3,11 +3,21 @@
 Every draw is a pure function of (params, stream): draw i of a batch runs on
 PCG64(SeedSequence(master_seed, spawn_key=(i,))), so a batch is bit-for-bit
 reproducible no matter how it is split or in which order its draws are made.
-`sample_batch` does not build a SeedSequence per draw: it computes their
-generate_state words for a block of ids at once (`_stream_words`) and lets
-each draw's PCG64 seed itself from them.  Scalar primitives come from numpy's
-Generator (normal: ziggurat; gamma: Marsaglia-Tsang with the shape < 1
-boost); Beta is built explicitly as a Gamma ratio.
+`sample_batch` builds neither a SeedSequence nor a PCG64 per draw: it
+computes their generate_state words for a block of ids at once
+(`_stream_words`), runs PCG64's own setseq seeding on the whole block
+(`_seeded_states`), and writes each stream's seeded (state, inc) into one
+PCG64 that the whole batch reuses.  That cut a heavy n = 2 draw from 3.1 to
+1.9 us, n = 10 from 4.1 to 2.9 us and a restricted n = 4 draw from 4.9 to
+3.8 us (median CPU time per draw on a 2-vCPU Xeon VM); at n = 40 the
+Gaussian core dominates (17 against 16 us).  The write needs numpy's PCG64
+struct as gcc and clang lay it out, so a check at the first batch of a
+process compares it with numpy's public `state`; where it fails (MSVC's
+high/low 128-bit pairs, Python implementations other than CPython) every
+draw builds its own PCG64 from the words instead, with the same bytes.
+Scalar primitives come from numpy's Generator (normal: ziggurat; gamma:
+Marsaglia-Tsang with the shape < 1 boost); Beta is built explicitly as a
+Gamma ratio.
 
 Every regime is a scalar law times one Gaussian core of f = n(n+1)/2
 standard normals.  The q > 1 sampler realizes the ensemble as a
@@ -36,6 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
+
+try:  # numpy imports it already; a platform without it draws on one PCG64 per stream
+    import ctypes
+except ImportError:
+    ctypes = None
 from numpy.random.bit_generator import ISeedSequence
 
 from .params import EnsembleParams, ParameterError, Regime
@@ -56,7 +71,7 @@ __all__ = [
 _CHUNK_FLOATS = 1 << 15
 # streamed draws come in batches of about this many packed floats (1 MiB):
 # larger blocks raise peak memory, smaller ones pay each batch's fixed cost
-# (stream-word setup) more often
+# (stream-word setup, one PCG64) more often
 _BLOCK_FLOATS = 1 << 17
 # stream seed words are derived in blocks of this many ids, so that a large
 # batch never holds the words of all its draws at once
@@ -67,6 +82,10 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), in 64-bit halves
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# the size of numpy's PCG64 (state, inc) pair: two 128-bit integers
+_PCG_STATE_BYTES = 32
 
 
 def _nonnegative_int(value, what: str) -> int:
@@ -110,14 +129,15 @@ def _mix(x, y):
 
 
 def _stream_words(master_seed: int, count: int, start: int = 0) -> Iterator[np.ndarray]:
-    """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64) for i in order.
+    """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, uint64) for i in order, in blocks.
 
     i runs over [start, start + count).  numpy builds the master seed's
     pool, which every stream shares; each stream id is one more entropy
     word mixed into that pool, and generate_state hashes the pool into 8
     uint32 words, read as 4 little-endian uint64.  Those two steps run on
-    uint32 arrays of a block of ids at a time.  Each row is a C-contiguous
-    (4,) uint64 array, the words PCG64 seeds itself from.
+    uint32 arrays of a block of ids at a time.  Each block is a C-contiguous
+    (k, 4) uint64 array, k <= _STATE_BLOCK, one row per stream: the words
+    seed_hi, seed_lo, seq_hi, seq_lo that PCG64 seeds itself from.
     """
     pool = SeedSequence(master_seed).pool.tolist()
     # numpy does not expose the hash constant its seed mixing ends on: it is
@@ -137,7 +157,46 @@ def _stream_words(master_seed: int, count: int, start: int = 0) -> Iterator[np.n
         for k in range(8):
             state[:, k], h = _hashmix(mixed[k % 4], h, _MULT_B)
         # as numpy reads the uint32 words: little-endian pairs, then native uint64
-        yield from state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+        yield state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _stream_rows(master_seed: int, count: int, start: int = 0) -> Iterator[np.ndarray]:
+    """The rows of `_stream_words`, one C-contiguous (4,) uint64 array per stream."""
+    for block in _stream_words(master_seed, count, start):
+        yield from block
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products of uint64 array `a` and b < 2**64, in 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    cross_a, cross_b = a1 * b0, a0 * b1
+    mid = (a0 * b0 >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
+    return a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+
+
+def _seeded_states(words: np.ndarray) -> np.ndarray:
+    """PCG64's (state, inc) after seeding from each row of a (k, 4) `_stream_words` block.
+
+    numpy's PCG64 seeds by the setseq step of O'Neill's PCG with seed =
+    seed_hi:seed_lo and seq = seq_hi:seq_lo: inc = 2 seq + 1 and state =
+    (inc + seed) * M + inc, mod 2**128.  The result is a (k, 4) uint64
+    array of state_lo, state_hi, inc_lo, inc_hi, the in-memory order of the
+    two little-endian 128-bit integers numpy's PCG64 keeps under gcc and clang.
+    """
+    seed_hi, seed_lo, seq_hi, seq_lo = words.T
+    inc_lo = seq_lo << 1 | 1
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    t_lo = inc_lo + seed_lo
+    t_hi = inc_hi + seed_hi + (t_lo < inc_lo)
+    out = np.empty((len(words), 4), dtype=np.uint64)
+    p_lo = t_lo * np.uint64(_PCG_MULT_LO)
+    p_hi = _mulhi64(t_lo, _PCG_MULT_LO) + t_lo * np.uint64(_PCG_MULT_HI) + t_hi * np.uint64(_PCG_MULT_LO)
+    out[:, 0] = p_lo + inc_lo
+    out[:, 1] = p_hi + inc_hi + (out[:, 0] < inc_lo)
+    out[:, 2] = inc_lo
+    out[:, 3] = inc_hi
+    return out
 
 
 class _SeedWords(ISeedSequence):
@@ -156,6 +215,85 @@ class _SeedWords(ISeedSequence):
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         return self.words
+
+
+# rows whose seeding carries through every 64-bit half, written by the state-write check
+_CHECK_WORDS = np.array([[0, 0, 0, 0], [2**64 - 1] * 4, [2**63, 2**64 - 1, 2**63 - 1, 2**63]],
+                        dtype=np.uint64)
+
+
+def _state_view(bg: PCG64) -> memoryview | None:
+    """A writable view of the 32-byte (state, inc) of `bg`, or None unless it lies inside `bg`.
+
+    numpy's `bg.ctypes.state_address` points to its pcg64_state struct,
+    whose first field points to the (state, inc) pair.  Both must lie within
+    the object's own memory, [id(bg), id(bg) + basicsize), which holds on
+    CPython, where id is the address; nothing outside it is read or written.
+    """
+    if ctypes is None:
+        return None
+    base = id(bg)
+    end = base + type(bg).__basicsize__
+    addr = bg.ctypes.state_address
+    if not base <= addr <= end - ctypes.sizeof(ctypes.c_void_p):
+        return None
+    pair = ctypes.c_void_p.from_address(addr).value
+    if pair is None or not base <= pair <= end - _PCG_STATE_BYTES:
+        return None
+    return memoryview((ctypes.c_ubyte * _PCG_STATE_BYTES).from_address(pair)).cast("B")
+
+
+def _check_state_write(bg: PCG64) -> bool:
+    """Whether writing `_seeded_states` rows into `bg` puts it in the states PCG64 seeds itself to.
+
+    The view must lie inside `bg`, read what numpy's public `bg.state`
+    reports, and, after each row of `_CHECK_WORDS` is written, `bg.state`
+    must equal that of PCG64 seeded from the row.
+    """
+    view = _state_view(bg)
+    if view is None:
+        return False
+    pair = bg.state["state"]
+    if bytes(view) != pair["state"].to_bytes(16, "little") + pair["inc"].to_bytes(16, "little"):
+        return False
+    for words, seeded in zip(_CHECK_WORDS, _seeded_states(_CHECK_WORDS).view("V32").ravel().tolist()):
+        view[:] = seeded
+        if bg.state != PCG64(_SeedWords(words)).state:
+            return False
+    return True
+
+
+@functools.cache
+def _state_write_works() -> bool:
+    """`_check_state_write` on a fresh PCG64, once per process, at the first `sample_batch`.
+
+    False selects PCG64's own seeding, one generator per stream, in
+    `sample_batch`: numpy's struct differs under MSVC (a high/low pair
+    for each 128-bit integer), and without ctypes or outside CPython,
+    where id is no address, there is no view to write through.
+    """
+    return _check_state_write(PCG64(_SeedWords(_CHECK_WORDS[0])))
+
+
+def _reused_streams(blocks: Iterator[np.ndarray]) -> Iterator[Generator]:
+    """One Generator per stream of `blocks`, all the same object, set to each stream in turn.
+
+    Each `_stream_words` block is seeded in bulk by `_seeded_states`; before
+    yielding the Generator for a stream, its (state, inc) is written into
+    the shared PCG64, which is then in the state PCG64(_SeedWords(row))
+    starts in.  A consumer must finish each stream's draws before asking
+    for the next.  PCG64's buffered 32-bit half (`has_uint32`) is not
+    reset: `_draw_packed` draws only 64-bit outputs, so it stays 0 as
+    PCG64's constructor left it.  Callers check `_state_write_works()`.
+    """
+    bg = PCG64(_SeedWords(_CHECK_WORDS[0]))
+    g = Generator(bg)
+    view = _state_view(bg)
+    for block in blocks:
+        # one 32-byte bytes object per stream
+        for seeded in _seeded_states(block).view("V32").ravel().tolist():
+            view[:] = seeded
+            yield g
 
 
 @dataclass(frozen=True)
@@ -350,24 +488,37 @@ def sample_levy_stable(sigma: float, scale: float, rng, size: int | None = None)
 
     Chambers-Mallows-Stuck transform of a uniform angle and a unit exponential.
     Boundary cases under this scale convention: sigma = 2 is Normal(0, 2 scale^2)
-    and sigma = 1 is Cauchy with half-width `scale`.
+    and sigma = 1 is Cauchy with half-width `scale`.  `size` is None (one
+    float) or a nonnegative integer.  Small sigma drives the transform past
+    float64 (at sigma = 1e-3 more than half the variates are inf or NaN), as
+    does a huge scale: non-finite variates are a ParameterError that counts
+    them.
     """
     if not 0.0 < sigma <= 2.0:
         raise ParameterError(f"stable exponent must lie in (0, 2], got {sigma}")
-    if not scale > 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ParameterError(f"scale must be positive and finite, got {scale}")
+    if size is not None:
+        size = _nonnegative_int(size, "size")
     g, _ = _resolve_rng(rng)
     phi = g.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    if sigma == 1.0:
-        x = np.tan(phi)
-    else:
-        w = g.exponential(1.0, size=size)
-        x = (
-            np.sin(sigma * phi)
-            / np.cos(phi) ** (1.0 / sigma)
-            * (np.cos((1.0 - sigma) * phi) / w) ** ((1.0 - sigma) / sigma)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if sigma == 1.0:
+            x = np.tan(phi)
+        else:
+            w = g.exponential(1.0, size=size)
+            x = (
+                np.sin(sigma * phi)
+                / np.cos(phi) ** (1.0 / sigma)
+                * (np.cos((1.0 - sigma) * phi) / w) ** ((1.0 - sigma) / sigma)
+            )
+        out = scale * x
+    nonfinite = int(np.count_nonzero(~np.isfinite(out)))
+    if nonfinite:
+        raise ParameterError(
+            f"{nonfinite} of {1 if size is None else size} stable variates are non-finite; "
+            f"sigma = {sigma} is too small, or scale = {scale} too large, for float64"
         )
-    out = scale * x
     return float(out) if size is None else out
 
 
@@ -405,15 +556,22 @@ def sample_batch(
     stream of `RngStream(master_seed, i)`, so it depends only on
     (master_seed, i), and the batches of consecutive ranges [start, start +
     count) concatenate to the batch of their union, byte for byte.  Each
-    stream's SeedSequence words are computed in bulk and PCG64 seeds itself
-    from them.  The seed and start must be nonnegative integers, count below
+    stream's SeedSequence words and PCG64 seeding are computed in bulk, a
+    block of 1024 ids at a time, and each draw writes its stream's seeded
+    state into one PCG64 built for the batch, which saves about 1.2 us a
+    draw over a PCG64 of its own; where numpy's PCG64 struct fails the
+    check of `_state_write_works`, each draw builds its own, with the same
+    bytes.  The seed and start must be nonnegative integers, count below
     2**32 and start + count at most 2**32, so that every id is one
     SeedSequence word.  `threads` is accepted for compatibility and ignored:
     the draws run on one thread, because the per-stream loop holds the
     interpreter lock and a thread pool only slowed it down.
     """
     master_seed, count, start = _stream_range(master_seed, count, start)
-    gens = map(Generator, map(PCG64, map(_SeedWords, _stream_words(master_seed, count, start))))
+    if _state_write_works():
+        gens = _reused_streams(_stream_words(master_seed, count, start))
+    else:
+        gens = map(Generator, map(PCG64, map(_SeedWords, _stream_rows(master_seed, count, start))))
     packed, xi = _draw_packed(params, gens, count)
     return SampleBatch(params=params, packed=packed, xi=xi, master_seed=master_seed, start=start)
 

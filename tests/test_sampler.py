@@ -4,16 +4,19 @@ Monte Carlo assertions run on pinned seeds, so they are deterministic; the
 tolerances were chosen with at least a 2x margin over the observed deviation
 at these seeds.
 """
+import ctypes
 import math
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
-from numpy.random import PCG64, SeedSequence
+from numpy.random import PCG64, Generator, SeedSequence
 
+from qrmt import sampler
 from qrmt.params import EnsembleParams, ParameterError
 from qrmt.sampler import (
     _STATE_BLOCK,
@@ -23,6 +26,12 @@ from qrmt.sampler import (
     SampleBlocks,
     _SeedWords,
     _beta,
+    _check_state_write,
+    _draw_packed,
+    _reused_streams,
+    _seeded_states,
+    _state_write_works,
+    _stream_rows,
     _stream_words,
     sample_batch,
     sample_blocks,
@@ -202,6 +211,54 @@ def test_stable_scalar_and_validation():
         sample_levy_stable(1.5, 0.0, RngStream(5, 0))
 
 
+def _cms(sigma, scale, g, size):
+    """The Chambers-Mallows-Stuck transform written out, with the sampler's variate order."""
+    phi = g.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+    w = g.exponential(1.0, size=size)
+    return scale * (np.sin(sigma * phi) / np.cos(phi) ** (1.0 / sigma)
+                    * (np.cos((1.0 - sigma) * phi) / w) ** ((1.0 - sigma) / sigma))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2, 1.5])
+def test_stable_small_sigma_keeps_its_bits(sigma):
+    x = sample_levy_stable(sigma, 1.0, RngStream(115, 0), size=20000)
+    assert np.all(np.isfinite(x))
+    assert x.tobytes() == _cms(sigma, 1.0, RngStream(115, 0).generator(), 20000).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stable_nonfinite_variates_are_one_typed_error():
+    # at sigma = 1e-3 the transform over- and underflows: 19991 NaN and 38693 inf of these variates
+    too_small = r"^58684 of 100000 stable variates are non-finite; sigma = 0.001 is too small"
+    with pytest.raises(ParameterError, match=too_small):
+        sample_levy_stable(1e-3, 1.0, np.random.default_rng(1), size=100000)
+    with pytest.raises(ParameterError, match=r"^1 of 1 stable variates are non-finite"):
+        sample_levy_stable(1e-3, 1.0, RngStream(4, 0))
+    with pytest.raises(ParameterError, match=r"scale = 1e\+308 too large, for float64"):
+        sample_levy_stable(1.0, 1e308, RngStream(4, 0), size=100)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [math.inf, math.nan, -math.inf, -1.0])
+def test_stable_rejects_nonfinite_scale(scale):
+    with pytest.raises(ParameterError, match="scale must be positive and finite"):
+        sample_levy_stable(1.5, scale, RngStream(5, 0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size", [-1, 2.5, True, (3,), "4"])
+def test_stable_rejects_bad_size(size):
+    with pytest.raises(ParameterError, match="size must be a nonnegative integer"):
+        sample_levy_stable(1.5, 1.0, RngStream(5, 0), size=size)
+
+
+def test_stable_size_accepts_numpy_integers_and_zero():
+    assert sample_levy_stable(1.5, 1.0, RngStream(5, 0), size=0).shape == (0,)
+    a = sample_levy_stable(1.5, 1.0, RngStream(5, 0), size=np.int64(7))
+    assert a.tobytes() == sample_levy_stable(1.5, 1.0, RngStream(5, 0), size=7).tobytes()
+
+
 def test_sample_ensemble_dispatch():
     g = EnsembleParams.gaussian(3, alpha=1.0)
     assert sample_ensemble(g, RngStream(6, 0)).xi is None
@@ -282,8 +339,12 @@ def _numpy_words(seed: int, ids) -> list[list[int]]:
 
 
 def _words(seed: int, count: int) -> list[list[int]]:
-    rows = list(_stream_words(seed, count))
+    blocks = list(_stream_words(seed, count))
+    assert [len(b) for b in blocks] == [min(_STATE_BLOCK, count - lo) for lo in range(0, count, _STATE_BLOCK)]
+    assert all(b.dtype == np.uint64 and b.shape[1:] == (4,) and b.flags.c_contiguous for b in blocks)
+    rows = list(_stream_rows(seed, count))
     assert all(r.dtype == np.uint64 and r.shape == (4,) and r.flags.c_contiguous for r in rows)
+    assert [r.tolist() for r in rows] == [r for b in blocks for r in b.tolist()]
     return [r.tolist() for r in rows]
 
 
@@ -296,7 +357,7 @@ def test_stream_words_match_numpy_seed_sequence(seed):
     # the bulk derivation restates numpy's SeedSequence; a numpy release that
     # changes it fails here
     assert _words(seed, 40) == _numpy_words(seed, range(40))
-    for i, row in enumerate(_stream_words(seed, 3)):
+    for i, row in enumerate(_stream_rows(seed, 3)):
         assert PCG64(_SeedWords(row)).state == PCG64(SeedSequence(seed, spawn_key=(i,))).state
 
 
@@ -350,6 +411,121 @@ def _assert_rows_equal_single_draws(params, seed):
         assert one.xi == batch[i].xi
     if params.lam == 0.001:
         assert not np.all(np.isfinite(dense))  # the overflow pattern is covered too
+
+
+_needs_state_write = pytest.mark.skipif(
+    not _state_write_works(), reason="this numpy build keeps PCG64's state in another layout")
+
+
+def _per_stream_packed(params, seed, count, start):
+    """The batch drawn on one Generator(PCG64(...)) per stream, the fallback path."""
+    gens = map(Generator, map(PCG64, map(_SeedWords, _stream_rows(seed, count, start))))
+    return _draw_packed(params, gens, count)
+
+
+def test_seeded_states_match_pcg64():
+    rng = np.random.default_rng(2024)
+    words = np.concatenate([
+        rng.integers(0, 2**64, size=(2000, 4), dtype=np.uint64),
+        rng.integers(0, 2, size=(64, 4), dtype=np.uint64) * np.uint64(2**64 - 1),
+    ])
+    states = _seeded_states(words)
+    assert states.shape == (len(words), 4) and states.dtype == np.uint64
+    for row, got in zip(words, states.tolist()):
+        pair = PCG64(_SeedWords(row)).state["state"]
+        assert got == [pair["state"] % 2**64, pair["state"] >> 64, pair["inc"] % 2**64, pair["inc"] >> 64]
+
+
+@pytest.mark.parametrize("params", _REGIMES, ids=lambda p: f"{p.regime.value}-n{p.n}-lam{p.lam:g}")
+def test_forced_fallback_gives_the_same_rows(params, monkeypatch):
+    fast = sample_batch(params, 1100, master_seed=2**70 + 3, start=2**32 - 1100)
+
+    def refuse(blocks):
+        raise AssertionError("the state-write path ran")
+
+    monkeypatch.setattr(sampler, "_state_write_works", lambda: False)
+    monkeypatch.setattr(sampler, "_reused_streams", refuse)
+    slow = sample_batch(params, 1100, master_seed=2**70 + 3, start=2**32 - 1100)
+    assert slow.packed.tobytes() == fast.packed.tobytes()
+    assert (slow.xi is None) == (fast.xi is None)
+    if fast.xi is not None:
+        assert slow.xi.tobytes() == fast.xi.tobytes()
+
+
+class _Misreports(PCG64):
+    """Reports a state other than the one in its memory."""
+
+    @property
+    def state(self):
+        st = super().state
+        st["state"]["inc"] ^= 2
+        return st
+
+
+_ELSEWHERE = (ctypes.c_ubyte * 64)()
+
+
+class _Elsewhere(PCG64):
+    """Points its state address at memory outside the object."""
+
+    @property
+    def ctypes(self):
+        return types.SimpleNamespace(state_address=ctypes.addressof(_ELSEWHERE))
+
+
+@_needs_state_write
+def test_state_write_check_refuses_a_mismatch(monkeypatch):
+    assert _check_state_write(PCG64(11))
+    assert not _check_state_write(_Misreports(11))
+    assert not _check_state_write(_Elsewhere(11))
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "ctypes", None)
+        assert not _check_state_write(PCG64(11))
+    # 128-bit halves in the other order, as numpy keeps them under MSVC
+    swapped = lambda w: np.ascontiguousarray(_seeded_states(w)[:, [1, 0, 3, 2]])  # noqa: E731
+    monkeypatch.setattr(sampler, "_seeded_states", swapped)
+    assert not _check_state_write(PCG64(11))
+
+
+@_needs_state_write
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    regime=st.sampled_from(range(len(_REGIMES))),
+    seed=st.integers(min_value=2**32, max_value=2**300),
+    count=st.integers(min_value=1, max_value=2 * _STATE_BLOCK + 5),
+    below=st.integers(min_value=0, max_value=3 * _STATE_BLOCK),
+)
+# the 1024-id block edge, crossed once and twice, ending at the last stream id; lambda = 0.001 and q = 0.5
+@example(regime=2, seed=2**200 + 1, count=_STATE_BLOCK + 3, below=0)
+@example(regime=3, seed=2**64, count=2 * _STATE_BLOCK + 5, below=7)
+def test_state_write_rows_equal_per_stream_rows(regime, seed, count, below):
+    params = _REGIMES[regime]
+    start = max(0, 2**32 - count - below)
+    batch = sample_batch(params, count, master_seed=seed, start=start)
+    packed, xi = _per_stream_packed(params, seed, count, start)
+    assert batch.packed.tobytes() == packed.tobytes()
+    if xi is not None:
+        assert batch.xi.tobytes() == xi.tobytes()
+
+
+@_needs_state_write
+@pytest.mark.parametrize("params", _REGIMES, ids=lambda p: f"{p.regime.value}-n{p.n}-lam{p.lam:g}")
+def test_state_write_leaves_each_stream_where_pcg64_would(params):
+    # the whole state, has_uint32 and uinteger included, after each stream's draws
+    seed, count = 2**64 + 5, 60
+    rows = list(_stream_rows(seed, count))
+    if params.lam == 0.001:
+        assert any(Generator(PCG64(_SeedWords(r))).gamma(params.lam) == 0.0 for r in rows)
+    shared = _reused_streams(_stream_words(seed, count))
+    for row in rows:
+        g = next(shared)
+        own = Generator(PCG64(_SeedWords(row)))
+        assert g.bit_generator.state == own.bit_generator.state
+        a, _ = _draw_packed(params, [g], 1)
+        b, _ = _draw_packed(params, [own], 1)
+        assert a.tobytes() == b.tobytes()
+        assert g.bit_generator.state == own.bit_generator.state
+    assert next(shared, None) is None
 
 
 def test_sample_batch_sequence_behaviour():
