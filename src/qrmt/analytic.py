@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -330,6 +331,13 @@ def level_density(e, params: EnsembleParams):
     return float(out) if ea.ndim == 0 else out
 
 
+# t = n lam/(alpha E^2) below which level_density_mixture has no checked value: QAWS's value on
+# [0, t] drifts from the closed form by more than 1e-10 of it from t = 5.6e-210 down, for every
+# lambda in {1e-300, 1e-6, 0.01, 0.5} and n in {2, 3, 20, 50} (at lambda 3 and 10 the density is
+# 0 or subnormal there), and is 18% low at t = 5e-300
+_MIXTURE_T_FLOOR = 1e-200
+
+
 def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
     """Level density by direct quadrature of the Gamma mixture of semicircles.
 
@@ -338,6 +346,11 @@ def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
     The integrand carries xi^(lambda - 1/2) at the origin and a square-root
     zero where the semicircle support closes, so the algebraic-weight
     quadrature (QAWS) handles both endpoints exactly.
+
+    NumericalError below t = n lambda/(alpha E^2) = 1e-200, where the
+    quadrature drifts from the true value, unless the density rounds to 0
+    there: it is at most pref |E| t^(lambda + 1)/(lambda + 1/2), pref the
+    weight's constant, since e^-xi <= 1 and sqrt(t - xi) <= sqrt(t).
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("mixture form needs the heavy-tailed branch")
@@ -346,12 +359,22 @@ def level_density_mixture(e: float, params: EnsembleParams) -> QuadratureResult:
     pref = (2.0 * a / (math.pi * lam)) * _inv_gamma(lam)
     d = a * e * e
     t = n * lam / d if d > 0.0 else math.inf  # E = 0, or E^2 underflowing to 0
+    point = f"E={e!r}, n={n}"
+    if t < _MIXTURE_T_FLOOR:  # t is 0 where E^2 overflows: its log comes from log |E|
+        log_t = math.log(n) + math.log(lam) - math.log(a) - 2.0 * math.log(e)
+        log_bound = (math.log(2.0 * a / math.pi) - math.log(lam) - ln_gamma(lam) + math.log(e)
+                     + (lam + 1.0) * log_t - math.log(lam + 0.5))
+        if math.exp(log_bound) > 0.0:
+            raise NumericalError(
+                f"level_density_mixture has no checked value at {point}, lambda={lam:g}: "
+                f"t = n lambda/(alpha E^2) = {n * lam / a / e / e!r} is below {_MIXTURE_T_FLOOR:g}, "
+                f"where the quadrature drifts from the density"
+            )
     if t <= _xi_max(lam):
         # integrand = pref e^-xi xi^(lam-1/2) |E| sqrt(t - xi) on [0, t]
         f = lambda xi: pref * math.exp(-xi) * e
     else:
         f = lambda xi: pref * math.exp(-xi) * math.sqrt(max(n * lam / a - xi * e * e, 0.0))
-    point = f"E={e!r}, n={n}"
     val, err, neval = _gamma_average(f, lam, -0.5, "level_density_mixture", point, kink=t, power=0.5,
                                      tol=(1e-12, 1e-10))
     # QUADPACK can hand back a negative error estimate with no message
@@ -437,8 +460,8 @@ def _inv_gamma(lam: float) -> float:
     return math.exp(-ln_gamma(lam))
 
 
-def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *,
-                   kink: float = math.inf, power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL):
+def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, kink: float = math.inf,
+                   power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL, nodes: tuple | None = None):
     """(value, err, neval) of the Gamma average Int_0^inf xi^(lam + shift) kernel(xi) dxi, by QAWS.
 
     The one QUADPACK call in this module.  `kernel` carries e^-xi and the law's constants.  The law
@@ -452,6 +475,7 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *,
     past the tolerance) and when the value or error estimate is not finite.  A call that does not
     converge keeps its value and emits one IntegrationWarning naming `site`, `point`, lambda and
     QUADPACK's ier, at the first frame outside this module: the caller of the public function.
+    Such a call also takes back the nodes its kernel recorded in a grid's `nodes` (see _NodeTable).
     """
     exponent = lam + shift
     if abs(exponent - shift - lam) > 1e-9 * (lam + (shift + 1.0)):
@@ -459,6 +483,7 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *,
                              f"exponent lambda - {-shift:g} rounds to {exponent!r}")
     xi_max = _xi_max(lam)
     hi = min(kink, xi_max)
+    mark = len(nodes[0]) if nodes is not None else 0
     res = integrate.quad(
         kernel,
         0.0,
@@ -474,6 +499,9 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *,
         raise NumericalError(f"{site} has no finite value at {point}, lambda={lam!r}: {res[0]!r} "
                              f"with error estimate {res[1]!r}")
     if len(res) > 3:
+        if nodes is not None:
+            for recorded in nodes:
+                del recorded[mark:]
         msg = str(res[3])
         ier = next((code for words, code in _QUADPACK_IER if words in msg), "?")
         frame, stacklevel = sys._getframe(1), 2  # 2: this function's caller
@@ -492,57 +520,117 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *,
     return val, err, int(res[2]["neval"])
 
 
-def _goe_integrands(theta: float, params: EnsembleParams) -> tuple:
+class _NodeTable(dict):
+    """A Gamma average's kernel as a table of its values at QUADPACK's nodes.
+
+    QUADPACK calls the bound __getitem__, so a node in the table costs one C-level lookup.  The
+    `__missing__` slot holds the law's scalar kernel, which dict calls at any other node.  In a
+    grid whose points average over one interval, the kernel also records each node in the grid's
+    `nodes`, a (xi list, w array, r array) triple from `grid()`: w = scale e^-xi by math.exp (np.exp
+    rounds differently) and r the law's square root at xi.  `tables(nodes, law, count)` makes a
+    point's `count` tables, each holding its kernel at every node recorded so far, from law(w, r):
+    the kernel vectorised in the scalar kernel's operation order, so with its bits.  QUADPACK then
+    sees the numbers it would have computed, and the grid evaluates a node once per point,
+    vectorised, instead of once per visit.  A single point, with no `nodes`, runs the scalar kernel
+    at every visit.
+
+    _gamma_average takes back the nodes of an average that does not converge: its subdivisions of
+    roundoff seldom recur.  On the bulk grid linspace(0, 10, 201) at lambda = 10, the 24 averages
+    that do not converge would record 984 of the grid's 1330 nodes, each visited about 10 times
+    later, against about 155 for the other nodes.
+
+    The kernel never refers to its own table, so a spent table is freed with its last reference,
+    not left to the cyclic collector.  So it stores no value there: a node visited twice in one
+    average is evaluated twice, as by a plain kernel.
+    """
+
+    __slots__ = ("__missing__",)
+
+    @staticmethod
+    def grid() -> tuple:
+        return [], array("d"), array("d")
+
+    @classmethod
+    def tables(cls, nodes: tuple | None, law, count: int) -> list:
+        if nodes is None or not nodes[0]:
+            return [cls() for _ in range(count)]
+        xis, w, r = nodes
+        return [cls(zip(xis, v.tolist())) for v in law(np.frombuffer(w), np.frombuffer(r))]
+
+
+def _goe_integrands(theta: float, params: EnsembleParams, nodes: tuple | None = None) -> tuple:
     """(E, s) integrands: xi -> e^-xi/Gamma(lam) * goe_gap(y), and * y, y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
 
-    The E integrand records (scale e^-xi, y) at each node it evaluates, and the s integrand reads
-    a recorded node instead of evaluating y again: at one theta, QAWS visits mostly the same nodes
-    for both laws, so gap_curve runs E first.  goe_counting's and goe_gap's float arithmetic
-    inline, in the same order and so with the same bits, whichever integrand computes y: y is n
-    from the band edge on, max is written as the comparison the builtin makes, which costs less
-    than the call, and numpy's arcsin stays, since math.asin rounds differently.  erfc is scipy's
-    compiled double routine (`_erfc_double`): the one the ufunc goes through, so the same bits,
-    where math.erfc rounds differently.
+    Each is the bound lookup of a _NodeTable, valid at any xi.  The E kernel also stores w y in the
+    s table, so gap_curve's s quadrature, run after its E quadrature, reads the nodes they share.
+    With a grid's `nodes`, both tables start out holding the law at its recorded nodes, and the
+    kernels record the new ones.  goe_counting's and goe_gap's float arithmetic inline, in the same order
+    and so with the same bits, whichever integrand computes y: y is n from the band edge on, max is
+    written as the comparison the builtin makes, which costs less than the call, and numpy's arcsin
+    stays, since math.asin rounds differently.  erfc is scipy's compiled double routine
+    (`_erfc_double`): the one the ufunc goes through, so the same bits, where math.erfc rounds
+    differently.
     """
     n, lam, two_a, hsp = float(params.n), params.lam, 2.0 * params.alpha, _HALF_SQRT_PI
     scale, two_n, edge = _inv_gamma(lam), 2.0 * n, math.sqrt(2.0 * n)
     sqrt, exp, asin, erfc, pi = math.sqrt, math.exp, np.arcsin, _erfc_double(), math.pi
-    record = {}
-    recorded = record.get
+    if nodes is not None:
+        add_xi, add_w, add_r = (a.append for a in nodes)
 
-    def e_integrand(xi: float) -> float:
-        xc = sqrt(two_a * xi / lam) * theta
+    def law(w, r):
+        xc = r * theta
+        v = two_n - xc * xc
+        with np.errstate(invalid="ignore"):  # arcsin past the band edge, where y is n
+            y = np.where(edge <= xc, n, (xc * np.sqrt(np.where(0.0 > v, 0.0, v)) + two_n * asin(xc / edge)) / pi)
+        return w * _sp.erfc(y * hsp), w * y
+
+    e_table, s_table = _NodeTable.tables(nodes, law, 2)
+
+    def e_kernel(xi: float) -> float:
+        r = sqrt(two_a * xi / lam)
+        xc = r * theta
         if edge <= xc:
             y = n
         else:
             v = two_n - xc * xc
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
         w = scale * exp(-xi)
-        record[xi] = (w, y)
+        if nodes is not None:
+            add_xi(xi)
+            add_w(w)
+            add_r(r)
+        s_table[xi] = w * y
         return w * erfc(y * hsp)
 
-    def s_integrand(xi: float) -> float:
-        wy = recorded(xi)
-        if wy is not None:
-            return wy[0] * wy[1]
-        xc = sqrt(two_a * xi / lam) * theta
+    def s_kernel(xi: float) -> float:
+        r = sqrt(two_a * xi / lam)
+        xc = r * theta
         if edge <= xc:
             y = n
         else:
             v = two_n - xc * xc
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
-        return scale * exp(-xi) * y
+        w = scale * exp(-xi)
+        if nodes is not None:
+            add_xi(xi)
+            add_w(w)
+            add_r(r)
+        return w * y
 
-    return e_integrand, s_integrand
+    e_table.__missing__, s_table.__missing__ = e_kernel, s_kernel
+    return e_table.__getitem__, s_table.__getitem__
 
 
-def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts: tuple) -> list:
+def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts: tuple,
+                        nodes: tuple | None = None) -> list:
     """[(value, err)] of the Gamma average of the count y (count True) or of goe_gap(y), at theta >= 0.
 
     One (value, err) per entry of `counts`, in that order, from one pair of integrands, so
     gap_curve's s quadrature reads the nodes its E quadrature evaluated.  The point evaluator of
     gap_probability, mean_count and gap_curve.  Past xi_sat = n lam/(alpha theta^2), infinite
-    when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.
+    when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.  A grid's
+    `nodes` serve its points with xi_sat >= xi_max, whose averages all run on [0, xi_max]; the
+    others each run on their own [0, xi_sat].
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError(f"{site.replace('_', ' ')} needs the heavy-tailed branch")
@@ -554,10 +642,11 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts:
     theta = float(theta)
     d = a * theta * theta
     xi_sat = n * lam / d if d > 0.0 else math.inf
-    integrands = _goe_integrands(theta, params)
+    shared = nodes if xi_sat >= _xi_max(lam) else None
+    integrands = _goe_integrands(theta, params, shared)
     point = f"theta={theta!r}, n={n}"
     return [_gamma_average(integrands[count], lam, -1.0, site, point, kink=xi_sat,
-                           beyond=float(n) if count else goe_gap(float(n)))[:2] for count in counts]
+                           beyond=float(n) if count else goe_gap(float(n)), nodes=shared)[:2] for count in counts]
 
 
 def gap_probability(theta: float, params: EnsembleParams) -> float:
@@ -594,6 +683,10 @@ def gap_probability_bulk(s, lam: float = 1.0):
     Above lambda = 10, where QAWS loses the weight xi^(lambda - 1) to
     roundoff, that identity is the value; poch keeps the Gamma ratio to
     float64 precision where a difference of ln Gamma values would not.
+    Up to lambda = 10 every s averages over [0, xi_max(lambda)], so the
+    points of an array share their QUADPACK nodes through _NodeTable: each
+    node's value is computed once per point, vectorised, with the bits of
+    a call at that s alone.
     """
     if not 0 < lam < math.inf:
         raise RegimeError(f"bulk gap law needs finite lambda > 0, got {lam}")
@@ -611,21 +704,41 @@ def gap_probability_bulk(s, lam: float = 1.0):
         slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
         scale, hsp = _inv_gamma(lam), _HALF_SQRT_PI
         sqrt, exp, erfc = math.sqrt, math.exp, _erfc_double()
+        nodes = _NodeTable.grid() if sa.size > 1 else None  # every s averages over [0, xi_max]
+        if nodes is not None:
+            add_xi, add_w, add_r = (a.append for a in nodes)
 
         def one(sv: float) -> float:
             if sv == 0.0:
                 return 1.0
+
             # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order, through the
             # compiled erfc that goe_gap's ufunc calls
-            f = lambda xi: scale * exp(-xi) * erfc(sv * sqrt(xi) * slope * hsp)
-            return min(_gamma_average(f, lam, -1.0, "gap_probability_bulk", f"s={sv!r}")[0], 1.0)
+            def kernel(xi: float) -> float:
+                r, w = sqrt(xi), scale * exp(-xi)
+                if nodes is not None:
+                    add_xi(xi)
+                    add_w(w)
+                    add_r(r)
+                return w * erfc(sv * r * slope * hsp)
+
+            (table,) = _NodeTable.tables(nodes, lambda w, r: (w * _sp.erfc(sv * r * slope * hsp),), 1)
+            table.__missing__ = kernel
+            return min(_gamma_average(table.__getitem__, lam, -1.0, "gap_probability_bulk", f"s={sv!r}",
+                                      nodes=nodes)[0], 1.0)
 
         out = np.array([one(sv) for sv in sa.ravel().tolist()]).reshape(sa.shape)
     return float(out) if sa.ndim == 0 else out
 
 
 def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
-    """Parametric (s, E) gap curve over a theta grid."""
+    """Parametric (s, E) gap curve over a theta grid.
+
+    Each theta runs its E average, then its s average, on one pair of
+    _NodeTable tables.  The thetas whose xi_sat = n lambda/(alpha theta^2)
+    reaches xi_max all average over [0, xi_max] and share their nodes; the
+    values have the bits of mean_count and gap_probability at each theta.
+    """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("gap curve needs the heavy-tailed branch")
     thetas = np.asarray(theta_grid, dtype=float)
@@ -634,8 +747,9 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     s = np.empty_like(thetas)
     e = np.empty_like(thetas)
     worst = 0.0
+    nodes = _NodeTable.grid()
     for i, th in enumerate(thetas):
-        (ev, eerr), (sv, serr) = _gamma_weighted_goe(th, params, "gap_curve", (False, True))
+        (ev, eerr), (sv, serr) = _gamma_weighted_goe(th, params, "gap_curve", (False, True), nodes)
         s[i], e[i] = sv, min(ev, 1.0)
         worst = max(worst, eerr, serr)
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)

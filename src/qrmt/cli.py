@@ -179,11 +179,12 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, meta: list[str], header: list[str], blocks, layout=None) -> None:
+def _write_csv(path: str, meta: list[str], header: list[str], blocks, layout=None, suffix: str = "") -> None:
     """Write each 2-D float array of `blocks` in turn, one repr per value, so a table can stream.
 
     With `layout`, field k of a line is column layout[k] of the block's row,
-    so a value that fills several fields is formatted once.
+    so a value that fills several fields is formatted once.  `suffix` ends
+    every line: a column that holds one value, formatted once by the caller.
     """
     if layout is None:
         place = None
@@ -199,7 +200,8 @@ def _write_csv(path: str, meta: list[str], header: list[str], blocks, layout=Non
             rows = (list(map(repr, row)) for row in block.tolist())
             if place is not None:
                 rows = map(place, rows)
-            fh.writelines(",".join(fields) + "\n" for fields in rows)
+            end = suffix + "\n"
+            fh.writelines(",".join(fields) + end for fields in rows)
 
 
 def _write_curve(path: str, curve: an.AnalyticCurve, fmt: str, meta_extra: dict) -> None:
@@ -214,9 +216,8 @@ def _write_curve(path: str, curve: an.AnalyticCurve, fmt: str, meta_extra: dict)
         })
         return
     # quad_error: the worst-case estimate, same for every row
-    table = np.column_stack([curve.abscissae, curve.values,
-                             np.full(len(curve.values), float(curve.quadrature_error))])
-    _write_csv(path, meta, ["x", "value", "quad_error"], [table])
+    table = np.column_stack([curve.abscissae, curve.values])
+    _write_csv(path, meta, ["x", "value", "quad_error"], [table], suffix="," + repr(float(curve.quadrature_error)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ Oracles used here:
   * the bulk gap law's regularized incomplete beta closed form;
   * scipy ordered-region quadrature for the joint eigenvalue masses.
 """
+import gc
 import hashlib
 import math
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.integrate import IntegrationWarning
 from scipy.special import betainc, erfc, gammaln, stdtr
@@ -29,6 +32,7 @@ from qrmt.analytic import (
     _joint_log_const,
     _level_density_consts,
     _mehta_integral,
+    _NodeTable,
     _xi_max,
     density_curve,
     element_char_fn,
@@ -673,6 +677,23 @@ def test_level_density_mixture_negative_error_estimate_raises_numerical_error():
         level_density_mixture(1.0, p)
 
 
+def test_level_density_mixture_below_its_t_floor_raises_numerical_error():
+    # at t = n lam/(alpha E^2) = 5e-300 QAWS's value is 18% low with an error estimate of 1e-14 of it
+    p = EnsembleParams.from_lambda(5, 1e-300, alpha=1.0)
+    with pytest.raises(NumericalError, match=r"E=1\.0, n=5, lambda=1e-300: t = n lambda/\(alpha E\^2\) = 5e-300 "
+                                             r"is below 1e-200"):
+        level_density_mixture(-1.0, p)
+    with pytest.raises(NumericalError, match="below 1e-200"):
+        density_curve(p, np.linspace(-1.0, 1.0, 3))
+    # just above the floor the routes agree; below it, where the density rounds to 0, so does the mixture
+    q = EnsembleParams.from_lambda(3, 0.5, alpha=1.0)
+    e = math.sqrt(3 * 0.5 / 2e-200)
+    assert level_density_mixture(e, q).value == pytest.approx(level_density(e, q), rel=1e-10, abs=0.0)
+    r = EnsembleParams.from_lambda(5, 2.0, alpha=1.0)
+    for e in (1e150, 5e307):  # t = 1e-299, and 0 where E^2 overflows
+        assert level_density_mixture(e, r).value == 0.0 == level_density(e, r)
+
+
 def test_density_curve_cross_check_above_bound_raises_numerical_error():
     # the mixture route is off by about 1e23 times the curve's peak here
     p = EnsembleParams.from_lambda(10, 100.0, alpha="auto")
@@ -934,17 +955,108 @@ def test_each_law_hands_the_engine_its_weighted_kernel(monkeypatch, n):
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("n", [5, 50])
 @pytest.mark.parametrize("lam", [0.5, 10.0])
-def test_gap_curve_equals_the_single_integral_laws_bit_for_bit(n, lam):
-    # gap_curve shares one pair of integrands between its E and s quadratures at
-    # each theta; mean_count and gap_probability each run one on its own
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(below=st.lists(st.floats(0.05, 0.999), min_size=1, max_size=3),
+       above=st.lists(st.floats(1.001, 4.0), min_size=1, max_size=3), zero=st.booleans())
+@example(below=[], above=[], zero=True)  # the CLI's default grid
+def test_gap_curve_equals_the_single_integral_laws_bit_for_bit(n, lam, below, above, zero):
+    # gap_curve shares one pair of node tables between its E and s quadratures at each theta, and
+    # prefills them with the nodes of the earlier thetas whose averages also run on [0, xi_max];
+    # mean_count and gap_probability each run one point on its own.  A drawn grid puts thetas on
+    # both sides of theta_max, where xi_sat = n lam/(alpha theta^2) reaches xi_max
     p = EnsembleParams.from_lambda(n, lam, alpha="auto")
-    thetas = _gap_theta_grid(3.0, 40)
+    if below or above:
+        theta_max = math.sqrt(n * lam / (p.alpha * _xi_max(lam)))
+        thetas = np.unique(theta_max * np.array(below + above))
+        thetas = np.concatenate([[0.0], thetas]) if zero else thetas
+    else:
+        thetas = _gap_theta_grid(3.0, 40)
     c = gap_curve(p, thetas)
     assert np.array_equal(_bits(c.abscissae), _bits([mean_count(float(t), p) for t in thetas]))
     assert np.array_equal(_bits(c.values), _bits([gap_probability(float(t), p) for t in thetas]))
-    # theta = 0, and xi_sat = n lam/(alpha theta^2) on both sides of the truncation xi_max
-    xi_sat = n * lam / (p.alpha * thetas[1:] ** 2)
-    assert thetas[0] == 0.0 and np.any(xi_sat < _xi_max(lam)) and np.any(xi_sat > _xi_max(lam))
+    # xi_sat on both sides of the truncation xi_max
+    xi_sat = n * lam / (p.alpha * thetas[thetas > 0.0] ** 2)
+    assert np.any(xi_sat < _xi_max(lam)) and np.any(xi_sat > _xi_max(lam))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(lam=st.floats(1e-3, 10.0) | st.sampled_from([1.0 + 1e-13, 0.5, 10.0]),
+       s=st.lists(st.floats(0.0, 12.0) | st.just(0.0), min_size=2, max_size=6), data=st.data())
+def test_gap_probability_bulk_grid_equals_single_points_bit_for_bit(lam, s, data):
+    # a grid prefills each point's node table with the nodes its earlier points recorded; a single
+    # point has nothing to share.  Unsorted grids with repeats and zeros
+    grid = data.draw(st.permutations(s + s[:2]))
+    assert np.array_equal(_bits(gap_probability_bulk(np.array(grid), lam)),
+                          _bits([gap_probability_bulk(v, lam) for v in grid]))
+
+
+class _CountingQuadpack:
+    """A stand-in for qrmt.analytic.integrate that adds up QUADPACK's neval."""
+
+    def __init__(self):
+        self.neval = 0
+
+    def quad(self, *args, **kwargs):
+        res = integrate.quad(*args, **kwargs)
+        self.neval += res[2]["neval"]
+        return res
+
+    def __getattr__(self, attr):
+        return getattr(integrate, attr)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("lam", [0.5, 3.0, 10.0])
+def test_grid_neval_equals_the_sum_over_single_points(monkeypatch, lam):
+    # the node tables hand QUADPACK the numbers it would have computed, so it visits the same nodes
+    s = np.linspace(0.0, 10.0, 41)
+    p = EnsembleParams.from_lambda(20, lam, alpha="auto")
+    thetas = _gap_theta_grid(3.0, 40)
+    counts = []
+    for call in (lambda: gap_probability_bulk(s, lam),
+                 lambda: [gap_probability_bulk(v, lam) for v in s.tolist()],
+                 lambda: gap_curve(p, thetas),
+                 lambda: [(gap_probability(t, p), mean_count(t, p)) for t in thetas.tolist()]):
+        counting = _CountingQuadpack()
+        monkeypatch.setattr(qrmt.analytic, "integrate", counting)
+        call()
+        counts.append(counting.neval)
+    assert counts[0] == counts[1] > 0 and counts[2] == counts[3] > 0
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("call", [
+    lambda: gap_probability_bulk(np.linspace(0.0, 10.0, 21), 10.0),
+    lambda: gap_curve(EnsembleParams.from_lambda(20, 3.0, alpha="auto"), _gap_theta_grid(3.0, 12)),
+], ids=["bulk", "gap_curve"])
+def test_node_tables_are_freed_without_the_cyclic_collector(call):
+    # a table's kernel never refers back to it, so a spent table goes with its last reference and
+    # leaves no reference cycle to wait for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        left = [obj for obj in gc.get_objects() if isinstance(obj, _NodeTable)]
+    finally:
+        gc.enable()
+    assert left == []
+
+
+def test_bulk_grid_at_lambda_10_warns_as_its_single_points_do():
+    # QUADPACK's roundoff flag at the same 24 of 201 points, with the same text, at the caller's line
+    s = np.linspace(0.0, 10.0, 201)
+    with warnings.catch_warnings(record=True) as together:
+        warnings.simplefilter("always")
+        line = sys._getframe().f_lineno + 1
+        gap_probability_bulk(s, 10.0)
+    with warnings.catch_warnings(record=True) as apart:
+        warnings.simplefilter("always")
+        for v in s.tolist():
+            gap_probability_bulk(v, 10.0)
+    assert len(together) == 24
+    assert [str(w.message) for w in together] == [str(w.message) for w in apart]
+    assert {(w.category, w.filename, w.lineno) for w in together} == {(IntegrationWarning, __file__, line)}
 
 
 def test_goe_counting_and_goe_gap_same_bits_for_scalar_and_array():

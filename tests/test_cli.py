@@ -385,6 +385,19 @@ def test_exit_5_on_density_whose_cross_check_disagrees(tmp_path, capsys):
     assert err.count("\n") == 1 and out == "" and os.listdir(tmp_path) == []
 
 
+def test_exit_5_on_density_whose_mixture_cross_check_has_no_oracle(tmp_path, capsys):
+    # at E = +-1, t = n lambda/(alpha E^2) = 5e-300: the mixture route is 18% low there, where its
+    # error estimate is 1e-14 of its value, so the curve has no checked value
+    out_dir = tmp_path / "d"
+    code, out, err = run(["density", "--n", "5", "--lambda", "1e-300", "--alpha", "1", "--grid=-1:1:3",
+                          "--out", str(out_dir)], capsys)
+    assert code == 5
+    assert err == ("error: level_density_mixture has no checked value at E=1.0, n=5, lambda=1e-300: "
+                   "t = n lambda/(alpha E^2) = 5e-300 is below 1e-200, where the quadrature drifts from "
+                   "the density\n")
+    assert out == "" and not out_dir.exists()
+
+
 @pytest.mark.parametrize("lam", ["1e-300", "5e-17"])
 def test_exit_5_on_gap_at_lambda_below_float64_resolution(lam, tmp_path, capsys):
     code, out, err = run(["gap", "--n", "5", "--lambda", lam, "--alpha", "1", "--out", str(tmp_path)],
