@@ -461,7 +461,8 @@ def _inv_gamma(lam: float) -> float:
 
 
 def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, kink: float = math.inf,
-                   power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL, nodes: tuple | None = None):
+                   power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL, nodes: tuple | None = None,
+                   trees: list | None = None):
     """(value, err, neval) of the Gamma average Int_0^inf xi^(lam + shift) kernel(xi) dxi, by QAWS.
 
     The one QUADPACK call in this module.  `kernel` carries e^-xi and the law's constants.  The law
@@ -476,6 +477,9 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, k
     converge keeps its value and emits one IntegrationWarning naming `site`, `point`, lambda and
     QUADPACK's ier, at the first frame outside this module: the caller of the public function.
     Such a call also takes back the nodes its kernel recorded in a grid's `nodes` (see _NodeTable).
+    A call given `trees` appends its final subdivision there, as (hi, alfa != 0, alist, blist):
+    the interval, whether QAWS's left-end rule applies (see _qaws_nodes), and the ends of its
+    `last` subintervals, where scipy documents them for weight="alg".
     """
     exponent = lam + shift
     if abs(exponent - shift - lam) > 1e-9 * (lam + (shift + 1.0)):
@@ -513,6 +517,9 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, k
             stacklevel=stacklevel,
         )
     val, err = res[0], res[1]
+    if trees is not None:
+        last = res[2]["last"]
+        trees.append((hi, exponent != 0.0, res[2]["alist"][:last], res[2]["blist"][:last]))
     if beyond:
         val += beyond * float(_sp.gammaincc(lam, kink))
         if kink > hi:
@@ -533,6 +540,11 @@ class _NodeTable(dict):
     sees the numbers it would have computed, and the grid evaluates a node once per point,
     vectorised, instead of once per visit.  A single point, with no `nodes`, runs the scalar kernel
     at every visit.
+
+    A grid point that averages over an interval of its own shares no node with the others.
+    `tables` then takes, in place of recorded nodes, the nodes _qaws_nodes predicts from the last
+    such point's subdivisions, with w and r computed as the kernel does.  A node QAWS visits
+    that the prediction missed runs the scalar kernel, so the values keep their bits either way.
 
     _gamma_average takes back the nodes of an average that does not converge: its subdivisions of
     roundoff seldom recur.  On the bulk grid linspace(0, 10, 201) at lambda = 10, the 24 averages
@@ -558,16 +570,74 @@ class _NodeTable(dict):
         return [cls(zip(xis, v.tolist())) for v in law(np.frombuffer(w), np.frombuffer(r))]
 
 
-def _goe_integrands(theta: float, params: EnsembleParams, nodes: tuple | None = None) -> tuple:
+# QAWS's two rules as node offsets from an interval's centre, in units of its half-length: the
+# 15-point Kronrod rule of dqk15w (its xgk) and the 25-point Clenshaw-Curtis rule of dqc25s, cos(k
+# pi/24) for k = 0..24.  The cosines are correctly rounded, as scipy's QUADPACK holds them: the
+# Fortran DATA literals differ in the last bit at k = 3, 6, 7 and 10.  centr + hlgth (-x) is
+# centr - hlgth x bit for bit, so one product and one sum place a node as QUADPACK does
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993944,
+        0.5860872354676911, 0.4058451513773972, 0.2077849550078985)
+_COS24 = (0.9914448613738104, 0.9659258262890683, 0.9238795325112867, 0.8660254037844386,
+          0.7933533402912352, 0.7071067811865476, 0.6087614290087207, 0.5,
+          0.3826834323650898, 0.25881904510252074, 0.1305261922200516)
+_K15 = np.array([-x for x in _XGK] + [0.0] + [x for x in reversed(_XGK)])
+_CC25 = np.array([1.0, *_COS24, 0.0] + [-x for x in reversed(_COS24)] + [-1.0])
+
+
+def _qaws_nodes(trees, hi: float) -> np.ndarray:
+    """The nodes QAWS visits on [0, hi], power 0 at hi, if it bisects as it did in any of `trees`.
+
+    Each tree is a subdivision that _gamma_average kept, (hi, alfa != 0, alist, blist).  Its
+    subintervals [l, r] are the leaves of QUADPACK's bisection tree, each labelled by its heap key
+    2^depth + index, with depth = round(log2(hi/(r - l))) and index = round(l/hi 2^depth).  The
+    leaves and their ancestors, every interval QAWS integrates but [0, hi] itself, are rebuilt
+    from the new [0, hi] by QUADPACK's bisection m = 0.5 (l + r), and each gets its rule's nodes
+    centr + hlgth x, with hlgth = 0.5 (r - l) and centr = 0.5 (r + l): the 25-point
+    Clenshaw-Curtis rule on an interval from 0 when alfa != 0, the 15-point Kronrod rule on every
+    other one.  At power 0 the right end takes the Kronrod rule too.  Replayed on its own
+    interval, an average's subdivision places exactly the nodes it visited.  A wrong prediction
+    costs only time: a node missing from a table runs the scalar kernel.  A leaf narrower than
+    1000 bisections, such as one that roundoff left without width, has no depth to replay.
+    """
+    keys = set()
+    for old, _, lo, up in trees:
+        for l, r in zip(lo.tolist(), up.tolist()):
+            if not r - l > old * 2.0 ** -1000:
+                continue
+            depth = round(math.log2(old / (r - l)))
+            key = (1 << depth) + round(l / old * 2.0 ** depth)
+            while key > 1 and key not in keys:
+                keys.add(key)
+                key >>= 1
+    cc_left = trees[0][1]
+    ends, kronrod, clenshaw_curtis = {1: (0.0, hi)}, [], []
+    for key in sorted(keys):  # a parent's key is below its children's
+        l, r = ends[key >> 1]
+        m = 0.5 * (l + r)
+        ends[key] = lr = (m, r) if key & 1 else (l, m)
+        (clenshaw_curtis if cc_left and lr[0] == 0.0 else kronrod).append(lr)
+
+    def place(intervals, rule):
+        l, r = np.array(intervals, dtype=float).reshape(-1, 2).T
+        return ((0.5 * (r + l))[:, None] + (0.5 * (r - l))[:, None] * rule).ravel()
+
+    return np.concatenate([place(kronrod, _K15), place(clenshaw_curtis, _CC25)])
+
+
+def _goe_integrands(theta: float, params: EnsembleParams, nodes: tuple | None = None,
+                    replay: tuple | None = None) -> tuple:
     """(E, s) integrands: xi -> e^-xi/Gamma(lam) * goe_gap(y), and * y, y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
 
     Each is the bound lookup of a _NodeTable, valid at any xi.  The E kernel also stores w y in the
     s table, so gap_curve's s quadrature, run after its E quadrature, reads the nodes they share.
     With a grid's `nodes`, both tables start out holding the law at its recorded nodes, and the
-    kernels record the new ones.  goe_counting's and goe_gap's float arithmetic inline, in the same order
-    and so with the same bits, whichever integrand computes y: y is n from the band edge on, max is
-    written as the comparison the builtin makes, which costs less than the call, and numpy's arcsin
-    stays, since math.asin rounds differently.  erfc is scipy's compiled double routine
+    kernels record the new ones.  With `replay`, a (hi, trees) pair, both tables start out holding
+    the law at the nodes QAWS visits on [0, hi] if it bisects as in the E or the s average of
+    `trees` (see _qaws_nodes): one placement and one law call serve both.  goe_counting's and
+    goe_gap's float arithmetic inline, in the same order and so with the same bits, whichever
+    integrand computes y: y is n from the band edge on, max is written as the comparison the
+    builtin makes, which costs less than the call, and numpy's arcsin stays, since math.asin rounds
+    differently.  erfc is scipy's compiled double routine
     (`_erfc_double`): the one the ufunc goes through, so the same bits, where math.erfc rounds
     differently.
     """
@@ -584,7 +654,13 @@ def _goe_integrands(theta: float, params: EnsembleParams, nodes: tuple | None = 
             y = np.where(edge <= xc, n, (xc * np.sqrt(np.where(0.0 > v, 0.0, v)) + two_n * asin(xc / edge)) / pi)
         return w * _sp.erfc(y * hsp), w * y
 
-    e_table, s_table = _NodeTable.tables(nodes, law, 2)
+    if replay is None:
+        filled = nodes
+    else:
+        hi, trees = replay
+        x = _qaws_nodes(trees, hi)  # w and r as the kernels compute them: math.exp, not np.exp
+        filled = (x.tolist(), scale * np.array(list(map(exp, (-x).tolist()))), np.sqrt(two_a * x / lam))
+    e_table, s_table = _NodeTable.tables(filled, law, 2)
 
     def e_kernel(xi: float) -> float:
         r = sqrt(two_a * xi / lam)
@@ -622,7 +698,7 @@ def _goe_integrands(theta: float, params: EnsembleParams, nodes: tuple | None = 
 
 
 def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts: tuple,
-                        nodes: tuple | None = None) -> list:
+                        nodes: tuple | None = None, trees: list | None = None) -> list:
     """[(value, err)] of the Gamma average of the count y (count True) or of goe_gap(y), at theta >= 0.
 
     One (value, err) per entry of `counts`, in that order, from one pair of integrands, so
@@ -630,7 +706,8 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts:
     gap_probability, mean_count and gap_curve.  Past xi_sat = n lam/(alpha theta^2), infinite
     when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.  A grid's
     `nodes` serve its points with xi_sat >= xi_max, whose averages all run on [0, xi_max]; the
-    others each run on their own [0, xi_sat].
+    others each run on their own [0, xi_sat].  For those, a grid's `trees` holds the subdivisions
+    of the last such point's averages, which predict this point's nodes, and takes this point's.
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError(f"{site.replace('_', ' ')} needs the heavy-tailed branch")
@@ -643,10 +720,15 @@ def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts:
     d = a * theta * theta
     xi_sat = n * lam / d if d > 0.0 else math.inf
     shared = nodes if xi_sat >= _xi_max(lam) else None
-    integrands = _goe_integrands(theta, params, shared)
+    own = trees if shared is None else None
+    # QAWS visits no node of [0, 0], where theta^2 overflows
+    integrands = _goe_integrands(theta, params, shared, (xi_sat, own) if own and xi_sat > 0.0 else None)
+    if own is not None:
+        own.clear()
     point = f"theta={theta!r}, n={n}"
     return [_gamma_average(integrands[count], lam, -1.0, site, point, kink=xi_sat,
-                           beyond=float(n) if count else goe_gap(float(n)), nodes=shared)[:2] for count in counts]
+                           beyond=float(n) if count else goe_gap(float(n)), nodes=shared, trees=own)[:2]
+            for count in counts]
 
 
 def gap_probability(theta: float, params: EnsembleParams) -> float:
@@ -680,31 +762,36 @@ def gap_probability_bulk(s, lam: float = 1.0):
 
     The average equals I_x(lambda, 1/2), the regularized incomplete beta
     function at x = 1/(1 + b^2), b = s (sqrt(pi)/2)/poch(lambda, 1/2).
-    Above lambda = 10, where QAWS loses the weight xi^(lambda - 1) to
-    roundoff, that identity is the value; poch keeps the Gamma ratio to
-    float64 precision where a difference of ln Gamma values would not.
-    Up to lambda = 10 every s averages over [0, xi_max(lambda)], so the
-    points of an array share their QUADPACK nodes through _NodeTable: each
-    node's value is computed once per point, vectorised, with the bits of
-    a call at that s alone.
+    That identity is the value above lambda = 10, where QAWS loses the
+    weight xi^(lambda - 1) to roundoff, and past s = 10 at every lambda,
+    where the average's mass lies within xi ~ 1/s^2 of 0 and QAWS's
+    estimate on [0, xi_max] misses it: at lambda = 2 it returned a
+    negative value at s = 50.  poch keeps the Gamma ratio to float64
+    precision where a difference of ln Gamma values would not.
+    Up to lambda = 10 and s = 10 every s averages over [0, xi_max(lambda)],
+    so the points of an array share their QUADPACK nodes through
+    _NodeTable: each node's value is computed once per point, vectorised,
+    with the bits of a call at that s alone.
     """
     if not 0 < lam < math.inf:
         raise RegimeError(f"bulk gap law needs finite lambda > 0, got {lam}")
     sa = np.asarray(s, dtype=float)
     if not np.all((sa >= 0) & (sa < math.inf)):
         raise ParameterError("mean count s must be finite and nonnegative")
+    out = np.empty(sa.shape)
+    far = (sa > 10.0) | (lam > 10.0)
+    b = sa[far] * (_HALF_SQRT_PI / float(_sp.poch(lam, 0.5)))
+    with np.errstate(over="ignore"):  # b^2 = inf is x = 0, E = 0
+        out[far] = _sp.betainc(lam, 0.5, 1.0 / (1.0 + b * b))
+    near = sa[~far]
     if lam == 1.0:
-        out = 1.0 - sa / np.sqrt(1.0 + sa * sa)
-    elif lam > 10.0:
-        b = sa * (_HALF_SQRT_PI / float(_sp.poch(lam, 0.5)))
-        with np.errstate(over="ignore"):  # b^2 = inf is x = 0, E = 0
-            out = _sp.betainc(lam, 0.5, 1.0 / (1.0 + b * b))
-    else:
+        out[~far] = 1.0 - near / np.sqrt(1.0 + near * near)
+    elif near.size:
         # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
         slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
         scale, hsp = _inv_gamma(lam), _HALF_SQRT_PI
         sqrt, exp, erfc = math.sqrt, math.exp, _erfc_double()
-        nodes = _NodeTable.grid() if sa.size > 1 else None  # every s averages over [0, xi_max]
+        nodes = _NodeTable.grid() if near.size > 1 else None  # every s averages over [0, xi_max]
         if nodes is not None:
             add_xi, add_w, add_r = (a.append for a in nodes)
 
@@ -727,7 +814,7 @@ def gap_probability_bulk(s, lam: float = 1.0):
             return min(_gamma_average(table.__getitem__, lam, -1.0, "gap_probability_bulk", f"s={sv!r}",
                                       nodes=nodes)[0], 1.0)
 
-        out = np.array([one(sv) for sv in sa.ravel().tolist()]).reshape(sa.shape)
+        out[~far] = [one(sv) for sv in near.tolist()]
     return float(out) if sa.ndim == 0 else out
 
 
@@ -736,8 +823,12 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
 
     Each theta runs its E average, then its s average, on one pair of
     _NodeTable tables.  The thetas whose xi_sat = n lambda/(alpha theta^2)
-    reaches xi_max all average over [0, xi_max] and share their nodes; the
-    values have the bits of mean_count and gap_probability at each theta.
+    reaches xi_max all average over [0, xi_max] and share their nodes.  Each
+    other theta averages over its own [0, xi_sat], and its tables start out
+    holding the law at the nodes QAWS visited on the previous such theta's
+    subdivisions, replayed on [0, xi_sat]; at n = 20, lambda = 0.5 and the
+    default grid, 99.8% of its visits find their node there.  The values
+    have the bits of mean_count and gap_probability at each theta.
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("gap curve needs the heavy-tailed branch")
@@ -747,9 +838,9 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     s = np.empty_like(thetas)
     e = np.empty_like(thetas)
     worst = 0.0
-    nodes = _NodeTable.grid()
+    nodes, trees = _NodeTable.grid(), []
     for i, th in enumerate(thetas):
-        (ev, eerr), (sv, serr) = _gamma_weighted_goe(th, params, "gap_curve", (False, True), nodes)
+        (ev, eerr), (sv, serr) = _gamma_weighted_goe(th, params, "gap_curve", (False, True), nodes, trees)
         s[i], e[i] = sv, min(ev, 1.0)
         worst = max(worst, eerr, serr)
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)

@@ -547,8 +547,33 @@ def test_gap_probability_bulk_above_lambda_10_against_mpmath(lam):
     assert [gap_probability_bulk(s, lam) for s in BULK_S] == values.tolist()
 
 
-@pytest.mark.parametrize("lam", sorted(BULK_MPMATH))
+# E(s) past s = 10, where every lambda takes the incomplete beta identity: I_x(lambda, 1/2) in
+# 40-digit mpmath (betainc, with Gamma(lambda)/Gamma(lambda + 1/2) from mpmath's gamma)
+BULK_FAR_S = (10.5, 50.0, 1000.0, 1e5)
+BULK_FAR_MPMATH = {
+    0.5: (3.8551353441084449e-2, 8.1052567187442363e-3, 4.0528467981745904e-4, 4.052847345638759e-6),
+    1.0: (4.5045274060478281e-3, 1.9994001999300252e-4, 4.999996250003125e-7, 4.999999999625e-11),
+    1.5: (7.43602421116253e-4, 7.0027942304417843e-6, 8.760287815354655e-10, 8.7603048556264321e-16),
+    2.0: (1.510114022218005e-4, 3.0329491262636648e-7, 1.8984303808803987e-12, 1.8984374992880859e-20),
+    3.0: (9.3308794202823093e-6, 8.6583585968092255e-10, 1.3578557827597152e-17, 1.3578683125362568e-29),
+    10.0: (2.0904076433753404e-11, 1.5368448244727216e-24, 1.5364549409122129e-50, 1.5366370591035528e-90),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(BULK_FAR_MPMATH))
+def test_gap_probability_bulk_past_s_10_against_mpmath(lam):
+    # QAWS on [0, xi_max] misses the mass within xi ~ 1/s^2 of 0 there: it returned -4.09e-16 at
+    # lambda = 2, s = 50
+    values = gap_probability_bulk(np.array(BULK_FAR_S), lam)
+    assert values == pytest.approx(BULK_FAR_MPMATH[lam], rel=1e-9, abs=0.0)
+    assert [gap_probability_bulk(s, lam) for s in BULK_FAR_S] == values.tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("lam", sorted(BULK_MPMATH) + sorted(BULK_FAR_MPMATH))
 def test_gap_probability_bulk_above_lambda_10_is_monotone(lam):
+    # and below it, past s = 10: at lambda = 1, s^2 overflows from s ~ 1.3e154
     s = np.concatenate([np.linspace(0.0, 10.0, 201), np.geomspace(10.0, 1e300, 50)])
     e = gap_probability_bulk(s, lam)
     assert e[0] == 1.0 and e[-1] == 0.0
@@ -1007,7 +1032,7 @@ class _CountingQuadpack:
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-@pytest.mark.parametrize("lam", [0.5, 3.0, 10.0])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0, 10.0])
 def test_grid_neval_equals_the_sum_over_single_points(monkeypatch, lam):
     # the node tables hand QUADPACK the numbers it would have computed, so it visits the same nodes
     s = np.linspace(0.0, 10.0, 41)
@@ -1022,17 +1047,21 @@ def test_grid_neval_equals_the_sum_over_single_points(monkeypatch, lam):
         monkeypatch.setattr(qrmt.analytic, "integrate", counting)
         call()
         counts.append(counting.neval)
-    assert counts[0] == counts[1] > 0 and counts[2] == counts[3] > 0
+    # at lambda = 1 the bulk law is its closed form, and gap_curve's own intervals take no
+    # Clenshaw-Curtis rule
+    assert counts[0] == counts[1] and (counts[0] > 0) is (lam != 1.0) and counts[2] == counts[3] > 0
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("call", [
     lambda: gap_probability_bulk(np.linspace(0.0, 10.0, 21), 10.0),
     lambda: gap_curve(EnsembleParams.from_lambda(20, 3.0, alpha="auto"), _gap_theta_grid(3.0, 12)),
-], ids=["bulk", "gap_curve"])
+    lambda: gap_curve(EnsembleParams.from_lambda(20, 0.5, alpha="auto"), _gap_theta_grid(3.0, 40)),
+], ids=["bulk", "gap_curve", "gap_curve_placed"])
 def test_node_tables_are_freed_without_the_cyclic_collector(call):
     # a table's kernel never refers back to it, so a spent table goes with its last reference and
-    # leaves no reference cycle to wait for the collector
+    # leaves no reference cycle to wait for the collector.  At lambda = 0.5, 31 of the default
+    # grid's thetas average over their own interval, and 30 of them start from placed nodes
     gc.collect()
     gc.disable()
     try:
@@ -1041,6 +1070,59 @@ def test_node_tables_are_freed_without_the_cyclic_collector(call):
     finally:
         gc.enable()
     assert left == []
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_replayed_subdivision_places_every_node_quadpack_visited(lam):
+    # at lambda = 1 the weight's exponent alfa = lambda - 1 is 0, and the interval from 0 takes the
+    # Kronrod rule in place of the Clenshaw-Curtis one.  The default grid's thetas on their own interval
+    p = EnsembleParams.from_lambda(20, lam, alpha="auto")
+    thetas = [float(t) for t in _gap_theta_grid(3.0, 40)[1:] if 20 * lam / (p.alpha * t * t) < _xi_max(lam)]
+    assert len(thetas) >= 3
+    for theta in thetas[:: max(1, len(thetas) // 4)]:
+        xi_sat = 20 * lam / (p.alpha * theta * theta)
+        for count in (False, True):
+            lookup, visited, trees = _goe_integrands(theta, p)[count], [], []
+
+            def kernel(xi):
+                visited.append(xi)
+                return lookup(xi)
+
+            qrmt.analytic._gamma_average(kernel, lam, -1.0, "test", "test", kink=xi_sat, trees=trees)
+            assert len(trees) == 1 and trees[0][0] == xi_sat and trees[0][1] is (lam != 1.0)
+            assert set(qrmt.analytic._qaws_nodes(trees, xi_sat).tolist()) == set(visited)
+
+
+def test_placer_skips_a_leaf_without_width():
+    # bisection at the scale of an ulp can leave a subinterval [l, l]; it has no depth to replay
+    lo, up = np.array([0.0, 5.0, 7.5, 7.5]), np.array([5.0, 7.5, 7.5, 10.0])
+    placed = qrmt.analytic._qaws_nodes([(10.0, True, lo, up)], 20.0)
+    # [0, 10] by Clenshaw-Curtis; [10, 20], its parent of the two right leaves, and those two by Kronrod
+    assert placed.size == 25 + 3 * 15 and np.all(np.isfinite(placed))
+    assert placed.min() == 0.0 and placed.max() < 20.0
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_misplaced_nodes_change_no_bit_and_no_neval(monkeypatch, lam):
+    # every placed node one ulp up: no lookup hits, each visit runs the scalar kernel
+    p = EnsembleParams.from_lambda(20, lam, alpha="auto")
+    thetas = _gap_theta_grid(3.0, 40)
+    runs, placer = [], qrmt.analytic._qaws_nodes
+    for shift in (False, True):
+        calls, counting = [], _CountingQuadpack()
+
+        def placed(trees, hi):
+            x = placer(trees, hi)
+            calls.append(x.size)
+            return np.nextafter(x, math.inf) if shift else x
+
+        monkeypatch.setattr(qrmt.analytic, "_qaws_nodes", placed)
+        monkeypatch.setattr(qrmt.analytic, "integrate", counting)
+        c = gap_curve(p, thetas)
+        assert len(calls) >= 2 and min(calls) > 0
+        runs.append((_bits(c.abscissae).tolist(), _bits(c.values).tolist(), c.quadrature_error, counting.neval))
+    assert runs[0] == runs[1]
 
 
 def test_bulk_grid_at_lambda_10_warns_as_its_single_points_do():
