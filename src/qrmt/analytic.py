@@ -24,9 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .params import EnsembleParams, NumericalError, ParameterError, Regime, RegimeError
-from .specfun import QuadratureResult, _Deferred, _erfc_double, _sp, bessel_k, kummer_m, ln_gamma
-
-integrate = _Deferred("scipy.integrate")
+from .specfun import QuadratureResult, _erfc_double, _sp, bessel_k, kummer_m, ln_gamma
+from .specfun import _integrate as integrate
 
 __all__ = [
     "AnalyticCurve",

@@ -12,7 +12,7 @@ import argparse
 import datetime as _dt
 import functools
 import hashlib
-import importlib.util
+import importlib
 import itertools
 import json
 import math
@@ -20,59 +20,67 @@ import operator
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .params import EnsembleParams, NumericalError, ParameterError, Regime
-# sample_goe is not called here, but it stays a name of this module: the
-# benchmark's tracer counts the draws made through qrmt.cli.sample_goe
-from .sampler import (  # noqa: F401
-    RngStream,
-    SampleBatch,
-    _draw_packed,
-    _entry_columns,
-    sample_batch,
-    sample_blocks,
-    sample_goe,
-    sample_levy_stable,
-)
-from .specfun import (
-    _Deferred,
-    _sp,
-    bessel_k,
-    erf,
-    kummer_m,
-    kummer_m_transformed,
-    levy_density,
-    ln_gamma,
-)
+from .params import EnsembleParams, NumericalError, ParameterError, Regime, _nonnegative_int
 from .svg import Series, render_svg
 
 
-def _deferred_module(name: str):
-    """The module `name`, executed on its first attribute access.
+class _FirstUse:
+    """This module's global `name`, standing in for `source` until its first use.
 
-    It is the one module object in sys.modules, so a patch on `qrmt.analytic`
-    or `qrmt.spectral` reaches the commands here, and once executed an
-    attribute costs a plain module lookup.  A command that never touches it,
-    such as `--version` or `verify --manifest`, never runs its code.
+    `source` is a module, or "module:attribute".  The first call or attribute
+    access imports it and, unless a patch has replaced this stand-in, binds the
+    real object to `name`, so later lookups are plain global lookups.  A module
+    is the one object in sys.modules, so a patch on numpy or `qrmt.analytic`
+    reaches the commands.  numpy, scipy and the other qrmt modules so load only
+    when a command computes: `--version`, `--help`, an argument or parameter
+    error and `verify --manifest` import none of them.
     """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+
+    def __init__(self, name: str, source: str) -> None:
+        self._name, self._source = name, source
+
+    def _resolve(self):
+        module, _, attr = self._source.partition(":")
+        obj = importlib.import_module(module, __package__)
+        if attr:
+            obj = getattr(obj, attr)
+        if globals().get(self._name) is self:
+            globals()[self._name] = obj
+        return obj
+
+    def __getattr__(self, attr: str):
+        return getattr(self._resolve(), attr)
+
+    def __call__(self, *args, **kwargs):
+        return self._resolve()(*args, **kwargs)
 
 
-an = _deferred_module(f"{__package__}.analytic")
-sp = _deferred_module(f"{__package__}.spectral")
-
-# a name of its own, apart from analytic's, so verify's quadratures stay out of
-# what a stand-in for analytic.integrate sees
-integrate = _Deferred("scipy.integrate")
+np = _FirstUse("np", "numpy")
+an = _FirstUse("an", ".analytic")
+sp = _FirstUse("sp", ".spectral")
+# verify's public quad and dblquad: a name of its own, apart from analytic's
+# QUADPACK route, so verify's quadratures stay out of what a stand-in for
+# analytic.integrate sees
+integrate = _FirstUse("integrate", "scipy.integrate")
+# the sampler and specfun names the commands call; the benchmark's tracer
+# counts the calls made through several of them, so sample_goe, which is not
+# called here, stays one of them
+RngStream = _FirstUse("RngStream", ".sampler:RngStream")
+SampleBatch = _FirstUse("SampleBatch", ".sampler:SampleBatch")
+_draw_packed = _FirstUse("_draw_packed", ".sampler:_draw_packed")
+_entry_columns = _FirstUse("_entry_columns", ".sampler:_entry_columns")
+sample_batch = _FirstUse("sample_batch", ".sampler:sample_batch")
+sample_blocks = _FirstUse("sample_blocks", ".sampler:sample_blocks")
+sample_goe = _FirstUse("sample_goe", ".sampler:sample_goe")
+sample_levy_stable = _FirstUse("sample_levy_stable", ".sampler:sample_levy_stable")
+_sp = _FirstUse("_sp", ".specfun:_sp")
+bessel_k = _FirstUse("bessel_k", ".specfun:bessel_k")
+erf = _FirstUse("erf", ".specfun:erf")
+kummer_m = _FirstUse("kummer_m", ".specfun:kummer_m")
+kummer_m_transformed = _FirstUse("kummer_m_transformed", ".specfun:kummer_m_transformed")
+levy_density = _FirstUse("levy_density", ".specfun:levy_density")
+ln_gamma = _FirstUse("ln_gamma", ".specfun:ln_gamma")
 
 __all__ = ["main", "RunManifest"]
 
@@ -324,26 +332,28 @@ def _gap_series(curve: an.AnalyticCurve, args) -> list:
     ]
 
 
-# curve commands: name -> (help, (params, args) -> (curve, extra metadata),
-# (curve, args) -> SVG series, render_svg labels)
+# curve commands: name -> (help, (params, args) -> grid, (params, grid, args) ->
+# (curve, extra metadata), (curve, args) -> SVG series, render_svg labels);
+# the grid comes first, so a bad grid is refused before qrmt.analytic loads
 _CURVES = {
     "density": (
         "mean level density curve",
-        lambda p, args: (an.density_curve(p, _grid(p, args, "density")), {}),
+        lambda p, args: _grid(p, args, "density"),
+        lambda p, grid, args: (an.density_curve(p, grid), {}),
         lambda c, args: [Series(c.abscissae, c.values, label=f"lambda={c.params.lam:g}")],
         {"title": "mean level density", "xlabel": "E", "ylabel": "rho(E)"},
     ),
     "element": (
         "matrix-element density curve",
-        lambda p, args: (an.element_curve(p, _grid(p, args, "element"), entry=args.entry),
-                         {"entry": args.entry}),
+        lambda p, args: _grid(p, args, "element"),
+        lambda p, grid, args: (an.element_curve(p, grid, entry=args.entry), {"entry": args.entry}),
         lambda c, args: [Series(c.abscissae, c.values, label=f"{args.entry} element")],
         {"title": "element density", "xlabel": "x", "ylabel": "p(x)"},
     ),
     "gap": (
         "gap probability curve E(s)",
-        lambda p, args: (an.gap_curve(p, _gap_theta_grid(args.theta_max, args.points)),
-                         {"theta_max": args.theta_max}),
+        lambda p, args: _gap_theta_grid(args.theta_max, args.points),
+        lambda p, grid, args: (an.gap_curve(p, grid), {"theta_max": args.theta_max}),
         _gap_series,
         {"title": "gap probability", "xlabel": "s", "ylabel": "E", "ylog": True},
     ),
@@ -352,8 +362,8 @@ _CURVES = {
 
 def cmd_curve(args) -> int:
     params = _build_params(args)
-    _, build, series, labels = _CURVES[args.cmd]
-    curve, meta_extra = build(params, args)
+    _, grid, build, series, labels = _CURVES[args.cmd]
+    curve, meta_extra = build(params, grid(params, args), args)
     manifest = RunManifest(args.out, args.cmd, params, None, None)
     cpath = manifest.add(f"curve.{args.format}", _write_curve, curve, args.format, meta_extra)
     if args.svg:
@@ -377,7 +387,8 @@ def _mass_quantiles(params: EnsembleParams, *one_sided: float) -> tuple[float, .
         np.concatenate([np.linspace(0.0, 3.0 * base, 900), np.geomspace(3.0 * base, 3000.0 * base, 600)])
     )
     rho = np.asarray(an.level_density(grid, params), dtype=float)
-    cum = integrate.cumulative_trapezoid(rho, grid, initial=0.0) / params.n  # one-sided mass
+    # one-sided mass: scipy's cumulative_trapezoid(rho, grid, initial=0.0), operation for operation
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (rho[1:] + rho[:-1]) / 2.0)]) / params.n
     return tuple(float(np.interp(0.5 - tail, cum, grid)) for tail in one_sided)
 
 
@@ -403,7 +414,7 @@ def cmd_reproduce(args) -> int:
     """Run one figure, then write its report.json; exit 4 when any check fails."""
     run, default_samples = _FIGURES[args.figure]
     samples = args.samples if args.samples is not None else default_samples
-    RngStream(args.seed, 0)  # reject a bad seed or count before any output exists
+    _nonnegative_int(args.seed, "master seed")  # reject a bad seed or count before any output exists
     if not 1 <= samples < 1 << 32:
         raise ParameterError(f"--samples must be at least 1 and below 2**32, got {samples}")
     report, manifest = run(args.out, args.seed, samples)
@@ -752,7 +763,7 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     """Print TAP rows for the suites, or for the files a manifest lists; exit 4 on any failure."""
-    RngStream(args.seed, 0)  # reject a bad seed in every mode, before any TAP line
+    _nonnegative_int(args.seed, "master seed")  # reject a bad seed in every mode, before any TAP line
     if args.manifest:
         rows = RunManifest.check(args.manifest)
     else:

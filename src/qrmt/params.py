@@ -15,6 +15,7 @@ Three regimes partition the valid (q, f) plane:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -49,6 +50,13 @@ class MarginalTailError(ParameterError):
 
 class NumericalError(ValueError):
     """Valid parameters at which a closed-form law has no finite, checked value."""
+
+
+def _nonnegative_int(value, what: str) -> int:
+    """`value` as an int; ParameterError unless it is a nonnegative integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ParameterError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 class Regime(Enum):

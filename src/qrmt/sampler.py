@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ except ImportError:
     ctypes = None
 from numpy.random.bit_generator import ISeedSequence
 
-from .params import EnsembleParams, ParameterError, Regime
+from .params import EnsembleParams, ParameterError, Regime, _nonnegative_int
 
 __all__ = [
     "RngStream",
@@ -86,13 +85,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 # the size of numpy's PCG64 (state, inc) pair: two 128-bit integers
 _PCG_STATE_BYTES = 32
-
-
-def _nonnegative_int(value, what: str) -> int:
-    """`value` as an int; ParameterError unless it is a nonnegative integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ParameterError(f"{what} must be a nonnegative integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 scipy is imported on first use, through `_Deferred`: sampling needs only
 numpy, so `import qrmt` and `qrmt sample` never load scipy, and the first
-analytic call pays its import.  log-gamma, erf, the modified Bessel function
+analytic call pays its import.  The Gamma-average engine's one QUADPACK
+routine, QAWS, comes through `_integrate`, which loads scipy's `_quadpack`
+extension on its own, so no command imports the scipy.integrate package for
+it.  log-gamma, erf, the modified Bessel function
 K_nu and the confluent hypergeometric M(a, b, z) are thin validated wrappers
 over scipy.special:
 each converts its argument to a float array once and hands that array on,
@@ -19,7 +22,12 @@ from __future__ import annotations
 
 import functools
 import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,6 +72,91 @@ def _erfc_double():
     once, when it is built, and calls it at every node.
     """
     return _cs.erfc["double"]
+
+
+_QUADPACK = "scipy.integrate._quadpack"
+
+
+@functools.cache
+def _quadpack():
+    """scipy's QUADPACK extension module, loaded without scipy.integrate's package init; None if not found.
+
+    `import scipy.integrate._quadpack` first runs scipy/integrate/__init__.py, which imports
+    scipy.special, scipy.linalg and some 350 modules more; the extension itself needs only numpy.
+    It is loaded from its file and entered in sys.modules under its own name, so a later
+    `import scipy.integrate` uses this module object, and one that ran earlier is used here.
+    """
+    if _QUADPACK in sys.modules:
+        return sys.modules[_QUADPACK]
+    for base in importlib.util.find_spec("scipy").submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "integrate", "_quadpack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_QUADPACK, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_QUADPACK] = module
+                spec.loader.exec_module(module)
+                return module
+    return None
+
+
+# scipy.integrate.quad's message for each QUADPACK code it returns instead of raising (scipy 1.17.1)
+_QUADPACK_MESSAGES = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+       "If increasing the limit yields no improvement it is advised to analyze \n  "
+       "the integrand in order to determine the difficulties.  If the position of a \n  "
+       "local difficulty can be determined (singularity, discontinuity) one will \n  "
+       "probably gain from splitting up the interval and calling the integrator \n  "
+       "on the subranges.  Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+       "the requested tolerance from being achieved.  The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  "
+       "in the extrapolation table.  It is assumed that the requested tolerance\n  "
+       "cannot be achieved, and that the returned result (if full_output = 1) is \n  "
+       "the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+    7: "Abnormal termination of the routine.  The estimates for result\n  "
+       "and error are less reliable.  It is assumed that the requested accuracy\n  "
+       "has not been achieved.",
+}
+
+_scipy_integrate = _Deferred("scipy.integrate")
+
+
+class _Integrate:
+    """`scipy.integrate` as the Gamma-average engine calls it, without the package's import.
+
+    `quad(f, a, b, weight="alg", ...)` on a finite a < b runs QAWS straight from `_quadpack()`
+    and returns what `scipy.integrate.quad` returns: the same value, error estimate and info
+    dict, and scipy's message for a nonzero ier.  Any other call, a code that scipy raises for
+    (invalid input), a missing extension file and every other attribute, such as
+    `IntegrationWarning`, go to scipy.integrate itself, imported on that first use.
+    """
+
+    @staticmethod
+    def quad(func, a, b, *, weight=None, wvar=None, epsabs=1.49e-8, epsrel=1.49e-8, limit=50,
+             full_output=0, **other):
+        module = _quadpack()
+        if module is not None and not other and weight == "alg" and -math.inf < a < b < math.inf:
+            *res, ier = module._qawse(func, a, b, wvar, 1, (), full_output, epsabs, epsrel, limit)
+            if ier == 0:
+                return tuple(res)
+            if ier in _QUADPACK_MESSAGES:
+                msg = _QUADPACK_MESSAGES[ier].format(limit=limit)
+                if full_output:
+                    return (*res, msg)
+                warnings.warn(msg, _scipy_integrate.IntegrationWarning, stacklevel=2)
+                return tuple(res)
+            # invalid input: scipy's quad reruns QUADPACK and raises its ValueError for it
+        return _scipy_integrate.quad(func, a, b, weight=weight, wvar=wvar, epsabs=epsabs, epsrel=epsrel,
+                                     limit=limit, full_output=full_output, **other)
+
+    def __getattr__(self, attr: str):
+        return getattr(_scipy_integrate, attr)
+
+
+_integrate = _Integrate()
 
 
 @dataclass(frozen=True)
