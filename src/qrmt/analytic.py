@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,6 +82,14 @@ def _xi_max(lam: float) -> float:
     # truncation of the Gamma weight exp(-xi) xi^(lam-1); tail mass < 1e-12
     # of the integrand for every lambda exercised here
     return max(50.0, lam + 20.0 * math.sqrt(lam))
+
+
+def _grid(values, name: str) -> np.ndarray:
+    """`values` as a float array, which must be 1-D: a ParameterError naming the grid otherwise."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise ParameterError(f"{name} must be one-dimensional, got shape {grid.shape}")
+    return grid
 
 
 def _entry_alpha(params: EnsembleParams, entry: str) -> float:
@@ -460,8 +467,7 @@ def _inv_gamma(lam: float) -> float:
 
 
 def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, kink: float = math.inf,
-                   power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL, nodes: tuple | None = None,
-                   trees: list | None = None):
+                   power: float = 0.0, beyond: float = 0.0, tol: tuple = _GOE_TOL, trees: list | None = None):
     """(value, err, neval) of the Gamma average Int_0^inf xi^(lam + shift) kernel(xi) dxi, by QAWS.
 
     The one QUADPACK call in this module.  `kernel` carries e^-xi and the law's constants.  The law
@@ -475,10 +481,11 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, k
     past the tolerance) and when the value or error estimate is not finite.  A call that does not
     converge keeps its value and emits one IntegrationWarning naming `site`, `point`, lambda and
     QUADPACK's ier, at the first frame outside this module: the caller of the public function.
-    Such a call also takes back the nodes its kernel recorded in a grid's `nodes` (see _NodeTable).
-    A call given `trees` appends its final subdivision there, as (hi, alfa != 0, alist, blist):
-    the interval, whether QAWS's left-end rule applies (see _qaws_nodes), and the ends of its
-    `last` subintervals, where scipy documents them for weight="alg".
+    A call given `trees` that converges appends its final subdivision there, as (hi, alfa != 0,
+    alist, blist): the interval, whether QAWS's left-end rule applies (see _qaws_nodes), and the
+    ends of its `last` subintervals, where scipy documents them for weight="alg".  Roundoff's
+    subdivisions seldom recur: on the bulk grid linspace(0, 10, 201) at lambda = 10, the 24 that
+    do not converge would place 918 of 1330 nodes, each visited about 10 times, against 146.
     """
     exponent = lam + shift
     if abs(exponent - shift - lam) > 1e-9 * (lam + (shift + 1.0)):
@@ -486,7 +493,6 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, k
                              f"exponent lambda - {-shift:g} rounds to {exponent!r}")
     xi_max = _xi_max(lam)
     hi = min(kink, xi_max)
-    mark = len(nodes[0]) if nodes is not None else 0
     res = integrate.quad(
         kernel,
         0.0,
@@ -502,9 +508,6 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, k
         raise NumericalError(f"{site} has no finite value at {point}, lambda={lam!r}: {res[0]!r} "
                              f"with error estimate {res[1]!r}")
     if len(res) > 3:
-        if nodes is not None:
-            for recorded in nodes:
-                del recorded[mark:]
         msg = str(res[3])
         ier = next((code for words, code in _QUADPACK_IER if words in msg), "?")
         frame, stacklevel = sys._getframe(1), 2  # 2: this function's caller
@@ -515,10 +518,10 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, k
             integrate.IntegrationWarning,
             stacklevel=stacklevel,
         )
-    val, err = res[0], res[1]
-    if trees is not None:
+    elif trees is not None:
         last = res[2]["last"]
         trees.append((hi, exponent != 0.0, res[2]["alist"][:last], res[2]["blist"][:last]))
+    val, err = res[0], res[1]
     if beyond:
         val += beyond * float(_sp.gammaincc(lam, kink))
         if kink > hi:
@@ -530,43 +533,56 @@ class _NodeTable(dict):
     """A Gamma average's kernel as a table of its values at QUADPACK's nodes.
 
     QUADPACK calls the bound __getitem__, so a node in the table costs one C-level lookup.  The
-    `__missing__` slot holds the law's scalar kernel, which dict calls at any other node.  In a
-    grid whose points average over one interval, the kernel also records each node in the grid's
-    `nodes`, a (xi list, w array, r array) triple from `grid()`: w = scale e^-xi by math.exp (np.exp
-    rounds differently) and r the law's square root at xi.  `tables(nodes, law, count)` makes a
-    point's `count` tables, each holding its kernel at every node recorded so far, from law(w, r):
-    the kernel vectorised in the scalar kernel's operation order, so with its bits.  QUADPACK then
-    sees the numbers it would have computed, and the grid evaluates a node once per point,
-    vectorised, instead of once per visit.  A single point, with no `nodes`, runs the scalar kernel
-    at every visit.
-
-    A grid point that averages over an interval of its own shares no node with the others.
-    `tables` then takes, in place of recorded nodes, the nodes _qaws_nodes predicts from the last
-    such point's subdivisions, with w and r computed as the kernel does.  A node QAWS visits
-    that the prediction missed runs the scalar kernel, so the values keep their bits either way.
-
-    _gamma_average takes back the nodes of an average that does not converge: its subdivisions of
-    roundoff seldom recur.  On the bulk grid linspace(0, 10, 201) at lambda = 10, the 24 averages
-    that do not converge would record 984 of the grid's 1330 nodes, each visited about 10 times
-    later, against about 155 for the other nodes.
-
+    `__missing__` slot holds the law's scalar kernel, which dict calls at any other node.
+    `tables(cache, law, count)` makes a point's `count` tables, each holding its kernel at every
+    node of a _NodeCache, from law(cache.w, cache.r): the kernel vectorised in the scalar kernel's
+    operation order, so with its bits: the cache decides only which values are computed ahead.
     The kernel never refers to its own table, so a spent table is freed with its last reference,
-    not left to the cyclic collector.  So it stores no value there: a node visited twice in one
-    average is evaluated twice, as by a plain kernel.
+    not left to the cyclic collector; it stores no value there, so a node visited twice in one
+    average is evaluated twice.
     """
 
     __slots__ = ("__missing__",)
 
-    @staticmethod
-    def grid() -> tuple:
-        return [], array("d"), array("d")
-
     @classmethod
-    def tables(cls, nodes: tuple | None, law, count: int) -> list:
-        if nodes is None or not nodes[0]:
+    def tables(cls, cache: "_NodeCache | None", law, count: int) -> list:
+        if cache is None or not cache.xis:
             return [cls() for _ in range(count)]
-        xis, w, r = nodes
-        return [cls(zip(xis, v.tolist())) for v in law(np.frombuffer(w), np.frombuffer(r))]
+        tables = []
+        for v in law(cache.w, cache.r):  # from a copy of cache.keys, presized: update only sets values
+            tables.append(cls(cache.keys or ()))
+            tables[-1].update(zip(cache.xis, v.tolist()))
+            cache.keys = cache.keys or dict(tables[-1])
+        return tables
+
+
+class _NodeCache:
+    """A grid's QUADPACK nodes on [0, hi], with the numbers its tables start from.
+
+    `extend(trees)` places the nodes QAWS visits on [0, hi] if it bisects as in `trees` (see
+    _placed), subdivisions in _gamma_average's form, or costs a set test for one seen before (most
+    of a bulk grid's points repeat the last one's).  `add(x)` takes nodes placed elsewhere.  Each
+    node keeps w = scale e^-xi, by math.exp since np.exp rounds differently, and r = root(xi).
+    """
+
+    __slots__ = ("hi", "scale", "root", "ends", "seen", "xis", "w", "r", "keys")
+
+    def __init__(self, hi: float, scale: float, root, x: np.ndarray | None = None) -> None:
+        self.hi, self.scale, self.root = hi, scale, root
+        self.ends, self.seen, self.xis, self.w, self.r = {1: (0.0, hi)}, set(), [], np.empty(0), np.empty(0)
+        self.add(np.empty(0) if x is None else x)
+
+    def extend(self, trees: list) -> None:
+        for tree in trees:
+            if (ends := tree[2].tobytes() + tree[3].tobytes()) not in self.seen:
+                self.seen.add(ends)
+                self.add(_placed([tree], self.ends))
+
+    def add(self, x: np.ndarray) -> None:
+        w, r = self.scale * np.fromiter(map(math.exp, (-x).tolist()), float, x.size), self.root(x)
+        self.xis += x.tolist()
+        self.keys = None  # tables copy their keys from here: rebuilt at the next table
+        self.w, self.r = np.concatenate([self.w, w]), np.concatenate([self.r, r])
 
 
 # QAWS's two rules as node offsets from an interval's centre, in units of its half-length: the
@@ -581,70 +597,76 @@ _COS24 = (0.9914448613738104, 0.9659258262890683, 0.9238795325112867, 0.86602540
           0.3826834323650898, 0.25881904510252074, 0.1305261922200516)
 _K15 = np.array([-x for x in _XGK] + [0.0] + [x for x in reversed(_XGK)])
 _CC25 = np.array([1.0, *_COS24, 0.0] + [-x for x in reversed(_COS24)] + [-1.0])
+# _placed's rows, NaN-padded: the two rules, and each without the nodes a chain interval shares
+# with its parent: Kronrod without its centre, Clenshaw-Curtis without its ends and centre
+_RULES = np.array([np.pad(rule, (0, 25 - rule.size), constant_values=np.nan) for rule in (
+    _K15, np.delete(_K15, 7), _CC25, np.delete(_CC25, [0, 12, 24]))])
 
 
-def _qaws_nodes(trees, hi: float) -> np.ndarray:
-    """The nodes QAWS visits on [0, hi], power 0 at hi, if it bisects as it did in any of `trees`.
+def _placed(trees, ends: dict) -> np.ndarray:
+    """The nodes QAWS visits if it bisects as in `trees`, on the intervals `ends` lacks, each node once.
 
     Each tree is a subdivision that _gamma_average kept, (hi, alfa != 0, alist, blist).  Its
-    subintervals [l, r] are the leaves of QUADPACK's bisection tree, each labelled by its heap key
-    2^depth + index, with depth = round(log2(hi/(r - l))) and index = round(l/hi 2^depth).  The
-    leaves and their ancestors, every interval QAWS integrates but [0, hi] itself, are rebuilt
-    from the new [0, hi] by QUADPACK's bisection m = 0.5 (l + r), and each gets its rule's nodes
-    centr + hlgth x, with hlgth = 0.5 (r - l) and centr = 0.5 (r + l): the 25-point
+    subintervals [l, r] are the leaves of QUADPACK's bisection tree, labelled by heap key
+    2^depth + index (Python ints), depth = round(log2(hi/(r - l))), index = round(l/hi 2^depth).
+    `ends` maps the keys placed so far to their ends on one [0, hi'], from {1: (0.0, hi')}, and
+    takes the leaves and ancestors it lacks, rebuilt by QUADPACK's bisection m = 0.5 (l + r).  Each
+    gets its rule's nodes centr + hlgth x, hlgth = 0.5 (r - l), centr = 0.5 (r + l): the 25-point
     Clenshaw-Curtis rule on an interval from 0 when alfa != 0, the 15-point Kronrod rule on every
-    other one.  At power 0 the right end takes the Kronrod rule too.  Replayed on its own
-    interval, an average's subdivision places exactly the nodes it visited.  A wrong prediction
-    costs only time: a node missing from a table runs the scalar kernel.  A leaf narrower than
-    1000 bisections, such as one that roundoff left without width, has no depth to replay.
+    other one (power 0 at hi' keeps the right end on Kronrod).  A Clenshaw-Curtis [0, r] shares
+    its nodes 0, r/2 and r with its parent [0, 2 r], and the centre of their Kronrod [r, 2 r] is
+    one of the parent's: those are left out.  Replayed on its own interval, an average's
+    subdivision places exactly the nodes it visited; a wrong prediction costs only time, a scalar
+    kernel call.  A leaf narrower than 1000 bisections, such as one that roundoff left without
+    width, has no depth to replay.
     """
+    lo, up = (np.concatenate([tree[k] for tree in trees]) for k in (2, 3))
+    old = np.concatenate([np.full(tree[2].size, tree[0]) for tree in trees])
+    width = up - lo
+    wide = width > old * 2.0 ** -1000
+    if not wide.all():
+        lo, old, width = lo[wide], old[wide], width[wide]
+    depth = np.rint(np.log2(old / width)).astype(int)
     keys = set()
-    for old, _, lo, up in trees:
-        for l, r in zip(lo.tolist(), up.tolist()):
-            if not r - l > old * 2.0 ** -1000:
-                continue
-            depth = round(math.log2(old / (r - l)))
-            key = (1 << depth) + round(l / old * 2.0 ** depth)
-            while key > 1 and key not in keys:
-                keys.add(key)
-                key >>= 1
-    cc_left = trees[0][1]
-    ends, kronrod, clenshaw_curtis = {1: (0.0, hi)}, [], []
+    for d, i in zip(depth.tolist(), np.rint(np.ldexp(lo / old, depth)).tolist()):
+        key = (1 << d) + int(i)
+        while key not in ends and key not in keys:  # up to the first ancestor placed
+            keys.add(key)
+            key >>= 1
+    cc_left, flat, rules = trees[0][1], [], []
     for key in sorted(keys):  # a parent's key is below its children's
         l, r = ends[key >> 1]
         m = 0.5 * (l + r)
         ends[key] = lr = (m, r) if key & 1 else (l, m)
-        (clenshaw_curtis if cc_left and lr[0] == 0.0 else kronrod).append(lr)
+        flat += lr
+        half = key >> 1  # a power of 2 on the chain: [0, r] (key 2^d, even) or [r, 2 r] (2^d + 1)
+        chain = cc_left and half & (half - 1) == 0
+        rules.append(2 * (chain and not key & 1) + (chain and key > 3))
+    l, r = np.array(flat, dtype=float).reshape(-1, 2).T
+    x = (0.5 * (r + l))[:, None] + (0.5 * (r - l))[:, None] * _RULES[rules]
+    return x[~np.isnan(x)]
 
-    def place(intervals, rule):
-        l, r = np.array(intervals, dtype=float).reshape(-1, 2).T
-        return ((0.5 * (r + l))[:, None] + (0.5 * (r - l))[:, None] * rule).ravel()
 
-    return np.concatenate([place(kronrod, _K15), place(clenshaw_curtis, _CC25)])
+def _qaws_nodes(trees, hi: float) -> np.ndarray:
+    """The nodes QAWS visits on [0, hi], power 0 at hi, if it bisects as it did in any of `trees` (see _placed)."""
+    return _placed(trees, {1: (0.0, hi)})
 
 
-def _goe_integrands(theta: float, params: EnsembleParams, nodes: tuple | None = None,
-                    replay: tuple | None = None) -> tuple:
+def _goe_integrands(theta: float, params: EnsembleParams, cache: _NodeCache | None = None) -> tuple:
     """(E, s) integrands: xi -> e^-xi/Gamma(lam) * goe_gap(y), and * y, y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
 
-    Each is the bound lookup of a _NodeTable, valid at any xi.  The E kernel also stores w y in the
-    s table, so gap_curve's s quadrature, run after its E quadrature, reads the nodes they share.
-    With a grid's `nodes`, both tables start out holding the law at its recorded nodes, and the
-    kernels record the new ones.  With `replay`, a (hi, trees) pair, both tables start out holding
-    the law at the nodes QAWS visits on [0, hi] if it bisects as in the E or the s average of
-    `trees` (see _qaws_nodes): one placement and one law call serve both.  goe_counting's and
-    goe_gap's float arithmetic inline, in the same order and so with the same bits, whichever
-    integrand computes y: y is n from the band edge on, max is written as the comparison the
-    builtin makes, which costs less than the call, and numpy's arcsin stays, since math.asin rounds
-    differently.  erfc is scipy's compiled double routine
-    (`_erfc_double`): the one the ufunc goes through, so the same bits, where math.erfc rounds
-    differently.
+    Each is the bound lookup of a _NodeTable, valid at any xi.  Both tables start out holding the
+    law at the nodes of `cache`, if any, from one law call.  The E kernel also stores w y in the s
+    table, so gap_curve's s quadrature, run after its E quadrature, reads the nodes they share.
+    goe_counting's and goe_gap's float arithmetic inline, in the same order and so with the same
+    bits, whichever integrand computes y: y is n from the band edge on, max is written as the
+    comparison the builtin makes, which costs less than the call, and numpy's arcsin stays, since
+    math.asin rounds differently.  erfc is scipy's compiled double routine (`_erfc_double`): the
+    one the ufunc goes through, so the same bits, where math.erfc rounds differently.
     """
     n, lam, two_a, hsp = float(params.n), params.lam, 2.0 * params.alpha, _HALF_SQRT_PI
-    scale, two_n, edge = _inv_gamma(lam), 2.0 * n, math.sqrt(2.0 * n)
+    scale, two_n, edge = _inv_gamma(lam) if cache is None else cache.scale, 2.0 * n, math.sqrt(2.0 * n)
     sqrt, exp, asin, erfc, pi = math.sqrt, math.exp, np.arcsin, _erfc_double(), math.pi
-    if nodes is not None:
-        add_xi, add_w, add_r = (a.append for a in nodes)
 
     def law(w, r):
         xc = r * theta
@@ -653,81 +675,71 @@ def _goe_integrands(theta: float, params: EnsembleParams, nodes: tuple | None = 
             y = np.where(edge <= xc, n, (xc * np.sqrt(np.where(0.0 > v, 0.0, v)) + two_n * asin(xc / edge)) / pi)
         return w * _sp.erfc(y * hsp), w * y
 
-    if replay is None:
-        filled = nodes
-    else:
-        hi, trees = replay
-        x = _qaws_nodes(trees, hi)  # w and r as the kernels compute them: math.exp, not np.exp
-        filled = (x.tolist(), scale * np.array(list(map(exp, (-x).tolist()))), np.sqrt(two_a * x / lam))
-    e_table, s_table = _NodeTable.tables(filled, law, 2)
+    e_table, s_table = _NodeTable.tables(cache, law, 2)
 
     def e_kernel(xi: float) -> float:
-        r = sqrt(two_a * xi / lam)
-        xc = r * theta
+        xc = sqrt(two_a * xi / lam) * theta
         if edge <= xc:
             y = n
         else:
             v = two_n - xc * xc
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
         w = scale * exp(-xi)
-        if nodes is not None:
-            add_xi(xi)
-            add_w(w)
-            add_r(r)
         s_table[xi] = w * y
         return w * erfc(y * hsp)
 
     def s_kernel(xi: float) -> float:
-        r = sqrt(two_a * xi / lam)
-        xc = r * theta
+        xc = sqrt(two_a * xi / lam) * theta
         if edge <= xc:
             y = n
         else:
             v = two_n - xc * xc
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
-        w = scale * exp(-xi)
-        if nodes is not None:
-            add_xi(xi)
-            add_w(w)
-            add_r(r)
-        return w * y
+        return scale * exp(-xi) * y
 
     e_table.__missing__, s_table.__missing__ = e_kernel, s_kernel
     return e_table.__getitem__, s_table.__getitem__
 
 
-def _gamma_weighted_goe(theta: float, params: EnsembleParams, site: str, counts: tuple,
-                        nodes: tuple | None = None, trees: list | None = None) -> list:
-    """[(value, err)] of the Gamma average of the count y (count True) or of goe_gap(y), at theta >= 0.
+def _gamma_weighted_goe(thetas, params: EnsembleParams, site: str, counts: tuple) -> list:
+    """Per theta >= 0 of `thetas`, [(value, err)] of the Gamma average of the count y (count True) or of goe_gap(y).
 
     One (value, err) per entry of `counts`, in that order, from one pair of integrands, so
-    gap_curve's s quadrature reads the nodes its E quadrature evaluated.  The point evaluator of
+    gap_curve's s quadrature reads the nodes its E quadrature evaluated.  The evaluator of
     gap_probability, mean_count and gap_curve.  Past xi_sat = n lam/(alpha theta^2), infinite
-    when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.  A grid's
-    `nodes` serve its points with xi_sat >= xi_max, whose averages all run on [0, xi_max]; the
-    others each run on their own [0, xi_sat].  For those, a grid's `trees` holds the subdivisions
-    of the last such point's averages, which predict this point's nodes, and takes this point's.
+    when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.  1/Gamma(lam),
+    goe_gap(n) and xi_max are computed once.  The thetas with xi_sat >= xi_max average over
+    [0, xi_max], from one _NodeCache that their converged averages extend.  Each other theta
+    averages over its own [0, xi_sat], from the nodes QAWS visits there if it bisects as in the
+    previous theta's converged averages (_qaws_nodes); a single theta keeps no subdivision.
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError(f"{site.replace('_', ' ')} needs the heavy-tailed branch")
-    if not theta >= 0:
-        raise ParameterError(f"theta must be nonnegative, got {theta}")
-    if theta == 0.0:
-        return [((0.0 if count else 1.0), 0.0) for count in counts]
     n, lam, a = params.n, params.lam, params.alpha
-    theta = float(theta)
-    d = a * theta * theta
-    xi_sat = n * lam / d if d > 0.0 else math.inf
-    shared = nodes if xi_sat >= _xi_max(lam) else None
-    own = trees if shared is None else None
-    # QAWS visits no node of [0, 0], where theta^2 overflows
-    integrands = _goe_integrands(theta, params, shared, (xi_sat, own) if own and xi_sat > 0.0 else None)
-    if own is not None:
-        own.clear()
-    point = f"theta={theta!r}, n={n}"
-    return [_gamma_average(integrands[count], lam, -1.0, site, point, kink=xi_sat,
-                           beyond=float(n) if count else goe_gap(float(n)), nodes=shared, trees=own)[:2]
-            for count in counts]
+    # r = sqrt(2 alpha xi/lambda) as the kernels compute it
+    cache, last, out = _NodeCache(_xi_max(lam), _inv_gamma(lam), lambda x: np.sqrt(2.0 * a * x / lam)), [], []
+    tails = [float(n) if count else goe_gap(float(n)) for count in counts]
+    for theta in thetas:
+        if not theta >= 0:
+            raise ParameterError(f"theta must be nonnegative, got {theta}")
+        if theta == 0.0:
+            out.append([((0.0 if count else 1.0), 0.0) for count in counts])
+            continue
+        theta = float(theta)
+        d = a * theta * theta
+        xi_sat = n * lam / d if d > 0.0 else math.inf
+        shared, trees = xi_sat >= cache.hi, ([] if len(thetas) > 1 else None)
+        # QAWS visits no node of [0, 0], where theta^2 overflows
+        x = _qaws_nodes(last, xi_sat) if last and not shared and xi_sat > 0.0 else np.empty(0)
+        integrands = _goe_integrands(theta, params, cache if shared else _NodeCache(xi_sat, cache.scale, cache.root, x))
+        point = f"theta={theta!r}, n={n}"
+        out.append([_gamma_average(integrands[count], lam, -1.0, site, point, kink=xi_sat, beyond=tail,
+                                   trees=trees)[:2] for count, tail in zip(counts, tails)])
+        if trees:
+            last = trees
+            if shared:
+                cache.extend(trees)
+    return out
 
 
 def gap_probability(theta: float, params: EnsembleParams) -> float:
@@ -737,7 +749,7 @@ def gap_probability(theta: float, params: EnsembleParams) -> float:
     rescaled counting function; equals 1 at theta = 0 and decays like
     1/(2 s^2) in scaled units when lambda = 1.
     """
-    return min(_gamma_weighted_goe(theta, params, "gap_probability", (False,))[0][0], 1.0)
+    return min(_gamma_weighted_goe((theta,), params, "gap_probability", (False,))[0][0][0], 1.0)
 
 
 def mean_count(theta: float, params: EnsembleParams) -> float:
@@ -747,7 +759,7 @@ def mean_count(theta: float, params: EnsembleParams) -> float:
     (the integral of the mixture commutes with the energy integral); this is
     the scaled abscissa of the parametric gap curve.
     """
-    return _gamma_weighted_goe(theta, params, "mean_count", (True,))[0][0]
+    return _gamma_weighted_goe((theta,), params, "mean_count", (True,))[0][0][0]
 
 
 def gap_probability_bulk(s, lam: float = 1.0):
@@ -768,9 +780,9 @@ def gap_probability_bulk(s, lam: float = 1.0):
     negative value at s = 50.  poch keeps the Gamma ratio to float64
     precision where a difference of ln Gamma values would not.
     Up to lambda = 10 and s = 10 every s averages over [0, xi_max(lambda)],
-    so the points of an array share their QUADPACK nodes through
-    _NodeTable: each node's value is computed once per point, vectorised,
-    with the bits of a call at that s alone.
+    so an array's points share one _NodeCache, which each converged average
+    extends: each s's table starts out holding the kernel at every node
+    placed so far, with the bits of a call at that s alone.
     """
     if not 0 < lam < math.inf:
         raise RegimeError(f"bulk gap law needs finite lambda > 0, got {lam}")
@@ -788,11 +800,8 @@ def gap_probability_bulk(s, lam: float = 1.0):
     elif near.size:
         # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
         slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
-        scale, hsp = _inv_gamma(lam), _HALF_SQRT_PI
-        sqrt, exp, erfc = math.sqrt, math.exp, _erfc_double()
-        nodes = _NodeTable.grid() if near.size > 1 else None  # every s averages over [0, xi_max]
-        if nodes is not None:
-            add_xi, add_w, add_r = (a.append for a in nodes)
+        cache, trees = _NodeCache(_xi_max(lam), _inv_gamma(lam), np.sqrt), ([] if near.size > 1 else None)
+        scale, hsp, sqrt, exp, erfc = cache.scale, _HALF_SQRT_PI, math.sqrt, math.exp, _erfc_double()
 
         def one(sv: float) -> float:
             if sv == 0.0:
@@ -801,17 +810,16 @@ def gap_probability_bulk(s, lam: float = 1.0):
             # goe_gap(sv sqrt(xi) slope) inline, in goe_gap's operation order, through the
             # compiled erfc that goe_gap's ufunc calls
             def kernel(xi: float) -> float:
-                r, w = sqrt(xi), scale * exp(-xi)
-                if nodes is not None:
-                    add_xi(xi)
-                    add_w(w)
-                    add_r(r)
-                return w * erfc(sv * r * slope * hsp)
+                return scale * exp(-xi) * erfc(sv * sqrt(xi) * slope * hsp)
 
-            (table,) = _NodeTable.tables(nodes, lambda w, r: (w * _sp.erfc(sv * r * slope * hsp),), 1)
+            (table,) = _NodeTable.tables(cache, lambda w, r: (w * _sp.erfc(sv * r * slope * hsp),), 1)
             table.__missing__ = kernel
-            return min(_gamma_average(table.__getitem__, lam, -1.0, "gap_probability_bulk", f"s={sv!r}",
-                                      nodes=nodes)[0], 1.0)
+            value = _gamma_average(table.__getitem__, lam, -1.0, "gap_probability_bulk", f"s={sv!r}",
+                                   trees=trees)[0]
+            if trees:
+                cache.extend(trees)
+                trees.clear()
+            return min(value, 1.0)
 
         out[~far] = [one(sv) for sv in near.tolist()]
     return float(out) if sa.ndim == 0 else out
@@ -821,27 +829,18 @@ def gap_curve(params: EnsembleParams, theta_grid) -> AnalyticCurve:
     """Parametric (s, E) gap curve over a theta grid.
 
     Each theta runs its E average, then its s average, on one pair of
-    _NodeTable tables.  The thetas whose xi_sat = n lambda/(alpha theta^2)
-    reaches xi_max all average over [0, xi_max] and share their nodes.  Each
-    other theta averages over its own [0, xi_sat], and its tables start out
-    holding the law at the nodes QAWS visited on the previous such theta's
-    subdivisions, replayed on [0, xi_sat]; at n = 20, lambda = 0.5 and the
-    default grid, 99.8% of its visits find their node there.  The values
-    have the bits of mean_count and gap_probability at each theta.
+    _NodeTable tables, filled ahead from the subdivisions of the earlier
+    thetas' converged averages (see _gamma_weighted_goe).  The values have
+    the bits of mean_count and gap_probability at each theta.
     """
     if params.regime is not Regime.LEVY_BRANCH:
         raise RegimeError("gap curve needs the heavy-tailed branch")
-    thetas = np.asarray(theta_grid, dtype=float)
+    thetas = _grid(theta_grid, "theta grid")
     if not (np.all(thetas >= 0) and np.all(np.diff(thetas) > 0)):
         raise ParameterError("theta grid must be nonnegative and strictly increasing")
-    s = np.empty_like(thetas)
-    e = np.empty_like(thetas)
-    worst = 0.0
-    nodes, trees = _NodeTable.grid(), []
-    for i, th in enumerate(thetas):
-        (ev, eerr), (sv, serr) = _gamma_weighted_goe(th, params, "gap_curve", (False, True), nodes, trees)
-        s[i], e[i] = sv, min(ev, 1.0)
-        worst = max(worst, eerr, serr)
+    rows = _gamma_weighted_goe(thetas, params, "gap_curve", (False, True))
+    s, e = np.array([sv for _, (sv, _) in rows]), np.array([min(ev, 1.0) for (ev, _), _ in rows])
+    worst = max([0.0] + [err for row in rows for _, err in row])
     return AnalyticCurve(abscissae=s, values=e, kind="gap_probability", params=params, quadrature_error=worst)
 
 
@@ -855,7 +854,7 @@ def density_curve(params: EnsembleParams, e_grid) -> AnalyticCurve:
     A cross-check distance above 1e-8 of the curve's largest value is a
     NumericalError: the two routes disagree, so neither value is checked.
     """
-    grid = np.asarray(e_grid, dtype=float)
+    grid = _grid(e_grid, "E grid")
     vals = np.asarray(level_density(grid, params), dtype=float)
     worst = 0.0
     if params.regime is Regime.LEVY_BRANCH:
@@ -875,7 +874,7 @@ def density_curve(params: EnsembleParams, e_grid) -> AnalyticCurve:
 
 def element_curve(params: EnsembleParams, x_grid, entry: str = "diag") -> AnalyticCurve:
     """Element-density curve (closed form, no quadrature error)."""
-    grid = np.asarray(x_grid, dtype=float)
+    grid = _grid(x_grid, "x grid")
     vals = np.asarray(element_pdf(grid, params, entry), dtype=float)
     return AnalyticCurve(abscissae=grid, values=vals, kind="element_pdf", params=params, quadrature_error=0.0)
 

@@ -317,7 +317,14 @@ def _resolve_rng(rng) -> tuple[Generator, tuple[int, int] | None]:
 
 
 def _beta(a: float, b: float, g: Generator) -> float:
-    """One Beta(a, b) variate built as the Gamma ratio g1 / (g1 + g2)."""
+    """One Beta(a, b) variate built as the Gamma ratio g1 / (g1 + g2).
+
+    Where a > 1 or b > 1, numpy's Generator.beta draws the same two Gammas and returns the same
+    ratio, in one call; g1 + g2 > 0 there.  Where both are at most 1 (a = 1/2 and b = 1 at n = 1,
+    q = -inf) it takes Johnk's algorithm instead, other variates, so the loop stays.
+    """
+    if a > 1.0 or b > 1.0:
+        return float(g.beta(a, b))
     while True:
         g1 = g.gamma(a)
         g2 = g.gamma(b)

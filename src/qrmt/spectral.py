@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import mean_count
+from .analytic import _grid, mean_count
 from .params import EnsembleParams, ParameterError, Regime
 from .sampler import SampleBatch, SampleBlocks
 
@@ -193,7 +193,7 @@ def empirical_gap(batch: SpectrumBatch, theta_grid, s_source: str = "analytic") 
     simulated gap law is overlaid on theory); s_source="empirical" instead
     counts eigenvalues inside the window, making the curve self-contained.
     """
-    thetas = np.asarray(theta_grid, dtype=float)
+    thetas = _grid(theta_grid, "theta grid")
     if not np.all(thetas >= 0):
         raise ParameterError("theta grid must be nonnegative")
     if s_source not in ("analytic", "empirical"):

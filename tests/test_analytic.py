@@ -604,6 +604,14 @@ def test_gap_curve_validates_grid():
     assert c.values[0] == 1.0
 
 
+@pytest.mark.parametrize("curve, name", [(gap_curve, "theta"), (density_curve, "E"), (element_curve, "x")])
+@pytest.mark.parametrize("grid", [0.5, [[0.0, 1.0]]])
+def test_curves_take_a_one_dimensional_grid(curve, name, grid):
+    p = EnsembleParams.from_lambda(4, 1.5, alpha=1.0)
+    with pytest.raises(ParameterError, match=rf"{name} grid must be one-dimensional, got shape \("):
+        curve(p, grid)
+
+
 @pytest.mark.parametrize("q", [1.0, 0.5])
 def test_gap_curve_needs_heavy_branch(q):
     p = EnsembleParams.gaussian(5, 1.0) if q == 1.0 else EnsembleParams.from_q(5, q, alpha=1.0)
@@ -1102,6 +1110,21 @@ def test_placer_skips_a_leaf_without_width():
     assert placed.min() == 0.0 and placed.max() < 20.0
 
 
+@pytest.mark.parametrize("cc_left", [True, False])
+def test_placer_replays_a_left_chain_past_62_bisections(cc_left):
+    # heap keys past 2^63 stay exact as Python ints: the chain [0, hi/2^k] bisected 70 times places
+    # each interval's rule once, and each node once (the Clenshaw-Curtis chain shares 0, r/2 and r
+    # with its parent, and its Kronrod siblings' centres are the parent's nodes)
+    hi, depth = 7.3, 70
+    ends = [hi * 0.5 ** k for k in range(depth + 1)]
+    lo, up = np.array([0.0] + ends[1:]), np.array([ends[-1]] + ends[:-1])
+    placed = qrmt.analytic._qaws_nodes([(hi, cc_left, lo, up)], 3.0 * hi)
+    assert np.unique(placed).size == placed.size
+    assert placed.size == (25 + 22 * (depth - 1) + 15 + 14 * (depth - 1) if cc_left else 2 * depth * 15)
+    centres = 0.5 * (np.array(ends[1:]) * 3.0)  # [0, 3 hi/2^k] for k = 1..70 on the new interval
+    assert set(centres.tolist()) <= set(placed.tolist())
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
 def test_misplaced_nodes_change_no_bit_and_no_neval(monkeypatch, lam):
@@ -1123,6 +1146,55 @@ def test_misplaced_nodes_change_no_bit_and_no_neval(monkeypatch, lam):
         assert len(calls) >= 2 and min(calls) > 0
         runs.append((_bits(c.abscissae).tolist(), _bits(c.values).tolist(), c.quadrature_error, counting.neval))
     assert runs[0] == runs[1]
+
+
+def _analytic_curves_gap_ops():
+    for n in (20, 50):
+        for lam in (0.5, 1.0, 1.5, 3.0, 10.0):
+            gap_curve(EnsembleParams.from_lambda(n, lam, alpha="auto"), _gap_theta_grid(3.0, 40))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_gap_curves_run_few_scalar_e_kernels(monkeypatch):
+    # the ten gap curves of the analytic_curves benchmark: each table's misses run the scalar
+    # kernel.  The node cache reaches 9,522: 9,456 at thetas on [0, xi_max], where each curve's
+    # first theta has nothing to replay, and 66 at thetas on their own interval, the first of
+    # which replays the last theta on [0, xi_max]
+    misses, engine = [0], qrmt.analytic._gamma_average
+
+    def spy(kernel, *args, **kwargs):
+        table = kernel.__self__
+        if table.__missing__.__name__ == "e_kernel":
+            scalar = table.__missing__
+
+            def miss(xi):
+                misses[0] += 1
+                return scalar(xi)
+
+            table.__missing__ = miss
+        return engine(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(qrmt.analytic, "_gamma_average", spy)
+    _analytic_curves_gap_ops()
+    assert 0 < misses[0] <= 9522
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_node_caches_hold_each_node_once(monkeypatch):
+    # the Clenshaw-Curtis ends and centres that recur down the left chain, and the centres of the
+    # chain's Kronrod intervals, are placed once; w and r line up with the nodes
+    sizes, tables = [], _NodeTable.tables.__func__
+
+    def spy(cls, cache, law, count):
+        assert len(set(cache.xis)) == len(cache.xis) == cache.w.size == cache.r.size
+        sizes.append(len(cache.xis))
+        return tables(cls, cache, law, count)
+
+    monkeypatch.setattr(_NodeTable, "tables", classmethod(spy))
+    _analytic_curves_gap_ops()
+    for lam in (0.5, 1.5, 3.0, 10.0):
+        gap_probability_bulk(np.linspace(0.0, 10.0, 201), lam)
+    assert len(sizes) == 390 + 800 and sum(sizes) > 600000
 
 
 def test_bulk_grid_at_lambda_10_warns_as_its_single_points_do():

@@ -72,6 +72,26 @@ def test_beta_sampler_law():
     assert _ks(draws, lambda x: stats.beta.cdf(x, 3.0, 2.0)) < 0.03
 
 
+def _two_gamma_beta(a: float, b: float, g) -> float:
+    while True:
+        g1, g2 = g.gamma(a), g.gamma(b)
+        if g1 + g2 > 0.0:
+            return g1 / (g1 + g2)
+
+
+@pytest.mark.parametrize("a, b", [(n * (n + 1) / 4.0, b) for n in (2, 3, 4, 10, 50)
+                                  for b in (1.0, 1.0000001, 1.7, 30.0)] + [(0.5, 1.0)])
+def test_beta_equals_the_two_gamma_ratio_bit_for_bit(a, b):
+    # the restricted radius's shapes a = f/2 (n >= 2) and b = 1 - (lambda + f/2) >= 1; numpy's
+    # Generator.beta draws the two Gammas where a or b exceeds 1, and the n = 1, q = -inf corner
+    # (0.5, 1.0) keeps the two-Gamma loop
+    mine, ref = RngStream(77, 3).generator(), RngStream(77, 3).generator()
+    got = [_beta(a, b, mine) for _ in range(500)]
+    want = [_two_gamma_beta(a, b, ref) for _ in range(500)]
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    assert mine.bit_generator.state == ref.bit_generator.state
+
+
 def test_goe_symmetry_bit_exact():
     s = sample_goe(6, 0.7, RngStream(3, 0))
     assert np.array_equal(s.h, s.h.T)

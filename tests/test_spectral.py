@@ -321,6 +321,13 @@ def test_empirical_gap_analytic_pairing_needs_heavy_branch():
         empirical_gap(b, np.array([-0.1]))
 
 
+@pytest.mark.parametrize("thetas, s_source", [(0.1, "analytic"), ([[0.1, 0.2]], "empirical")])
+def test_empirical_gap_takes_a_one_dimensional_grid(thetas, s_source):
+    b = _batch(EnsembleParams.from_lambda(4, 1.5, alpha=1.0), 20, seed=47)
+    with pytest.raises(ParameterError, match=r"theta grid must be one-dimensional, got shape \("):
+        empirical_gap(b, thetas, s_source=s_source)
+
+
 def _gap_counts_by_loop(batch, thetas):
     """e and s counts of empirical_gap, one count_nonzero per theta."""
     absvals = np.abs(batch.spectra)
