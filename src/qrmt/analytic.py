@@ -742,24 +742,36 @@ def _gamma_weighted_goe(thetas, params: EnsembleParams, site: str, counts: tuple
     return out
 
 
-def gap_probability(theta: float, params: EnsembleParams) -> float:
-    """Probability that (-theta, theta) holds no eigenvalue.
+def _goe_law(theta, params: EnsembleParams, site: str, count: bool):
+    """The Gamma average of the count y (count True) or of goe_gap(y), capped at 1, at a scalar theta, as a float.
+
+    At a 1-D grid of thetas, an array: one _gamma_weighted_goe grid, whose node tables give
+    each value the bits of its own scalar call.
+    """
+    scalar = np.ndim(theta) == 0
+    rows = _gamma_weighted_goe((theta,) if scalar else _grid(theta, "theta grid"), params, site, (count,))
+    values = [value if count else min(value, 1.0) for ((value, _),) in rows]
+    return values[0] if scalar else np.array(values)
+
+
+def gap_probability(theta, params: EnsembleParams):
+    """Probability that (-theta, theta) holds no eigenvalue; an array at a 1-D grid of thetas.
 
     Gamma-weighted average of the surmise-level GOE gap law evaluated at the
     rescaled counting function; equals 1 at theta = 0 and decays like
     1/(2 s^2) in scaled units when lambda = 1.
     """
-    return min(_gamma_weighted_goe((theta,), params, "gap_probability", (False,))[0][0][0], 1.0)
+    return _goe_law(theta, params, "gap_probability", False)
 
 
-def mean_count(theta: float, params: EnsembleParams) -> float:
-    """Expected number of eigenvalues in (-theta, theta): s(theta) = 2 Int_0^theta rho.
+def mean_count(theta, params: EnsembleParams):
+    """Expected number of eigenvalues in (-theta, theta): s(theta) = 2 Int_0^theta rho; an array at a 1-D grid.
 
     Evaluated as a single Gamma-weighted quadrature of the counting function
     (the integral of the mixture commutes with the energy integral); this is
     the scaled abscissa of the parametric gap curve.
     """
-    return _gamma_weighted_goe((theta,), params, "mean_count", (True,))[0][0][0]
+    return _goe_law(theta, params, "mean_count", True)
 
 
 def gap_probability_bulk(s, lam: float = 1.0):

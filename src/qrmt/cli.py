@@ -9,12 +9,9 @@ which a closed-form law has no finite, checked value).
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
 import functools
-import hashlib
 import importlib
 import itertools
-import json
 import math
 import operator
 import os
@@ -22,7 +19,6 @@ import sys
 
 from . import __version__
 from .params import EnsembleParams, NumericalError, ParameterError, Regime, _nonnegative_int
-from .svg import Series, render_svg
 
 
 class _FirstUse:
@@ -33,8 +29,9 @@ class _FirstUse:
     real object to `name`, so later lookups are plain global lookups.  A module
     is the one object in sys.modules, so a patch on numpy or `qrmt.analytic`
     reaches the commands.  numpy, scipy and the other qrmt modules so load only
-    when a command computes: `--version`, `--help`, an argument or parameter
-    error and `verify --manifest` import none of them.
+    when a command computes, and the output writers' modules only when it
+    writes: `--version`, `--help` and an argument or parameter error import
+    none of them, and `verify --manifest` only json and hashlib.
     """
 
     def __init__(self, name: str, source: str) -> None:
@@ -59,10 +56,18 @@ class _FirstUse:
 np = _FirstUse("np", "numpy")
 an = _FirstUse("an", ".analytic")
 sp = _FirstUse("sp", ".spectral")
-# verify's public quad and dblquad: a name of its own, apart from analytic's
-# QUADPACK route, so verify's quadratures stay out of what a stand-in for
-# analytic.integrate sees
-integrate = _FirstUse("integrate", "scipy.integrate")
+# what only writing or checking outputs needs: the manifest's digests, JSON and
+# clock, and the SVG writer, whose calls the benchmark's tracer times through
+# this name
+hashlib = _FirstUse("hashlib", "hashlib")
+json = _FirstUse("json", "json")
+_dt = _FirstUse("_dt", "datetime")
+Series = _FirstUse("Series", ".svg:Series")
+render_svg = _FirstUse("render_svg", ".svg:render_svg")
+# verify's quad and dblquad: QUADPACK's routines through specfun's shim, on an
+# instance apart from analytic's, so verify's quadratures stay out of what a
+# stand-in for analytic.integrate sees
+integrate = _FirstUse("integrate", ".specfun:_verify_integrate")
 # the sampler and specfun names the commands call; the benchmark's tracer
 # counts the calls made through several of them, so sample_goe, which is not
 # called here, stays one of them

@@ -2,10 +2,11 @@
 
 scipy is imported on first use, through `_Deferred`: sampling needs only
 numpy, so `import qrmt` and `qrmt sample` never load scipy, and the first
-analytic call pays its import.  The Gamma-average engine's one QUADPACK
-routine, QAWS, comes through `_integrate`, which loads scipy's `_quadpack`
-extension on its own, so no command imports the scipy.integrate package for
-it.  log-gamma, erf, the modified Bessel function
+analytic call pays its import.  QUADPACK comes through `_Integrate`, which
+loads scipy's `_quadpack` extension on its own: the Gamma-average engine's
+QAWS calls through `_integrate` and the verify suites' QAGS and QAGI calls
+through `_verify_integrate`, so no command imports the scipy.integrate
+package for them.  log-gamma, erf, the modified Bessel function
 K_nu and the confluent hypergeometric M(a, b, z) are thin validated wrappers
 over scipy.special:
 each converts its argument to a float array once and hands that array on,
@@ -125,38 +126,68 @@ _scipy_integrate = _Deferred("scipy.integrate")
 
 
 class _Integrate:
-    """`scipy.integrate` as the Gamma-average engine calls it, without the package's import.
+    """`scipy.integrate`'s `quad` and `dblquad` as qrmt calls them, without the package's import.
 
-    `quad(f, a, b, weight="alg", ...)` on a finite a < b runs QAWS straight from `_quadpack()`
-    and returns what `scipy.integrate.quad` returns: the same value, error estimate and info
-    dict, and scipy's message for a nonzero ier.  Any other call, a code that scipy raises for
-    (invalid input), a missing extension file and every other attribute, such as
+    `quad(f, a, b, ...)` on a < b runs one QUADPACK routine straight from `_quadpack()`: QAWS for
+    weight="alg" on a finite interval, QAGS with no weight on a finite one and QAGI with no
+    weight on an infinite one.  It returns what `scipy.integrate.quad` returns: the same value,
+    error estimate and info dict, and scipy's message for a nonzero ier, as a warning at the
+    caller's line or, with full_output, a fourth item.  Any other call, a code that scipy raises
+    for (invalid input), a missing extension file and every other attribute, such as
     `IntegrationWarning`, go to scipy.integrate itself, imported on that first use.
     """
 
     @staticmethod
-    def quad(func, a, b, *, weight=None, wvar=None, epsabs=1.49e-8, epsrel=1.49e-8, limit=50,
+    def quad(func, a, b, *, args=(), weight=None, wvar=None, epsabs=1.49e-8, epsrel=1.49e-8, limit=50,
              full_output=0, **other):
-        module = _quadpack()
-        if module is not None and not other and weight == "alg" and -math.inf < a < b < math.inf:
-            *res, ier = module._qawse(func, a, b, wvar, 1, (), full_output, epsabs, epsrel, limit)
-            if ier == 0:
-                return tuple(res)
-            if ier in _QUADPACK_MESSAGES:
-                msg = _QUADPACK_MESSAGES[ier].format(limit=limit)
-                if full_output:
-                    return (*res, msg)
-                warnings.warn(msg, _scipy_integrate.IntegrationWarning, stacklevel=2)
-                return tuple(res)
-            # invalid input: scipy's quad reruns QUADPACK and raises its ValueError for it
-        return _scipy_integrate.quad(func, a, b, weight=weight, wvar=wvar, epsabs=epsabs, epsrel=epsrel,
-                                     limit=limit, full_output=full_output, **other)
+        module, ier = _quadpack(), None
+        if module is not None and not other and a < b:
+            finite = -math.inf < a and b < math.inf
+            if weight == "alg" and finite:
+                *res, ier = module._qawse(func, a, b, wvar, 1, args, full_output, epsabs, epsrel, limit)
+            elif weight is None and finite:
+                *res, ier = module._qagse(func, a, b, args, full_output, epsabs, epsrel, limit)
+            elif weight is None:  # as scipy's _quad: the finite end, 0 on (-inf, inf), and which ends are infinite
+                bound, inf = (a, 1) if -math.inf < a else (b, -1) if b < math.inf else (0, 2)
+                *res, ier = module._qagie(func, bound, inf, args, full_output, epsabs, epsrel, limit)
+        if ier == 0:
+            return tuple(res)
+        if ier in _QUADPACK_MESSAGES:
+            msg = _QUADPACK_MESSAGES[ier].format(limit=limit)
+            if full_output:
+                return (*res, msg)
+            warnings.warn(msg, _scipy_integrate.IntegrationWarning, stacklevel=2)
+            return tuple(res)
+        # no route here, or invalid input: scipy's quad reruns QUADPACK and raises its ValueError for it
+        return _scipy_integrate.quad(func, a, b, args=args, weight=weight, wvar=wvar, epsabs=epsabs,
+                                     epsrel=epsrel, limit=limit, full_output=full_output, **other)
+
+    def dblquad(self, func, a, b, gfun, hfun, args=(), epsabs=1.49e-8, epsrel=1.49e-8):
+        """`scipy.integrate.dblquad`: Int_a^b Int_gfun(x)^hfun(x) func(y, x, *args) dy dx by this object's quad.
+
+        The calls nest as scipy's nquad nests them, so the value has its bits, and the error
+        estimate is the largest of all the calls', taken in nquad's order.
+        """
+        abserr = 0
+
+        def inner(x):
+            nonlocal abserr
+            low, high = (g(x) if callable(g) else g for g in (gfun, hfun))
+            value, err = self.quad(func, low, high, args=(x, *args), epsabs=epsabs, epsrel=epsrel)
+            abserr = max(abserr, err)
+            return value
+
+        value, err = self.quad(inner, a, b, epsabs=epsabs, epsrel=epsrel)
+        return value, max(abserr, err)
 
     def __getattr__(self, attr: str):
         return getattr(_scipy_integrate, attr)
 
 
+# the Gamma-average engine's QUADPACK (qrmt.analytic.integrate), and a second instance for the
+# CLI's verify suites, so a stand-in for either one sees only its own user's calls
 _integrate = _Integrate()
+_verify_integrate = _Integrate()
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,7 @@ def empirical_gap(batch: SpectrumBatch, theta_grid, s_source: str = "analytic") 
         pooled.sort()
         s_hat = np.searchsorted(pooled, thetas, side="left") / m
     else:
-        s_hat = np.array([mean_count(float(th), batch.params) for th in thetas])
+        s_hat = mean_count(thetas, batch.params)
     stderr = np.sqrt(np.maximum(e_hat * (1.0 - e_hat), 0.0) / m)
     return GapEstimate(
         theta=thetas, e_hat=e_hat, stderr=stderr, s_hat=s_hat,

@@ -612,6 +612,39 @@ def test_curves_take_a_one_dimensional_grid(curve, name, grid):
         curve(p, grid)
 
 
+@pytest.mark.parametrize("law", [mean_count, gap_probability])
+@pytest.mark.parametrize("n, lam", [(20, 0.5), (20, 10.0), (50, 1.5), (5, 3.0)])
+def test_mean_count_and_gap_probability_on_a_grid_have_each_points_bits(law, n, lam):
+    # the grid is one Gamma-average grid; its node tables must not move a bit, and lambda = 10's
+    # thetas that do not converge warn as their single calls do (gap_probability at n = 20 and 50)
+    p = EnsembleParams.from_lambda(n, lam, alpha="auto")
+    thetas = np.concatenate([_gap_theta_grid(3.0, 40)[::-1], [0.7, 0.0]])  # theta = 0 and a repeat, out of order
+    warned = []
+    for call in (lambda: law(thetas, p), lambda: [law(float(t), p) for t in thetas]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warned.append((call(), [(w.category, str(w.message), w.filename) for w in caught]))
+    (grid, grid_warned), (single, single_warned) = warned
+    assert isinstance(grid, np.ndarray) and grid.shape == thetas.shape
+    assert all(isinstance(v, float) for v in single)
+    assert [v.hex() for v in grid.tolist()] == [v.hex() for v in single]
+    assert grid_warned == single_warned
+    assert all(filename == __file__ for _, _, filename in grid_warned)
+    if law is gap_probability and lam == 10.0:
+        assert len(grid_warned) >= 2
+
+
+@pytest.mark.parametrize("law", [mean_count, gap_probability])
+def test_mean_count_and_gap_probability_take_a_one_dimensional_grid(law):
+    p = EnsembleParams.from_lambda(4, 1.5, alpha=1.0)
+    with pytest.raises(ParameterError, match=r"theta grid must be one-dimensional, got shape \(1, 2\)"):
+        law([[0.1, 0.2]], p)
+    with pytest.raises(ParameterError, match="theta must be nonnegative"):
+        law([0.1, -0.2], p)
+    assert law(np.array([]), p).shape == (0,)
+    assert law([0.0], p).tolist() == [0.0 if law is mean_count else 1.0]
+
+
 @pytest.mark.parametrize("q", [1.0, 0.5])
 def test_gap_curve_needs_heavy_branch(q):
     p = EnsembleParams.gaussian(5, 1.0) if q == 1.0 else EnsembleParams.from_q(5, q, alpha=1.0)

@@ -1,8 +1,8 @@
-"""specfun's QUADPACK route: QAWS from scipy's extension module without scipy.integrate's init.
+"""specfun's QUADPACK route: QAWS, QAGS and QAGI from scipy's extension module without scipy.integrate's init.
 
-Its `quad` must give what `scipy.integrate.quad` gives, bit for bit, on the
-engine's own calls and on calls that fail; the fallback and the import order
-must not change a bit either.
+Its `quad` and `dblquad` must give what `scipy.integrate`'s give, bit for bit,
+on the engine's and the verify suites' own calls and on calls that fail; the
+fallback and the import order must not change a bit either.
 """
 import math
 import os
@@ -16,9 +16,10 @@ import scipy.integrate
 
 import qrmt
 import qrmt.analytic
+import qrmt.cli
 import qrmt.specfun
 from qrmt.cli import main
-from qrmt.specfun import _integrate
+from qrmt.specfun import _integrate, _verify_integrate
 
 
 def _child_env() -> dict:
@@ -199,3 +200,115 @@ def test_either_import_order_leaves_one_quadpack_module(shim_first, curves_diges
         + _CURVES
     )
     assert _run_child(code)[-1] == curves_digest
+
+
+class _VerifyComparing:
+    """Stands in for qrmt.cli.integrate: each of verify's calls runs the shim and scipy, which must agree."""
+
+    def __init__(self):
+        self.calls = []
+
+    def quad(self, *args, **kwargs):
+        got = _verify_integrate.quad(*args, **kwargs)
+        _assert_same(got, scipy.integrate.quad(*args, **kwargs))
+        _assert_same(_verify_integrate.quad(*args, full_output=1, **kwargs),
+                     scipy.integrate.quad(*args, full_output=1, **kwargs))
+        self.calls.append("quad")
+        return got
+
+    def dblquad(self, *args, **kwargs):
+        got = _verify_integrate.dblquad(*args, **kwargs)
+        _assert_same(got, scipy.integrate.dblquad(*args, **kwargs))
+        self.calls.append("dblquad")
+        return got
+
+
+def test_shim_equals_scipy_on_the_verify_suites_quadratures(monkeypatch, capsys):
+    assert _verify_integrate is not _integrate  # a stand-in for the engine's route sees none of these
+    comparing = _VerifyComparing()
+    monkeypatch.setattr(qrmt.cli, "integrate", comparing)
+    assert main(["verify", "--suite", "analytic"]) == 0
+    capsys.readouterr()
+    # the element and level density masses (QAGI), the density integral on [0, 1] (QAGS) and the
+    # joint density's mass, QAGI inside QAGI
+    assert comparing.calls == ["quad", "quad", "quad", "dblquad"]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.5, math.inf), (-math.inf, 0.25), (-math.inf, math.inf)],
+                         ids=["finite", "to-inf", "from-minus-inf", "whole-line"])
+def test_qags_and_qagi_routes_equal_scipy_quad(a, b):
+    def f(x, c):
+        return math.exp(-c * x * x) * (1.0 + 0.5 * math.sin(3.0 * x))
+
+    for full_output in (0, 1):
+        _assert_same(_integrate.quad(f, a, b, args=(2.0,), full_output=full_output, limit=100),
+                     scipy.integrate.quad(f, a, b, args=(2.0,), full_output=full_output, limit=100))
+
+
+def test_dblquad_equals_scipy_with_curved_limits():
+    def f(y, x, c):
+        return c * math.exp(-(1.0 + x) * y) * math.cos(x + y)
+
+    got = _integrate.dblquad(f, 0.0, 2.0, lambda x: x * x, math.inf, args=(1.5,), epsabs=1e-10)
+    _assert_same(got, scipy.integrate.dblquad(f, 0.0, 2.0, lambda x: x * x, math.inf, args=(1.5,), epsabs=1e-10))
+
+
+# integrands that make QAGS (finite ends) and QAGI (an infinite end) stop with ier 1, 2 and 4
+_FAILING_UNWEIGHTED = {
+    "qags-1": (lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0, {"limit": 3}),
+    "qags-2": (lambda x: math.exp(x) + 1e-9 * math.sin(1e7 * x * x), 0.0, 1.0, {"epsabs": 1e-300, "epsrel": 1e-13}),
+    "qagi-1": (lambda x: math.exp(-x * x), -math.inf, math.inf, {"limit": 1}),
+    "qagi-2": (lambda x: math.exp(-x) * (1.0 + 1e-9 * math.sin(1e7 * x * x)), 0.0, math.inf,
+               {"epsabs": 1e-300, "epsrel": 1e-13}),
+    "qagi-4": (lambda x: 1.0 / (1.0 + x * x) + 1e-12 * math.sin(1e5 * x), -math.inf, 0.0,
+               {"epsabs": 1e-300, "epsrel": 1e-13, "limit": 200}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_UNWEIGHTED))
+@pytest.mark.parametrize("full_output", [0, 1])
+def test_qags_and_qagi_warn_as_scipy_quad_where_quadpack_fails(case, full_output):
+    f, a, b, kwargs = _FAILING_UNWEIGHTED[case]
+    results = []
+    for quad in (_integrate.quad, scipy.integrate.quad):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results.append(quad(f, a, b, full_output=full_output, **kwargs))  # both from this line
+        results.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    got, got_warned, want, want_warned = results
+    _assert_same(got, want)
+    assert got_warned == want_warned
+    msg = got[3] if full_output else got_warned[0][1]
+    assert len(got_warned) == (0 if full_output else 1)
+    assert next(code for words, code in qrmt.analytic._QUADPACK_IER if words in msg) == int(case[-1])
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((math.exp, 0.0, 1.0), {"limit": 0}),
+    ((math.exp, -math.inf, 0.0), {"limit": 0}),
+    ((math.exp, 0.0, 1.0), {"epsabs": 0.0, "epsrel": 1e-20}),
+    ((lambda x: math.exp(-x), 0.0, math.inf), {"epsabs": -1.0, "epsrel": 1e-20}),
+], ids=["qags-limit-0", "qagi-limit-0", "qags-epsrel-too-small", "qagi-epsrel-too-small"])
+def test_qags_and_qagi_raise_what_scipy_quad_raises(args, kwargs):
+    with pytest.raises(ValueError) as want:
+        scipy.integrate.quad(*args, **kwargs)
+    with pytest.raises(ValueError) as got:
+        _integrate.quad(*args, **kwargs)
+    assert str(got.value) == str(want.value)
+
+
+def test_verify_output_is_the_same_when_the_extension_file_is_hidden():
+    code = (
+        "import sys\n"
+        "if sys.argv[1] == 'hidden':\n"
+        "    import importlib.machinery\n"
+        "    importlib.machinery.EXTENSION_SUFFIXES = []\n"
+        "import qrmt.cli as cli\n"
+        "from qrmt import specfun\n"
+        "code = cli.main(['verify', '--suite', 'all'])\n"
+        "print(code, specfun._quadpack() is None, 'scipy.integrate' in sys.modules)\n"
+    )
+    *tap, route = _run_child(code, "shown")
+    *hidden_tap, hidden_route = _run_child(code, "hidden")
+    assert (route, hidden_route) == ("0 False False", "0 True True")
+    assert hidden_tap == tap and tap[-1] == "# 31/31 passed"

@@ -16,6 +16,7 @@ from scipy import integrate, special
 from oracles import sturm_eigenvalues
 
 import qrmt.analytic as an
+import qrmt.spectral
 from qrmt.params import EnsembleParams, ParameterError
 from qrmt.sampler import RngStream, _dense, _draw_packed, sample_batch, sample_blocks, sample_goe
 from qrmt.spectral import (
@@ -286,6 +287,21 @@ def test_empirical_gap_matches_analytic_curve():
     # analytic pairing reproduces mean_count
     assert ge.s_hat[2] == pytest.approx(an.mean_count(0.05, p), rel=1e-12)
     assert ge.s_source == "analytic"
+
+
+def test_empirical_gap_pairs_its_analytic_s_in_one_grid_call(monkeypatch):
+    p = EnsembleParams.from_lambda(20, 1.0, alpha=10.0)
+    thetas = np.linspace(0.0, 0.6, 40)
+    calls = []
+
+    def counting(theta, params):
+        calls.append(np.size(theta))
+        return an.mean_count(theta, params)
+
+    monkeypatch.setattr(qrmt.spectral, "mean_count", counting)
+    ge = empirical_gap(_batch(p, 50, seed=47), thetas)
+    assert calls == [40]
+    assert [v.hex() for v in ge.s_hat.tolist()] == [an.mean_count(float(t), p).hex() for t in thetas]
 
 
 def test_empirical_gap_monotone_and_bounded():
