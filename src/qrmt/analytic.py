@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import EnsembleParams, NumericalError, ParameterError, Regime, RegimeError
-from .specfun import QuadratureResult, _erfc_double, _sp, bessel_k, kummer_m, ln_gamma
+from .specfun import QuadratureResult, _erfc_double, _quadpack_ier, _sp, bessel_k, kummer_m, ln_gamma
 from .specfun import _integrate as integrate
 
 __all__ = [
@@ -445,18 +445,6 @@ def wigner_surmise_cdf(s):
     return float(out) if sa.ndim == 0 else out
 
 
-# scipy's quad hands back QUADPACK's message in place of ier when a call
-# fails; the message's opening words identify ier
-_QUADPACK_IER = (
-    ("maximum number of subdivisions", 1),
-    ("roundoff error is detected, which", 2),
-    ("Extremely bad integrand behavior", 3),
-    ("does not converge", 4),
-    ("probably divergent", 5),
-    ("Abnormal termination", 7),
-)
-
-
 # (epsabs, epsrel) of the Gamma averages of GOE laws
 _GOE_TOL = (1e-11, 1e-9)
 
@@ -509,7 +497,7 @@ def _gamma_average(kernel, lam: float, shift: float, site: str, point: str, *, k
                              f"with error estimate {res[1]!r}")
     if len(res) > 3:
         msg = str(res[3])
-        ier = next((code for words, code in _QUADPACK_IER if words in msg), "?")
+        ier = _quadpack_ier(msg, 200)  # quad's limit above
         frame, stacklevel = sys._getframe(1), 2  # 2: this function's caller
         while frame.f_globals is globals():
             frame, stacklevel = frame.f_back, stacklevel + 1
@@ -652,12 +640,15 @@ def _qaws_nodes(trees, hi: float) -> np.ndarray:
     return _placed(trees, {1: (0.0, hi)})
 
 
-def _goe_integrands(theta: float, params: EnsembleParams, cache: _NodeCache | None = None) -> tuple:
-    """(E, s) integrands: xi -> e^-xi/Gamma(lam) * goe_gap(y), and * y, y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
+def _goe_integrands(theta: float, params: EnsembleParams, cache: _NodeCache | None = None,
+                    counts: tuple = (False, True)) -> list:
+    """Per entry of `counts`, the s integrand (True) or the E one: xi -> e^-xi/Gamma(lam) * y or * goe_gap(y),
+    y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
 
-    Each is the bound lookup of a _NodeTable, valid at any xi.  Both tables start out holding the
-    law at the nodes of `cache`, if any, from one law call.  The E kernel also stores w y in the s
-    table, so gap_curve's s quadrature, run after its E quadrature, reads the nodes they share.
+    Each is the bound lookup of a _NodeTable, valid at any xi.  The tables start out holding the
+    law at the nodes of `cache`, if any, from one law call that computes only their columns.
+    Asked for both, the E kernel also stores w y in the s table, so gap_curve's s quadrature, run
+    after its E quadrature, reads the nodes they share.
     goe_counting's and goe_gap's float arithmetic inline, in the same order and so with the same
     bits, whichever integrand computes y: y is n from the band edge on, max is written as the
     comparison the builtin makes, which costs less than the call, and numpy's arcsin stays, since
@@ -673,9 +664,10 @@ def _goe_integrands(theta: float, params: EnsembleParams, cache: _NodeCache | No
         v = two_n - xc * xc
         with np.errstate(invalid="ignore"):  # arcsin past the band edge, where y is n
             y = np.where(edge <= xc, n, (xc * np.sqrt(np.where(0.0 > v, 0.0, v)) + two_n * asin(xc / edge)) / pi)
-        return w * _sp.erfc(y * hsp), w * y
+        return [w * y if count else w * _sp.erfc(y * hsp) for count in counts]
 
-    e_table, s_table = _NodeTable.tables(cache, law, 2)
+    tables = _NodeTable.tables(cache, law, len(counts))
+    s_table = tables[counts.index(True)] if len(counts) > 1 else None
 
     def e_kernel(xi: float) -> float:
         xc = sqrt(two_a * xi / lam) * theta
@@ -685,7 +677,8 @@ def _goe_integrands(theta: float, params: EnsembleParams, cache: _NodeCache | No
             v = two_n - xc * xc
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
         w = scale * exp(-xi)
-        s_table[xi] = w * y
+        if s_table is not None:
+            s_table[xi] = w * y
         return w * erfc(y * hsp)
 
     def s_kernel(xi: float) -> float:
@@ -697,14 +690,15 @@ def _goe_integrands(theta: float, params: EnsembleParams, cache: _NodeCache | No
             y = (xc * sqrt(0.0 if 0.0 > v else v) + two_n * float(asin(xc / edge))) / pi
         return scale * exp(-xi) * y
 
-    e_table.__missing__, s_table.__missing__ = e_kernel, s_kernel
-    return e_table.__getitem__, s_table.__getitem__
+    for count, table in zip(counts, tables):
+        table.__missing__ = s_kernel if count else e_kernel
+    return [table.__getitem__ for table in tables]
 
 
 def _gamma_weighted_goe(thetas, params: EnsembleParams, site: str, counts: tuple) -> list:
     """Per theta >= 0 of `thetas`, [(value, err)] of the Gamma average of the count y (count True) or of goe_gap(y).
 
-    One (value, err) per entry of `counts`, in that order, from one pair of integrands, so
+    One (value, err) per entry of `counts`, in that order, from one _goe_integrands call, so
     gap_curve's s quadrature reads the nodes its E quadrature evaluated.  The evaluator of
     gap_probability, mean_count and gap_curve.  Past xi_sat = n lam/(alpha theta^2), infinite
     when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.  1/Gamma(lam),
@@ -731,10 +725,10 @@ def _gamma_weighted_goe(thetas, params: EnsembleParams, site: str, counts: tuple
         shared, trees = xi_sat >= cache.hi, ([] if len(thetas) > 1 else None)
         # QAWS visits no node of [0, 0], where theta^2 overflows
         x = _qaws_nodes(last, xi_sat) if last and not shared and xi_sat > 0.0 else np.empty(0)
-        integrands = _goe_integrands(theta, params, cache if shared else _NodeCache(xi_sat, cache.scale, cache.root, x))
+        nodes = cache if shared else _NodeCache(xi_sat, cache.scale, cache.root, x)
         point = f"theta={theta!r}, n={n}"
-        out.append([_gamma_average(integrands[count], lam, -1.0, site, point, kink=xi_sat, beyond=tail,
-                                   trees=trees)[:2] for count, tail in zip(counts, tails)])
+        out.append([_gamma_average(integrand, lam, -1.0, site, point, kink=xi_sat, beyond=tail, trees=trees)[:2]
+                    for integrand, tail in zip(_goe_integrands(theta, params, nodes, counts), tails)])
         if trees:
             last = trees
             if shared:

@@ -2,11 +2,11 @@
 
 scipy is imported on first use, through `_Deferred`: sampling needs only
 numpy, so `import qrmt` and `qrmt sample` never load scipy, and the first
-analytic call pays its import.  QUADPACK comes through `_Integrate`, which
-loads scipy's `_quadpack` extension on its own: the Gamma-average engine's
-QAWS calls through `_integrate` and the verify suites' QAGS and QAGI calls
-through `_verify_integrate`, so no command imports the scipy.integrate
-package for them.  log-gamma, erf, the modified Bessel function
+analytic call pays its import.  QUADPACK comes through `_integrate`, the one
+`_Integrate`, which loads scipy's `_quadpack` extension on its own: the
+Gamma-average engine's QAWS calls and the verify suites' QAGS and QAGI calls,
+two of them nested for a double integral, so no command imports the
+scipy.integrate package for them.  log-gamma, erf, the modified Bessel function
 K_nu and the confluent hypergeometric M(a, b, z) are thin validated wrappers
 over scipy.special:
 each converts its argument to a float array once and hands that array on,
@@ -126,7 +126,7 @@ _scipy_integrate = _Deferred("scipy.integrate")
 
 
 class _Integrate:
-    """`scipy.integrate`'s `quad` and `dblquad` as qrmt calls them, without the package's import.
+    """`scipy.integrate.quad` as qrmt calls it, without the package's import.
 
     `quad(f, a, b, ...)` on a < b runs one QUADPACK routine straight from `_quadpack()`: QAWS for
     weight="alg" on a finite interval, QAGS with no weight on a finite one and QAGI with no
@@ -162,32 +162,18 @@ class _Integrate:
         return _scipy_integrate.quad(func, a, b, args=args, weight=weight, wvar=wvar, epsabs=epsabs,
                                      epsrel=epsrel, limit=limit, full_output=full_output, **other)
 
-    def dblquad(self, func, a, b, gfun, hfun, args=(), epsabs=1.49e-8, epsrel=1.49e-8):
-        """`scipy.integrate.dblquad`: Int_a^b Int_gfun(x)^hfun(x) func(y, x, *args) dy dx by this object's quad.
-
-        The calls nest as scipy's nquad nests them, so the value has its bits, and the error
-        estimate is the largest of all the calls', taken in nquad's order.
-        """
-        abserr = 0
-
-        def inner(x):
-            nonlocal abserr
-            low, high = (g(x) if callable(g) else g for g in (gfun, hfun))
-            value, err = self.quad(func, low, high, args=(x, *args), epsabs=epsabs, epsrel=epsrel)
-            abserr = max(abserr, err)
-            return value
-
-        value, err = self.quad(inner, a, b, epsabs=epsabs, epsrel=epsrel)
-        return value, max(abserr, err)
-
     def __getattr__(self, attr: str):
         return getattr(_scipy_integrate, attr)
 
 
-# the Gamma-average engine's QUADPACK (qrmt.analytic.integrate), and a second instance for the
-# CLI's verify suites, so a stand-in for either one sees only its own user's calls
+# the engine's and verify's QUADPACK, bound as qrmt.analytic.integrate and qrmt.cli.integrate:
+# a stand-in replaces one of those names, so it sees only that module's calls
 _integrate = _Integrate()
-_verify_integrate = _Integrate()
+
+
+def _quadpack_ier(msg: str, limit: int):
+    """The QUADPACK code whose message `quad` gives at `limit` is `msg`; "?" for any other text."""
+    return next((ier for ier, text in _QUADPACK_MESSAGES.items() if text.format(limit=limit) == msg), "?")
 
 
 @dataclass(frozen=True)

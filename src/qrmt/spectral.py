@@ -175,10 +175,21 @@ def spectra_from_samples(samples: SampleBatch | SampleBlocks) -> SpectrumBatch:
     return SpectrumBatch(spectra=spectra, params=samples.params)
 
 
+def _histogram(values: np.ndarray, bins) -> tuple:
+    """np.histogram(values, bins), once `bins` gives at least two finite, strictly increasing edges."""
+    try:
+        edges = np.histogram_bin_edges(values, bins)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bins: {exc}") from None
+    if edges.size < 2 or not np.isfinite(edges).all() or not (edges[1:] > edges[:-1]).all():
+        raise ParameterError("bins must give at least two finite, strictly increasing edges")
+    return np.histogram(values, bins=bins)
+
+
 def empirical_density(batch: SpectrumBatch, bins) -> Histogram:
     """Level-density histogram of the pooled spectra (integrates to n)."""
     pooled = batch.pooled()
-    counts, edges = np.histogram(pooled, bins=bins)
+    counts, edges = _histogram(pooled, bins)
     widths = np.diff(edges)
     # heights: counts per matrix per unit energy, so the integral over the
     # binned range approaches n as the range covers the spectrum
@@ -243,7 +254,7 @@ def nn_spacings(batch: SpectrumBatch, window: float = 0.6) -> np.ndarray:
 def nn_spacing(batch: SpectrumBatch, window: float = 0.6, bins=40) -> Histogram:
     """Probability-density histogram of the normalized central spacings."""
     s = nn_spacings(batch, window)
-    counts, edges = np.histogram(s, bins=bins)
+    counts, edges = _histogram(s, bins)
     heights = counts / (len(s) * np.diff(edges))
     return Histogram(edges=edges, counts=counts, heights=heights, mode="probability-density")
 

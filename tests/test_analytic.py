@@ -1230,6 +1230,23 @@ def test_node_caches_hold_each_node_once(monkeypatch):
     assert len(sizes) == 390 + 800 and sum(sizes) > 600000
 
 
+def test_goe_laws_fill_one_node_table_per_count_they_average(monkeypatch):
+    # mean_count and gap_probability on a grid average one law per theta and fill one table for it;
+    # gap_curve averages both, from two tables, whose E kernel also fills the s table
+    asked, tables = [], _NodeTable.tables.__func__
+
+    def spy(cls, cache, law, count):
+        asked.append(count)
+        return tables(cls, cache, law, count)
+
+    monkeypatch.setattr(_NodeTable, "tables", classmethod(spy))
+    p, thetas = EnsembleParams.from_lambda(20, 1.5, alpha="auto"), _gap_theta_grid(3.0, 40)
+    for call, count in ((mean_count, 1), (gap_probability, 1), (lambda t, p: gap_curve(p, t), 2)):
+        asked.clear()
+        call(thetas, p)
+        assert len(asked) == 39 and set(asked) == {count}  # theta = 0 averages nothing
+
+
 def test_bulk_grid_at_lambda_10_warns_as_its_single_points_do():
     # QUADPACK's roundoff flag at the same 24 of 201 points, with the same text, at the caller's line
     s = np.linspace(0.0, 10.0, 201)

@@ -663,11 +663,14 @@ def _count_analytic_quads(monkeypatch) -> list:
     return calls
 
 
-def test_gap_curve_quadratures_go_through_analytic_integrate(monkeypatch):
+def test_gap_curve_quadratures_go_through_analytic_integrate(monkeypatch, capsys):
     # a stand-in for qrmt.analytic.integrate sees every QUADPACK call of the
-    # analytic layer, and none of the CLI's own
-    assert qrmt.cli.integrate is not qrmt.analytic.integrate
+    # analytic layer, each a QAWS call with its wvar, and none of the CLI's own
     calls = _count_analytic_quads(monkeypatch)
+    assert main(["verify", "--suite", "analytic"]) == 0
+    capsys.readouterr()
+    assert calls and None not in calls
+    calls.clear()
     p = qrmt.EnsembleParams.from_lambda(5, 1.5, alpha="auto")
     curve = qrmt.analytic.gap_curve(p, np.array([0.0, 0.2, 0.5]))
     assert len(calls) == 4  # E and s at each theta > 0; theta = 0 needs no quadrature

@@ -1,7 +1,7 @@
 """specfun's QUADPACK route: QAWS, QAGS and QAGI from scipy's extension module without scipy.integrate's init.
 
-Its `quad` and `dblquad` must give what `scipy.integrate`'s give, bit for bit,
-on the engine's and the verify suites' own calls and on calls that fail; the
+Its `quad` must give what `scipy.integrate.quad` gives, bit for bit, on the
+engine's and the verify suites' own calls and on calls that fail; the
 fallback and the import order must not change a bit either.
 """
 import math
@@ -19,7 +19,7 @@ import qrmt.analytic
 import qrmt.cli
 import qrmt.specfun
 from qrmt.cli import main
-from qrmt.specfun import _integrate, _verify_integrate
+from qrmt.specfun import _QUADPACK_MESSAGES, _integrate, _quadpack_ier
 
 
 def _child_env() -> dict:
@@ -121,9 +121,25 @@ def test_shim_equals_scipy_quad_where_quadpack_fails(ier, full_output):
     else:
         # the warning names the caller of quad, this file, as scipy's does
         assert len(got_warned) == 1 and got_warned[0][2] == __file__
-    # the engine reads the code back from the message's words
-    msg = got[3] if full_output else got_warned[0][1]
-    assert next(code for words, code in qrmt.analytic._QUADPACK_IER if words in msg) == ier
+    # the engine reads the code back from the message, the shim's and scipy's alike
+    msg, want_msg = (got[3], want[3]) if full_output else (got_warned[0][1], want_warned[0][1])
+    assert _quadpack_ier(msg, kwargs["limit"]) == _quadpack_ier(want_msg, kwargs["limit"]) == ier
+
+
+def test_each_quadpack_message_maps_back_to_its_code_at_the_engines_limit():
+    assert sorted(_QUADPACK_MESSAGES) == [1, 2, 3, 4, 5, 7]  # every code scipy's quad returns
+    for ier, text in _QUADPACK_MESSAGES.items():
+        assert _quadpack_ier(text.format(limit=200), 200) == ier
+
+
+@pytest.mark.parametrize("msg", [
+    "",
+    "A Python error occurred possibly while calling the function.",  # scipy's ier 80, which it raises
+    _QUADPACK_MESSAGES[1].format(limit=50),  # another limit's text
+    _QUADPACK_MESSAGES[2].splitlines()[0],  # a message's first line alone
+], ids=["empty", "other-message", "other-limit", "first-line"])
+def test_other_text_maps_to_no_quadpack_code(msg):
+    assert _quadpack_ier(msg, 200) == "?"
 
 
 @pytest.mark.parametrize("args, kwargs", [
@@ -203,35 +219,44 @@ def test_either_import_order_leaves_one_quadpack_module(shim_first, curves_diges
 
 
 class _VerifyComparing:
-    """Stands in for qrmt.cli.integrate: each of verify's calls runs the shim and scipy, which must agree."""
+    """Stands in for qrmt.cli.integrate: each of verify's calls runs the shim, then scipy on the same values.
+
+    As in _Comparing, scipy's quad reads the integrand's values at the nodes the shim's run
+    visited, with and without full_output: an outer call's integrand, which makes the inner calls,
+    runs once, so each inner call is compared once.  `calls` holds each call's depth of nesting.
+    """
 
     def __init__(self):
-        self.calls = []
+        self.calls, self.depth = [], 0
 
-    def quad(self, *args, **kwargs):
-        got = _verify_integrate.quad(*args, **kwargs)
-        _assert_same(got, scipy.integrate.quad(*args, **kwargs))
-        _assert_same(_verify_integrate.quad(*args, full_output=1, **kwargs),
-                     scipy.integrate.quad(*args, full_output=1, **kwargs))
-        self.calls.append("quad")
-        return got
+    def quad(self, func, *args, **kwargs):
+        assert "wvar" not in kwargs  # QAGS and QAGI: verify's quadratures take no weight
+        self.calls.append(self.depth)
+        seen = {}
 
-    def dblquad(self, *args, **kwargs):
-        got = _verify_integrate.dblquad(*args, **kwargs)
-        _assert_same(got, scipy.integrate.dblquad(*args, **kwargs))
-        self.calls.append("dblquad")
+        def recording(x):
+            seen[x] = value = func(x)
+            return value
+
+        self.depth += 1
+        got = _integrate.quad(recording, *args, **kwargs)
+        self.depth -= 1
+        _assert_same(got, scipy.integrate.quad(seen.__getitem__, *args, **kwargs))
+        _assert_same(_integrate.quad(seen.__getitem__, *args, full_output=1, **kwargs),
+                     scipy.integrate.quad(seen.__getitem__, *args, full_output=1, **kwargs))
         return got
 
 
 def test_shim_equals_scipy_on_the_verify_suites_quadratures(monkeypatch, capsys):
-    assert _verify_integrate is not _integrate  # a stand-in for the engine's route sees none of these
     comparing = _VerifyComparing()
     monkeypatch.setattr(qrmt.cli, "integrate", comparing)
     assert main(["verify", "--suite", "analytic"]) == 0
     capsys.readouterr()
     # the element and level density masses (QAGI), the density integral on [0, 1] (QAGS) and the
-    # joint density's mass, QAGI inside QAGI
-    assert comparing.calls == ["quad", "quad", "quad", "dblquad"]
+    # joint density's mass: QAGI over v of 75 inner QAGI calls over u
+    assert comparing.calls == [0, 0, 0, 0] + [1] * 75
+    # a stand-in for the engine's qrmt.analytic.integrate sees none of these: see
+    # test_gap_curve_quadratures_go_through_analytic_integrate in test_cli.py
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.5, math.inf), (-math.inf, 0.25), (-math.inf, math.inf)],
@@ -243,14 +268,6 @@ def test_qags_and_qagi_routes_equal_scipy_quad(a, b):
     for full_output in (0, 1):
         _assert_same(_integrate.quad(f, a, b, args=(2.0,), full_output=full_output, limit=100),
                      scipy.integrate.quad(f, a, b, args=(2.0,), full_output=full_output, limit=100))
-
-
-def test_dblquad_equals_scipy_with_curved_limits():
-    def f(y, x, c):
-        return c * math.exp(-(1.0 + x) * y) * math.cos(x + y)
-
-    got = _integrate.dblquad(f, 0.0, 2.0, lambda x: x * x, math.inf, args=(1.5,), epsabs=1e-10)
-    _assert_same(got, scipy.integrate.dblquad(f, 0.0, 2.0, lambda x: x * x, math.inf, args=(1.5,), epsabs=1e-10))
 
 
 # integrands that make QAGS (finite ends) and QAGI (an infinite end) stop with ier 1, 2 and 4
@@ -280,7 +297,7 @@ def test_qags_and_qagi_warn_as_scipy_quad_where_quadpack_fails(case, full_output
     assert got_warned == want_warned
     msg = got[3] if full_output else got_warned[0][1]
     assert len(got_warned) == (0 if full_output else 1)
-    assert next(code for words, code in qrmt.analytic._QUADPACK_IER if words in msg) == int(case[-1])
+    assert _quadpack_ier(msg, kwargs.get("limit", 50)) == int(case[-1])
 
 
 @pytest.mark.parametrize("args, kwargs", [

@@ -483,6 +483,32 @@ def test_nn_spacing_histogram():
     assert h.integral() == pytest.approx(1.0, abs=1e-9)  # all spacings inside range
 
 
+_HISTOGRAMS = {"empirical_density": empirical_density, "nn_spacing": lambda b, bins: nn_spacing(b, bins=bins)}
+
+
+@pytest.mark.parametrize("bins", [0, -3, 2.5, [1.0, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, math.nan, 1.0],
+                                  [0.0, math.inf], [0.5], [[0.0, 1.0]], "no-such-rule"],
+                         ids=["zero", "negative", "float", "decreasing", "repeated", "nan", "inf", "one-edge",
+                              "2-d", "unknown-rule"])
+@pytest.mark.parametrize("name", sorted(_HISTOGRAMS))
+def test_histogram_bins_that_give_no_valid_edges_are_a_parameter_error(name, bins):
+    # not numpy's ValueError or TypeError, NaN heights from a zero-width bin, or a misleading
+    # "counts must be nonnegative" from a NaN edge
+    b = _batch(EnsembleParams.gaussian(6, alpha=1.0), 20, seed=49)
+    with pytest.raises(ParameterError, match="bins"):
+        _HISTOGRAMS[name](b, bins)
+
+
+@pytest.mark.parametrize("bins", [17, np.linspace(-3.0, 3.0, 13), "auto", "fd"], ids=["int", "edges", "auto", "fd"])
+@pytest.mark.parametrize("name", sorted(_HISTOGRAMS))
+def test_valid_histogram_bins_give_numpys_histogram(name, bins):
+    b = _batch(EnsembleParams.gaussian(6, alpha=1.0), 50, seed=49)
+    values = b.pooled() if name == "empirical_density" else nn_spacings(b)
+    counts, edges = np.histogram(values, bins=bins)
+    h = _HISTOGRAMS[name](b, bins)
+    assert h.counts.tobytes() == counts.tobytes() and h.edges.tobytes() == edges.tobytes()
+
+
 # --------------------------------------------------------------- tail index
 
 def test_default_hill_k_clamping():
