@@ -15,6 +15,7 @@ where the semicircle has radius sqrt(2 N).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -84,9 +85,23 @@ def _xi_max(lam: float) -> float:
     return max(50.0, lam + 20.0 * math.sqrt(lam))
 
 
+def _real(values, name: str) -> np.ndarray:
+    """`values` as a float array of its shape: a ParameterError naming `name` unless every entry is a real number.
+
+    numpy would parse a string and drop a complex number's imaginary part (with only a
+    ComplexWarning); a real int, float or array converts as np.asarray(values, dtype=float) does.
+    """
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind not in "biuf" and not (kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat)):
+        got = repr(values) if arr.ndim == 0 else f"an array of {arr.dtype}"
+        raise ParameterError(f"{name} must be real, got {got}")
+    return arr.astype(float, copy=False)
+
+
 def _grid(values, name: str) -> np.ndarray:
-    """`values` as a float array, which must be 1-D: a ParameterError naming the grid otherwise."""
-    grid = np.asarray(values, dtype=float)
+    """`values` as a float array, which must be 1-D and real: a ParameterError naming the grid otherwise."""
+    grid = _real(values, name)
     if grid.ndim != 1:
         raise ParameterError(f"{name} must be one-dimensional, got shape {grid.shape}")
     return grid
@@ -525,6 +540,8 @@ class _NodeTable(dict):
     `tables(cache, law, count)` makes a point's `count` tables, each holding its kernel at every
     node of a _NodeCache, from law(cache.w, cache.r): the kernel vectorised in the scalar kernel's
     operation order, so with its bits: the cache decides only which values are computed ahead.
+    A grid-wide cache's tables (_SlotCache) hold 0-d views of one buffer, which QUADPACK reads
+    through their __float__: such a table is valid until the grid's next point writes the slots.
     The kernel never refers to its own table, so a spent table is freed with its last reference,
     not left to the cyclic collector; it stores no value there, so a node visited twice in one
     average is evaluated twice.
@@ -536,12 +553,7 @@ class _NodeTable(dict):
     def tables(cls, cache: "_NodeCache | None", law, count: int) -> list:
         if cache is None or not cache.xis:
             return [cls() for _ in range(count)]
-        tables = []
-        for v in law(cache.w, cache.r):  # from a copy of cache.keys, presized: update only sets values
-            tables.append(cls(cache.keys or ()))
-            tables[-1].update(zip(cache.xis, v.tolist()))
-            cache.keys = cache.keys or dict(tables[-1])
-        return tables
+        return cache.tables(law)
 
 
 class _NodeCache:
@@ -551,6 +563,9 @@ class _NodeCache:
     _placed), subdivisions in _gamma_average's form, or costs a set test for one seen before (most
     of a bulk grid's points repeat the last one's).  `add(x)` takes nodes placed elsewhere.  Each
     node keeps w = scale e^-xi, by math.exp since np.exp rounds differently, and r = root(xi).
+    `tables(law)` fills one _NodeTable per column of law(w, r): a theta on its own interval reads
+    each node's value about once, and a float lookup costs less than a view's (124 against 150 ns
+    per QUADPACK evaluation of a bulk average), so these caches fill their tables.
     """
 
     __slots__ = ("hi", "scale", "root", "ends", "seen", "xis", "w", "r", "keys")
@@ -571,6 +586,46 @@ class _NodeCache:
         self.xis += x.tolist()
         self.keys = None  # tables copy their keys from here: rebuilt at the next table
         self.w, self.r = np.concatenate([self.w, w]), np.concatenate([self.r, r])
+
+    def tables(self, law) -> list:
+        tables = []
+        for v in law(self.w, self.r):  # from a copy of self.keys, presized: update only sets values
+            tables.append(_NodeTable(self.keys or ()))
+            tables[-1].update(zip(self.xis, v.tolist()))
+            self.keys = self.keys or dict(tables[-1])
+        return tables
+
+
+class _SlotCache(_NodeCache):
+    """A _NodeCache that every point of a grid reads: one float buffer, one row per count averaged.
+
+    `index[row]` maps each node to a 0-d view of its slot in `slots[row]`.  `add` grows the
+    indexes by the new nodes only, and makes them again when `slots` must grow (to twice the
+    nodes).  `tables(law)` writes the point's columns of law(w, r) into the rows and hands copies
+    of the indexes, so no float is hashed: a table is valid until the next point's `tables` call
+    writes the slots, and what its kernel stores goes into the copy, never into the index.
+    """
+
+    __slots__ = ("slots", "index")
+
+    def __init__(self, hi: float, scale: float, root, rows: int) -> None:
+        self.slots, self.index = np.empty((rows, 0)), [{} for _ in range(rows)]
+        super().__init__(hi, scale, root)
+
+    def add(self, x: np.ndarray) -> None:
+        start = len(self.xis)
+        super().add(x)
+        if len(self.xis) > self.slots.shape[1]:  # views of the old buffer would go stale
+            self.slots, start = np.empty((len(self.index), 2 * len(self.xis))), 0
+            self.index = [{} for _ in self.index]
+        for index, row in zip(self.index, self.slots):
+            index.update(zip(self.xis[start:], [row[j, ...] for j in range(start, len(self.xis))]))
+
+    def tables(self, law) -> list:
+        size = len(self.xis)
+        for row, v in zip(self.slots, law(self.w, self.r)):
+            row[:size] = v
+        return [_NodeTable(index) for index in self.index]
 
 
 # QAWS's two rules as node offsets from an interval's centre, in units of its half-length: the
@@ -646,9 +701,11 @@ def _goe_integrands(theta: float, params: EnsembleParams, cache: _NodeCache | No
     y = goe_counting(sqrt(2 alpha xi/lam) theta, n).
 
     Each is the bound lookup of a _NodeTable, valid at any xi.  The tables start out holding the
-    law at the nodes of `cache`, if any, from one law call that computes only their columns.
+    law at the nodes of `cache`, if any, from one law call that computes only their columns; on a
+    grid-wide cache (_SlotCache) they are valid until the next theta's tables write its slots.
     Asked for both, the E kernel also stores w y in the s table, so gap_curve's s quadrature, run
-    after its E quadrature, reads the nodes they share.
+    after its E quadrature, reads the nodes they share: it stores into this theta's own table,
+    never into the cache's index.
     goe_counting's and goe_gap's float arithmetic inline, in the same order and so with the same
     bits, whichever integrand computes y: y is n from the band edge on, max is written as the
     comparison the builtin makes, which costs less than the call, and numpy's arcsin stays, since
@@ -703,7 +760,7 @@ def _gamma_weighted_goe(thetas, params: EnsembleParams, site: str, counts: tuple
     gap_probability, mean_count and gap_curve.  Past xi_sat = n lam/(alpha theta^2), infinite
     when theta^2 underflows, y = n: the law is the constant n or goe_gap(n) there.  1/Gamma(lam),
     goe_gap(n) and xi_max are computed once.  The thetas with xi_sat >= xi_max average over
-    [0, xi_max], from one _NodeCache that their converged averages extend.  Each other theta
+    [0, xi_max], from one _SlotCache that their converged averages extend.  Each other theta
     averages over its own [0, xi_sat], from the nodes QAWS visits there if it bisects as in the
     previous theta's converged averages (_qaws_nodes); a single theta keeps no subdivision.
     """
@@ -711,7 +768,8 @@ def _gamma_weighted_goe(thetas, params: EnsembleParams, site: str, counts: tuple
         raise RegimeError(f"{site.replace('_', ' ')} needs the heavy-tailed branch")
     n, lam, a = params.n, params.lam, params.alpha
     # r = sqrt(2 alpha xi/lambda) as the kernels compute it
-    cache, last, out = _NodeCache(_xi_max(lam), _inv_gamma(lam), lambda x: np.sqrt(2.0 * a * x / lam)), [], []
+    cache = _SlotCache(_xi_max(lam), _inv_gamma(lam), lambda x: np.sqrt(2.0 * a * x / lam), len(counts))
+    last, out = [], []
     tails = [float(n) if count else goe_gap(float(n)) for count in counts]
     for theta in thetas:
         if not theta >= 0:
@@ -743,7 +801,8 @@ def _goe_law(theta, params: EnsembleParams, site: str, count: bool):
     each value the bits of its own scalar call.
     """
     scalar = np.ndim(theta) == 0
-    rows = _gamma_weighted_goe((theta,) if scalar else _grid(theta, "theta grid"), params, site, (count,))
+    thetas = (float(_real(theta, "theta")),) if scalar else _grid(theta, "theta grid")
+    rows = _gamma_weighted_goe(thetas, params, site, (count,))
     values = [value if count else min(value, 1.0) for ((value, _),) in rows]
     return values[0] if scalar else np.array(values)
 
@@ -786,13 +845,14 @@ def gap_probability_bulk(s, lam: float = 1.0):
     negative value at s = 50.  poch keeps the Gamma ratio to float64
     precision where a difference of ln Gamma values would not.
     Up to lambda = 10 and s = 10 every s averages over [0, xi_max(lambda)],
-    so an array's points share one _NodeCache, which each converged average
-    extends: each s's table starts out holding the kernel at every node
-    placed so far, with the bits of a call at that s alone.
+    so an array's points share one _SlotCache, which each converged average
+    extends: each s writes the kernel at every node placed so far into the
+    cache's slots, which its table reads, with the bits of a call at that s
+    alone.
     """
     if not 0 < lam < math.inf:
         raise RegimeError(f"bulk gap law needs finite lambda > 0, got {lam}")
-    sa = np.asarray(s, dtype=float)
+    sa = _real(s, "mean count s")
     if not np.all((sa >= 0) & (sa < math.inf)):
         raise ParameterError("mean count s must be finite and nonnegative")
     out = np.empty(sa.shape)
@@ -806,7 +866,7 @@ def gap_probability_bulk(s, lam: float = 1.0):
     elif near.size:
         # y averages to s, so y_xi = s sqrt(xi) Gamma(lam)/Gamma(lam + 1/2)
         slope = math.exp(ln_gamma(lam) - ln_gamma(lam + 0.5))
-        cache, trees = _NodeCache(_xi_max(lam), _inv_gamma(lam), np.sqrt), ([] if near.size > 1 else None)
+        cache, trees = _SlotCache(_xi_max(lam), _inv_gamma(lam), np.sqrt, 1), ([] if near.size > 1 else None)
         scale, hsp, sqrt, exp, erfc = cache.scale, _HALF_SQRT_PI, math.sqrt, math.exp, _erfc_double()
 
         def one(sv: float) -> float:

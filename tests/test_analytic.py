@@ -12,6 +12,7 @@ Oracles used here:
 import gc
 import hashlib
 import math
+import re
 import sys
 import time
 import warnings
@@ -800,6 +801,28 @@ def test_gap_curve_quadpack_warnings_point_at_the_caller():
     assert {w.filename for w in record} == {__file__}
 
 
+
+@pytest.mark.parametrize("n,flagged", [
+    (20, (0.2717207669088468, 0.36685769629872966, 0.4953046867365851)),
+    (50, (0.2012556255857061, 0.36685769629872966)),
+])
+def test_gap_curve_at_lambda_10_flags_roundoff_where_its_single_points_do(n, flagged):
+    # on the CLI's default grid QUADPACK stops with ier=2 at these thetas only, in the grid's E
+    # averages as in gap_probability's own calls: the node cache does not move a flag
+    p, thetas = EnsembleParams.from_lambda(n, 10.0, alpha="auto"), _gap_theta_grid(3.0, 40)
+
+    def flags(call) -> list:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            call()
+        assert all(issubclass(w.category, IntegrationWarning) for w in record)
+        found = [re.search(r"ier=(\S+) at theta=([^,]+),", str(w.message)) for w in record]
+        return [(float(m.group(2)), m.group(1)) for m in found]
+
+    grid = flags(lambda: gap_curve(p, thetas))
+    assert grid == [(theta, "2") for theta in flagged]
+    assert flags(lambda: [gap_probability(float(t), p) for t in thetas]) == grid
+
 class _FailingQuadpack:
     """A stand-in for qrmt.analytic.integrate: QUADPACK's value, with its roundoff message."""
 
@@ -855,6 +878,42 @@ def test_gap_laws_reject_nan_theta(call):
     with pytest.raises(ParameterError, match="nonnegative"):
         call(EnsembleParams.from_lambda(5, 1.5, alpha=1.0))
 
+
+
+_P_REAL = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, 0.5j, np.complex128(0.5), b"0.5"],
+                         ids=["str", "None", "complex", "np.complex128", "bytes"])
+@pytest.mark.parametrize("call,name", [
+    (lambda v: mean_count(v, _P_REAL), "theta"),
+    (lambda v: gap_probability(v, _P_REAL), "theta"),
+    (lambda v: mean_count([0.1, v], _P_REAL), "theta grid"),
+    (lambda v: gap_probability(np.array([0.1, v]), _P_REAL), "theta grid"),
+    (lambda v: gap_curve(_P_REAL, [0.0, v]), "theta grid"),
+    (lambda v: density_curve(_P_REAL, [0.1, v]), "E grid"),
+    (lambda v: element_curve(_P_REAL, np.array([0.1, v])), "x grid"),
+    (lambda v: gap_probability_bulk(v, 1.5), "mean count s"),
+    (lambda v: gap_probability_bulk([[0.5, v]], 1.5), "mean count s"),
+], ids=["mean_count", "gap_probability", "mean_count-grid", "gap_probability-grid", "gap_curve",
+        "density_curve", "element_curve", "bulk-scalar", "bulk-array"])
+def test_non_real_input_is_a_parameter_error(call, name, bad):
+    # numpy would parse a string and drop a complex number's imaginary part with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"^{name} must be real, got"):
+            call(bad)
+
+
+def test_real_ints_and_narrow_floats_keep_their_bits():
+    p, grid = _P_REAL, [0, 1, 2]
+    assert _bits(mean_count(1, p)) == _bits(mean_count(1.0, p))
+    assert _bits(gap_probability(np.float32(0.5), p)) == _bits(gap_probability(float(np.float32(0.5)), p))
+    assert np.array_equal(_bits(gap_probability(grid, p)), _bits(gap_probability(np.array(grid, dtype=float), p)))
+    assert np.array_equal(_bits(gap_curve(p, grid).values), _bits(gap_curve(p, np.array(grid, dtype=float)).values))
+    assert np.array_equal(_bits(gap_probability_bulk(np.array([[0, 3], [1, 2]]), 1.5)),
+                          _bits(gap_probability_bulk(np.array([[0.0, 3.0], [1.0, 2.0]]), 1.5)))
+    assert _bits(gap_probability_bulk(2, 2.5)) == _bits(gap_probability_bulk(2.0, 2.5))
 
 def test_gap_laws_at_infinite_theta_are_saturated():
     p = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
@@ -1246,6 +1305,50 @@ def test_goe_laws_fill_one_node_table_per_count_they_average(monkeypatch):
         call(thetas, p)
         assert len(asked) == 39 and set(asked) == {count}  # theta = 0 averages nothing
 
+
+
+@pytest.mark.parametrize("law", ["bulk-0.5", "bulk-1.5", "gap_curve"])
+def test_each_average_reads_its_own_points_values_from_the_node_tables(monkeypatch, law):
+    # a grid-wide cache's tables read slots that each point overwrites: before every average, each
+    # prefilled entry of the table QUADPACK is handed (sampled, over the whole grid) must be that
+    # point's scalar kernel at the node, bit for bit.  A view left on a buffer that grew, a row
+    # written after its average starts, or two live tables on one row all break this.  The bulk
+    # grid's first s = 1e-3 places few nodes, so its buffer grows while the grid is in use
+    engine, checked, slotted, buffers = qrmt.analytic._gamma_average, [0], [0], {}
+    p, thetas = EnsembleParams.from_lambda(20, 0.5, alpha="auto"), _gap_theta_grid(3.0, 40)
+    lam = p.lam if law == "gap_curve" else float(law.split("-")[1])
+    scale, slope = math.exp(-gammaln(lam)), math.exp(gammaln(lam) - gammaln(lam + 0.5))
+
+    def spy(kernel, *args, **kwargs):
+        table, point = kernel.__self__, args[3]
+        if law == "gap_curve":
+            count = table.__missing__.__name__ == "s_kernel"
+            theta = float(re.match(r"theta=([^,]+),", point).group(1))
+            scalar = _goe_integrands(theta, p, None, (count,))[0]  # a table of its own, empty
+        else:
+            sv = float(re.match(r"s=(.+)$", point).group(1))
+
+            def scalar(xi):
+                return scale * math.exp(-xi) * goe_gap(sv * math.sqrt(xi) * slope)
+
+        items, size = list(table.items()), len(table)
+        views = [v for _, v in items if isinstance(v, np.ndarray)]
+        slotted[0] += bool(views)
+        buffers.update((id(v.base), v.base) for v in views[:1])
+        sample = items[checked[0] % 5::5] if law != "gap_curve" else items
+        assert _bits([float(v) for _, v in sample]).tolist() == _bits([scalar(xi) for xi, _ in sample]).tolist()
+        assert len(table) == size
+        checked[0] += 1
+        return engine(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(qrmt.analytic, "_gamma_average", spy)
+    if law == "gap_curve":
+        gap_curve(p, thetas)
+        assert checked[0] == 2 * 39 and slotted[0] > 0
+    else:
+        gap_probability_bulk(np.concatenate([[1e-3], np.linspace(0.0, 10.0, 201)]), lam)
+        assert checked[0] == 201 and slotted[0] == 200  # s = 0 averages nothing; the first s has no nodes
+        assert len(buffers) >= 2
 
 def test_bulk_grid_at_lambda_10_warns_as_its_single_points_do():
     # QUADPACK's roundoff flag at the same 24 of 201 points, with the same text, at the caller's line
