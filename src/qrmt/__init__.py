@@ -12,10 +12,39 @@ submodule asked of the package imports all five and binds their names here,
 so a process that needs only `qrmt.params` or `qrmt.cli` never runs the rest.
 """
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
 _MODULES = ("params", "sampler", "analytic", "spectral", "specfun")
+
+
+class _FirstUse:
+    """The creating module's global `name`, standing in for `source` until its first use.
+
+    `source` is a module, absolute or relative to the creator's package, or "module:attribute".
+    The first call or attribute access imports it and, unless a patch has replaced this stand-in,
+    binds the real object to `name` in the creator's module alone, so later lookups there reach
+    the object itself, and a patch on it, such as one on scipy.special, reaches every caller.
+    """
+
+    def __init__(self, name: str, source: str) -> None:
+        self._name, self._source, self._globals = name, source, sys._getframe(1).f_globals
+
+    def _resolve(self):
+        module, _, attr = self._source.partition(":")
+        obj = importlib.import_module(module, self._globals["__package__"])
+        if attr:
+            obj = getattr(obj, attr)
+        if self._globals.get(self._name) is self:
+            self._globals[self._name] = obj
+        return obj
+
+    def __getattr__(self, attr: str):
+        return getattr(self._resolve(), attr)
+
+    def __call__(self, *args, **kwargs):
+        return self._resolve()(*args, **kwargs)
 
 
 def _load() -> None:

@@ -23,9 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _FirstUse
 from .params import EnsembleParams, NumericalError, ParameterError, Regime, RegimeError
-from .specfun import QuadratureResult, _erfc_double, _quadpack_ier, _sp, bessel_k, kummer_m, ln_gamma
+from .specfun import QuadratureResult, _erfc_double, _quadpack_ier, bessel_k, kummer_m, ln_gamma
 from .specfun import _integrate as integrate
+
+_sp = _FirstUse("_sp", "scipy.special")
 
 __all__ = [
     "AnalyticCurve",
@@ -850,9 +853,10 @@ def gap_probability_bulk(s, lam: float = 1.0):
     cache's slots, which its table reads, with the bits of a call at that s
     alone.
     """
-    if not 0 < lam < math.inf:
+    lam = _real(lam, "lambda")
+    if lam.ndim or not 0 < lam < math.inf:
         raise RegimeError(f"bulk gap law needs finite lambda > 0, got {lam}")
-    sa = _real(s, "mean count s")
+    lam, sa = float(lam), _real(s, "mean count s")
     if not np.all((sa >= 0) & (sa < math.inf)):
         raise ParameterError("mean count s must be finite and nonnegative")
     out = np.empty(sa.shape)

@@ -10,49 +10,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import itertools
 import math
 import operator
 import os
 import sys
 
-from . import __version__
+from . import _FirstUse, __version__
 from .params import EnsembleParams, NumericalError, ParameterError, Regime, _nonnegative_int
 
 
-class _FirstUse:
-    """This module's global `name`, standing in for `source` until its first use.
-
-    `source` is a module, or "module:attribute".  The first call or attribute
-    access imports it and, unless a patch has replaced this stand-in, binds the
-    real object to `name`, so later lookups are plain global lookups.  A module
-    is the one object in sys.modules, so a patch on numpy or `qrmt.analytic`
-    reaches the commands.  numpy, scipy and the other qrmt modules so load only
-    when a command computes, and the output writers' modules only when it
-    writes: `--version`, `--help` and an argument or parameter error import
-    none of them, and `verify --manifest` only json and hashlib.
-    """
-
-    def __init__(self, name: str, source: str) -> None:
-        self._name, self._source = name, source
-
-    def _resolve(self):
-        module, _, attr = self._source.partition(":")
-        obj = importlib.import_module(module, __package__)
-        if attr:
-            obj = getattr(obj, attr)
-        if globals().get(self._name) is self:
-            globals()[self._name] = obj
-        return obj
-
-    def __getattr__(self, attr: str):
-        return getattr(self._resolve(), attr)
-
-    def __call__(self, *args, **kwargs):
-        return self._resolve()(*args, **kwargs)
-
-
+# numpy, scipy and the other qrmt modules load when a command computes, the writers' modules when it
+# writes: `--version`, `--help` and a parameter error load none, `verify --manifest` only json and hashlib
 np = _FirstUse("np", "numpy")
 an = _FirstUse("an", ".analytic")
 sp = _FirstUse("sp", ".spectral")
@@ -79,7 +48,7 @@ sample_batch = _FirstUse("sample_batch", ".sampler:sample_batch")
 sample_blocks = _FirstUse("sample_blocks", ".sampler:sample_blocks")
 sample_goe = _FirstUse("sample_goe", ".sampler:sample_goe")
 sample_levy_stable = _FirstUse("sample_levy_stable", ".sampler:sample_levy_stable")
-_sp = _FirstUse("_sp", ".specfun:_sp")
+_sp = _FirstUse("_sp", "scipy.special")
 bessel_k = _FirstUse("bessel_k", ".specfun:bessel_k")
 erf = _FirstUse("erf", ".specfun:erf")
 kummer_m = _FirstUse("kummer_m", ".specfun:kummer_m")

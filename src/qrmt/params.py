@@ -59,6 +59,13 @@ def _nonnegative_int(value, what: str) -> int:
     return int(value)
 
 
+def _real_float(value, what: str) -> float:
+    """`value` as a Python float: a ParameterError unless it is a real number, numpy scalars and bools included."""
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 class Regime(Enum):
     RESTRICTED_TRACE = "restricted-trace"
     GAUSSIAN = "gaussian"
@@ -161,7 +168,9 @@ class EnsembleParams:
     inputs, and equality and hashing use them alone.  The derived fields are
     set from them on construction, so `dataclasses.replace` re-derives them.
     Construction checks that q and lam agree at this n, however it is reached:
-    :meth:`from_q`, :meth:`from_lambda`, the raw constructor or `replace`.
+    :meth:`from_q`, :meth:`from_lambda`, the raw constructor or `replace`,
+    and stores q and lam as Python floats, so a member built from a numpy
+    scalar or a bool equals, hashes and serialises as the one built from floats.
     """
 
     n: int
@@ -191,7 +200,7 @@ class EnsembleParams:
         The regime follows from lam alone: +inf at q = 1, negative below it,
         positive on the heavy-tailed branch (where q itself may round to 1).
         """
-        f, q, lam = dof(self.n), self.q, self.lam
+        f, q, lam = dof(self.n), _real_float(self.q, "q"), _real_float(self.lam, "lambda")
         if not (math.isfinite(q) or q == -math.inf):
             raise ParameterError(f"q must be finite or -inf, got {q}")
         if (lam < 0) != (q < 1) or not (
@@ -213,15 +222,15 @@ class EnsembleParams:
         alpha = self._resolve_alpha(self.n, self.alpha, sigma)
         if regime is Regime.LEVY_BRANCH:
             e_char = math.sqrt(self.n * lam / alpha)
-        for name, value in (("f", f), ("alpha", alpha), ("mu", f / (2.0 * alpha)),
-                            ("regime", regime), ("sigma", sigma),
+        for name, value in (("q", q), ("lam", lam), ("f", f), ("alpha", alpha),
+                            ("mu", f / (2.0 * alpha)), ("regime", regime), ("sigma", sigma),
                             ("big_lambda", big_lambda), ("e_char", e_char)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def from_q(cls, n: int, q: float, alpha: float | str | None = None) -> "EnsembleParams":
         """Construct from (n, q, alpha); alpha=None or "auto" applies alpha_scaling."""
-        f = dof(n)
+        f, q = dof(n), _real_float(q, "q")
         if q_max(f) <= q < math.inf:
             raise ParameterError(f"q = {q} is not below q_max = {q_max(f)} for n = {n} (f = {f})")
         return cls(n, q, math.inf if q == 1 else lambda_from_q(q, f), alpha)
@@ -233,6 +242,7 @@ class EnsembleParams:
         lambda is the natural variable there; q is derived.  Negative lambda is
         not accepted directly: the restricted-trace branch is specified by q.
         """
+        lam = _real_float(lam, "lambda")
         if not (lam > 0.0 and math.isfinite(lam)):
             raise ParameterError(
                 f"from_lambda requires lambda > 0 (heavy-tailed branch), got {lam}; "

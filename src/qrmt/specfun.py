@@ -1,7 +1,7 @@
 """Special functions and quadrature plumbing used by the closed-form evaluators.
 
-scipy is imported on first use, through `_Deferred`: sampling needs only
-numpy, so `import qrmt` and `qrmt sample` never load scipy, and the first
+scipy is imported on first use, through `_FirstUse` stand-ins: sampling needs
+only numpy, so `import qrmt` and `qrmt sample` never load scipy, and the first
 analytic call pays its import.  QUADPACK comes through `_integrate`, the one
 `_Integrate`, which loads scipy's `_quadpack` extension on its own: the
 Gamma-average engine's QAWS calls and the verify suites' QAGS and QAGI calls,
@@ -22,7 +22,6 @@ stock routine exposes the (sigma, Lambda) parametrization required.
 from __future__ import annotations
 
 import functools
-import importlib
 import importlib.machinery
 import importlib.util
 import math
@@ -33,6 +32,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from . import _FirstUse
+from .params import ParameterError
 
 __all__ = [
     "QuadratureResult",
@@ -45,24 +47,8 @@ __all__ = [
 ]
 
 
-class _Deferred:
-    """Stand-in for the module `name`, imported on the first attribute access.
-
-    Each attribute is fetched once and cached on the instance, so later
-    accesses are plain attribute lookups.
-    """
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        value = getattr(importlib.import_module(self._name), attr)
-        setattr(self, attr, value)
-        return value
-
-
-_sp = _Deferred("scipy.special")
-_cs = _Deferred("scipy.special.cython_special")
+_sp = _FirstUse("_sp", "scipy.special")
+_cs = _FirstUse("_cs", "scipy.special.cython_special")
 
 
 def _erfc_double():
@@ -122,7 +108,7 @@ _QUADPACK_MESSAGES = {
        "has not been achieved.",
 }
 
-_scipy_integrate = _Deferred("scipy.integrate")
+_scipy_integrate = _FirstUse("_scipy_integrate", "scipy.integrate")
 
 
 class _Integrate:
@@ -193,7 +179,7 @@ def ln_gamma(x):
     """Natural log of Gamma(x) for x > 0."""
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
-        raise ValueError("ln_gamma requires x > 0")
+        raise ParameterError("ln_gamma requires x > 0")
     out = _sp.gammaln(xa)
     return float(out) if xa.ndim == 0 else out
 
@@ -211,10 +197,10 @@ def bessel_k(nu: float, z):
     against an arbitrary-precision oracle; see the test suite anchors).
     """
     if nu <= 0:
-        raise ValueError(f"bessel_k requires nu > 0, got {nu}")
+        raise ParameterError(f"bessel_k requires nu > 0, got {nu}")
     za = np.asarray(z, dtype=float)
     if np.any(za <= 0.0):
-        raise ValueError("bessel_k requires z > 0")
+        raise ParameterError("bessel_k requires z > 0")
     out = _sp.kv(nu, za)
     return float(out) if za.ndim == 0 else out
 
@@ -222,10 +208,10 @@ def bessel_k(nu: float, z):
 def _check_kummer_args(b: float, z) -> np.ndarray:
     """z as a float array, once b and z are checked for the z <= 0 domain."""
     if b <= 0 and float(b).is_integer():
-        raise ValueError(f"kummer_m is undefined for nonpositive integer b, got b = {b}")
+        raise ParameterError(f"kummer_m is undefined for nonpositive integer b, got b = {b}")
     za = np.asarray(z, dtype=float)
     if (za > 0.0).any():
-        raise ValueError("kummer_m is restricted to z <= 0")
+        raise ParameterError("kummer_m is restricted to z <= 0")
     return za
 
 
@@ -310,9 +296,9 @@ def levy_density(x: float, sigma: float, big_lambda: float) -> float:
     arbitrary-precision oracle).
     """
     if not 0.0 < sigma <= 2.0:
-        raise ValueError(f"levy_density requires sigma in (0, 2], got {sigma}")
+        raise ParameterError(f"levy_density requires sigma in (0, 2], got {sigma}")
     if not 0.0 < big_lambda < math.inf:
-        raise ValueError(f"levy_density requires a finite Lambda > 0, got {big_lambda}")
+        raise ParameterError(f"levy_density requires a finite Lambda > 0, got {big_lambda}")
     x = abs(float(x))
     if x == math.inf:  # the density's limit; the generic branch's half-period would be 0
         return 0.0

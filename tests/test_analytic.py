@@ -895,8 +895,9 @@ _P_REAL = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)
     (lambda v: element_curve(_P_REAL, np.array([0.1, v])), "x grid"),
     (lambda v: gap_probability_bulk(v, 1.5), "mean count s"),
     (lambda v: gap_probability_bulk([[0.5, v]], 1.5), "mean count s"),
+    (lambda v: gap_probability_bulk(1.0, v), "lambda"),
 ], ids=["mean_count", "gap_probability", "mean_count-grid", "gap_probability-grid", "gap_curve",
-        "density_curve", "element_curve", "bulk-scalar", "bulk-array"])
+        "density_curve", "element_curve", "bulk-scalar", "bulk-array", "bulk-lambda"])
 def test_non_real_input_is_a_parameter_error(call, name, bad):
     # numpy would parse a string and drop a complex number's imaginary part with a ComplexWarning
     with warnings.catch_warnings():
@@ -914,6 +915,9 @@ def test_real_ints_and_narrow_floats_keep_their_bits():
     assert np.array_equal(_bits(gap_probability_bulk(np.array([[0, 3], [1, 2]]), 1.5)),
                           _bits(gap_probability_bulk(np.array([[0.0, 3.0], [1.0, 2.0]]), 1.5)))
     assert _bits(gap_probability_bulk(2, 2.5)) == _bits(gap_probability_bulk(2.0, 2.5))
+    s = np.array([0.5, 3.7, 12.0])
+    for lam, as_float in ((np.float32(1.5), 1.5), (np.int64(2), 2.0), (True, 1.0), (np.float64(20.0), 20.0)):
+        assert np.array_equal(_bits(gap_probability_bulk(s, lam)), _bits(gap_probability_bulk(s, as_float)))
 
 def test_gap_laws_at_infinite_theta_are_saturated():
     p = EnsembleParams.from_lambda(5, 1.5, alpha=1.0)

@@ -2,7 +2,8 @@
 
 A command that computes nothing loads no numpy, one that writes nothing
 loads no output writer, and the analytic commands and the verify suites
-reach QUADPACK without importing the scipy.integrate package.
+reach QUADPACK without importing the scipy.integrate package.  A module's
+first-use stand-ins give way, each in its own module, to the real objects.
 """
 import ast
 import os
@@ -10,8 +11,12 @@ import subprocess
 import sys
 
 import pytest
+import scipy.special
 
 import qrmt
+import qrmt.analytic
+import qrmt.cli
+import qrmt.specfun
 from qrmt.cli import main
 
 
@@ -179,3 +184,65 @@ def test_a_wrapper_on_render_svg_made_before_first_use_stays_in_place(tmp_path):
     assert _run_child(code, tmp_path)[-1] == "2"
     for cmd in ("density", "gap"):
         assert (tmp_path / cmd / "plot.svg").read_text(encoding="utf-8").startswith("<svg")
+
+
+def test_first_use_binds_scipy_special_itself_in_the_module_that_used_it():
+    code = (
+        "import contextlib, io, sys\n"
+        "import qrmt, qrmt.analytic as an, qrmt.cli as cli, qrmt.specfun as sf\n"
+        "def stand_ins():\n"
+        "    return [type(m._sp) is qrmt._FirstUse for m in (an, sf, cli)]\n"
+        "print(stand_ins())\n"
+        "an.goe_gap(0.5)\n"
+        "special = sys.modules['scipy.special']\n"
+        "print(an._sp is special, stand_ins())\n"
+        "sf.ln_gamma(2.0)\n"
+        "print(sf._sp is special, stand_ins())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'spectral']) == 0\n"
+        "print(cli._sp is special, stand_ins())\n"
+    )
+    assert _run_child(code) == ["[True, True, True]", "True [False, True, True]", "True [False, False, True]",
+                                "True [False, False, False]"]
+
+
+def test_a_patch_on_scipy_special_after_first_use_reaches_goe_gap(monkeypatch):
+    real = qrmt.analytic.goe_gap(0.5)
+    assert qrmt.analytic._sp is scipy.special
+    monkeypatch.setattr(scipy.special, "erfc", lambda y: 0.25)
+    assert qrmt.analytic.goe_gap(0.5) == 0.25 != real
+
+
+def _stand_in(module, name: str, source: str):
+    """A `_FirstUse` for `module`'s global `name`, made as `module`'s own code makes one."""
+    return eval(f"_FirstUse({name!r}, {source!r})", vars(module))
+
+
+_STAND_INS = [
+    (qrmt.specfun, "_sp", "scipy.special"),
+    (qrmt.specfun, "_cs", "scipy.special.cython_special"),
+    (qrmt.specfun, "_scipy_integrate", "scipy.integrate"),
+    (qrmt.analytic, "_sp", "scipy.special"),
+    (qrmt.cli, "_sp", "scipy.special"),
+    (qrmt.cli, "an", ".analytic"),
+]
+_IDS = [f"{module.__name__}.{name}" for module, name, _ in _STAND_INS]
+
+
+@pytest.mark.parametrize("module,name,source", _STAND_INS, ids=_IDS)
+def test_a_stand_in_rebinds_only_its_own_modules_global(monkeypatch, module, name, source):
+    modules = (qrmt.specfun, qrmt.analytic, qrmt.cli)
+    others = {m: vars(m)[name] for m in modules if m is not module and name in vars(m)}
+    stand_in = _stand_in(module, name, source)
+    monkeypatch.setattr(module, name, stand_in)
+    first = stand_in.__name__
+    assert getattr(module, name) is sys.modules[first]
+    assert {m: vars(m)[name] for m in others} == others
+
+
+@pytest.mark.parametrize("module,name,source", _STAND_INS, ids=_IDS)
+def test_a_stand_in_leaves_a_patch_that_replaced_it(monkeypatch, module, name, source):
+    stand_in, patch = _stand_in(module, name, source), object()
+    monkeypatch.setattr(module, name, patch)
+    assert stand_in.__name__ in sys.modules
+    assert getattr(module, name) is patch

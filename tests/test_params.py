@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -372,3 +373,53 @@ def test_regime_classification_below_one(n, q):
     assert p.lam < 0
     # support radius -lam/alpha is positive
     assert -p.lam / p.alpha > 0
+
+
+_HEAVY = EnsembleParams.from_lambda(5, 2.0, alpha=1.0)
+
+
+@pytest.mark.parametrize("bad", ["1.0", None, 1 + 0j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("build,name", [
+    (lambda v: EnsembleParams.from_lambda(5, v, alpha=1.0), "lambda"),
+    (lambda v: EnsembleParams.from_q(5, v, alpha=1.0), "q"),
+    (lambda v: EnsembleParams(5, v, _HEAVY.lam, 1.0), "q"),
+    (lambda v: EnsembleParams(5, _HEAVY.q, v, 1.0), "lambda"),
+    (lambda v: dataclasses.replace(_HEAVY, q=v), "q"),
+    (lambda v: dataclasses.replace(_HEAVY, lam=v), "lambda"),
+], ids=["from_lambda", "from_q", "raw-q", "raw-lam", "replace-q", "replace-lam"])
+def test_non_real_q_or_lambda_is_a_parameter_error_naming_it(build, name, bad):
+    with pytest.raises(ParameterError, match=f"^{name} must be a real number, got"):
+        build(bad)
+
+
+def _same_member(p: EnsembleParams, ref: EnsembleParams) -> None:
+    assert p == ref and hash(p) == hash(ref) and len({p, ref}) == 1
+    assert type(p.q) is float and type(p.lam) is float
+    assert (math.copysign(1.0, p.q), p.q.hex(), p.lam.hex()) == (math.copysign(1.0, ref.q), ref.q.hex(), ref.lam.hex())
+    assert json.dumps(p.as_dict()) == json.dumps(ref.as_dict())
+
+
+@pytest.mark.parametrize("build,value,as_float", [
+    (EnsembleParams.from_lambda, np.float32(1.5), 1.5),
+    (EnsembleParams.from_lambda, np.int64(2), 2.0),
+    (EnsembleParams.from_lambda, True, 1.0),
+    (EnsembleParams.from_q, np.float32(1.1), float(np.float32(1.1))),
+    (EnsembleParams.from_q, np.float32(0.5), 0.5),
+    (EnsembleParams.from_q, np.int64(1), 1.0),
+    (EnsembleParams.from_q, True, 1.0),
+], ids=["lambda-float32", "lambda-int64", "lambda-bool", "q-float32", "q-float32-restricted", "q-int64",
+        "q-bool"])
+def test_numpy_and_bool_q_or_lambda_is_stored_as_its_python_float(build, value, as_float):
+    _same_member(build(5, value, alpha=1.0), build(5, as_float, alpha=1.0))
+
+
+def test_raw_constructor_and_replace_store_q_and_lambda_as_python_floats():
+    ref, one = EnsembleParams.from_lambda(5, 1.5, alpha=1.0), EnsembleParams.from_lambda(5, 1.0, alpha=1.0)
+    _same_member(EnsembleParams(5, np.float64(ref.q), np.float32(1.5), np.int64(1)), ref)
+    _same_member(dataclasses.replace(ref, lam=np.float32(1.5)), ref)
+    _same_member(dataclasses.replace(_HEAVY, lam=np.int64(2)), _HEAVY)
+    _same_member(dataclasses.replace(one, lam=True), one)
+    gaussian = EnsembleParams.gaussian(5, alpha=1.0)
+    _same_member(dataclasses.replace(gaussian, q=np.int64(1)), gaussian)
+    _same_member(dataclasses.replace(gaussian, q=True), gaussian)
+

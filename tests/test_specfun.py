@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erfc
 
+from qrmt.params import ParameterError
 from qrmt.specfun import (
     QuadratureResult,
     _erfc_double,
@@ -119,6 +120,24 @@ def test_kummer_domain():
         kummer_m(1.0, -2.0, -1.0)
     with pytest.raises(ValueError):
         kummer_m(1.0, 2.0, 1.0)  # positive z not supported
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ln_gamma(0.0),
+    lambda: ln_gamma([2.0, -0.5]),
+    lambda: bessel_k(0.0, 1.0),
+    lambda: bessel_k(1.0, [1.0, 0.0]),
+    lambda: kummer_m(1.0, -2.0, -1.0),
+    lambda: kummer_m(1.0, 2.0, [-1.0, 1.0]),
+    lambda: kummer_m_transformed(1.0, 0.0, -1.0),
+    lambda: kummer_m_transformed(1.0, 2.0, 1.0),
+    lambda: levy_density(1.0, 2.5, 1.0),
+    lambda: levy_density(1.0, 1.5, math.inf),
+], ids=["ln_gamma", "ln_gamma-array", "bessel_k-nu", "bessel_k-z", "kummer_m-b", "kummer_m-z",
+        "kummer_m_transformed-b", "kummer_m_transformed-z", "levy_density-sigma", "levy_density-Lambda"])
+def test_argument_checks_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 @pytest.mark.parametrize("x,sigma,lam,ref", LEVY_ANCHORS)
